@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gating import GatingKind
-from .positional import GqpeGroupParams, displacement_grid, lrpe_weight_matrix
+from .positional import GqpeGroupParams, group_weight_stack, lrpe_weight_stack
 
 DEFAULT_EXCLUSION = 1e-3
 
@@ -133,12 +133,12 @@ def read_map_pgm(path):
 def _positional_matrix(unit):
     kind = unit.config.kind
     if kind is GatingKind.GGQPE:
-        return [w.data for w in unit._mixing_matrices()]
-    if kind in (GatingKind.LRPE, GatingKind.GLRPE, GatingKind.LRPE_M):
-        grid = displacement_grid(unit.config.window_side)
-        return [lrpe_weight_matrix(unit.lrpe, grid, g).data
-                for g in range(unit.config.groups)]
-    raise ValueError(f"{kind.name} has no positional matrix to export")
+        stack = group_weight_stack(unit.gqpe, unit.emb)
+    elif kind in (GatingKind.LRPE, GatingKind.GLRPE, GatingKind.LRPE_M):
+        stack = lrpe_weight_stack(unit.lrpe, unit.grid)
+    else:
+        raise ValueError(f"{kind.name} has no positional matrix to export")
+    return [stack.matrix(g) for g in range(len(stack))]
 
 
 def export_unit_attention_maps(unit, query_index, out_dir, layer="unit", groups=None):

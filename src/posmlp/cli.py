@@ -147,6 +147,32 @@ def _model_config(resolved):
         raise ConfigError(str(err))
 
 
+def _train_config(resolved):
+    from .training import TrainConfig
+
+    try:
+        return TrainConfig(epochs=resolved["epochs"], batch_size=resolved["batch_size"],
+                           lr_init=resolved["lr_init"], lr_min=resolved["lr_min"],
+                           weight_decay=resolved["weight_decay"], seed=resolved["seed"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err))
+
+
+def _validate(resolved):
+    """Reject a configuration that cannot run, before anything is written."""
+    for key in ("epochs", "batch_size", "per_class", "seed"):
+        val = resolved[key]
+        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+            raise ConfigError(f"{key} must be a nonnegative integer, got {val!r}")
+    _model_config(resolved)
+    _train_config(resolved)
+    kind = resolved.get("dataset", "synthetic")
+    if kind not in ("synthetic", "cifar"):
+        raise ConfigError(f"unknown dataset {kind!r} (synthetic or cifar)")
+    if kind == "cifar" and not resolved.get("data_path"):
+        raise ConfigError("dataset 'cifar' needs --data-path")
+
+
 def _echo_config(resolved, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
@@ -177,15 +203,9 @@ def _load_or_build(resolved, dtype=None):
 def _dataset(resolved):
     from .training import SyntheticDataset, ingest_cifar_binary
 
-    kind = resolved.get("dataset", "synthetic")
-    if kind == "synthetic":
+    if resolved.get("dataset", "synthetic") == "synthetic":
         return SyntheticDataset(per_class=resolved["per_class"], seed=resolved["seed"])
-    if kind == "cifar":
-        path = resolved.get("data_path")
-        if not path:
-            raise ConfigError("dataset 'cifar' needs --data-path")
-        return ingest_cifar_binary(path.split(","))
-    raise ConfigError(f"unknown dataset {kind!r} (synthetic or cifar)")
+    return ingest_cifar_binary(resolved["data_path"].split(","))
 
 
 # -- commands -----------------------------------------------------------------------
@@ -370,13 +390,11 @@ def cmd_nonlocality(resolved):
 
 def cmd_train(resolved):
     from .model import save_checkpoint
-    from .training import TrainConfig, train_loop
+    from .training import train_loop
 
     model = _build(resolved)
     ds = _dataset(resolved)
-    cfg = TrainConfig(epochs=resolved["epochs"], batch_size=resolved["batch_size"],
-                      lr_init=resolved["lr_init"], lr_min=resolved["lr_min"],
-                      weight_decay=resolved["weight_decay"], seed=resolved["seed"])
+    cfg = _train_config(resolved)
     out = resolved["out"]
     history = train_loop(model, ds, cfg, out_dir=out)
     save_checkpoint(model, os.path.join(out, "model.pmlp"))
@@ -441,6 +459,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         resolved = _resolve(args)
+        _validate(resolved)
         _echo_config(resolved, resolved["out"])
         code = _COMMANDS[args.command](resolved)
     except ConfigError as err:

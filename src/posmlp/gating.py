@@ -19,9 +19,9 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .positional import (CovarianceForm, GqpeGroupParams, LrpeTable, displacement_grid,
-                         gqpe_embedding, group_weight_stack, lrpe_weight_matrix,
-                         trunc_normal)
+from .positional import (CovarianceForm, GqpeGroupParams, LrpeTable, WeightStack,
+                         displacement_grid, gqpe_embedding, group_weight_stack,
+                         lrpe_weight_matrix, lrpe_weight_stack, trunc_normal)
 
 
 class GatingKind(Enum):
@@ -170,19 +170,18 @@ class GatingUnit:
 
     # -- forward -----------------------------------------------------------
 
-    def _mixing_matrices(self):
+    def mixing_stack(self):
+        """The unit's s token-mixing matrices as one ``(N, s, N)`` ``WeightStack``."""
         cfg = self.config
-        if cfg.kind is GatingKind.SGU:
-            return [self.token_fc_weight]
+        if cfg.kind is GatingKind.GGQPE:
+            return group_weight_stack(self.gqpe, self.emb)
+        if cfg.kind in (GatingKind.LRPE, GatingKind.GLRPE):
+            return lrpe_weight_stack(self.lrpe, self.grid)
+        w = self.token_fc_weight
         if cfg.kind is GatingKind.LRPE_M:
-            return [T.add(self.token_fc_weight,
-                          lrpe_weight_matrix(self.lrpe, self.grid, 0))]
-        if cfg.kind is GatingKind.LRPE:
-            return [lrpe_weight_matrix(self.lrpe, self.grid, 0)]
-        if cfg.kind is GatingKind.GLRPE:
-            return [lrpe_weight_matrix(self.lrpe, self.grid, g)
-                    for g in range(cfg.groups)]
-        return group_weight_stack(self.gqpe, self.emb)
+            w = T.add(w, lrpe_weight_matrix(self.lrpe, self.grid, 0))
+        n = cfg.n_tokens
+        return WeightStack(T.reshape(w, (n, 1, n)))
 
     def forward(self, x):
         """x: (B, N, width) -> (B, N, output_width)."""
@@ -199,31 +198,13 @@ class GatingUnit:
             x1, x2 = T.split(x, 2, axis=-1)
         else:
             x1 = x2 = x
-
-        s = cfg.groups
-        mats = self._mixing_matrices()
-        use_norm = cfg.pre_norm_on_x1 and self.norm_enabled
-        if s == 1:
-            x1_groups = [x1]
-            gains = [self.norm_gain] if use_norm else [None]
-            shifts = [self.norm_shift] if use_norm else [None]
-        else:
-            x1_groups = T.split(x1, s, axis=-1)
-            gains = T.split(self.norm_gain, s, axis=0) if use_norm else [None] * s
-            shifts = T.split(self.norm_shift, s, axis=0) if use_norm else [None] * s
-
-        mixed = []
-        for g in range(s):
-            xg = x1_groups[g]
-            if use_norm:
-                # Statistics stay inside the group slice so groups remain
-                # independent channels-wise.
-                xg = T.layer_norm(xg, gains[g], shifts[g])
-            m = T.mix_tokens(mats[g], xg)
-            if self.bias is not None:
-                m = T.add_token_bias(m, self.bias)
-            mixed.append(m)
-        z1 = mixed[0] if s == 1 else T.concat(mixed, axis=-1)
+        if cfg.pre_norm_on_x1 and self.norm_enabled:
+            # Statistics stay inside each group's channel slice, so groups
+            # remain independent channel-wise.
+            x1 = T.layer_norm(x1, self.norm_gain, self.norm_shift, groups=cfg.groups)
+        z1 = T.mix_tokens(self.mixing_stack().weights, x1)
+        if self.bias is not None:
+            z1 = T.add_token_bias(z1, self.bias)
 
         if cfg.combine is Combine.GATE:
             return T.mul(z1, x2)

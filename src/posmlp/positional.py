@@ -12,7 +12,7 @@ Both keep the defining property that matrix entries depend on token pairs
 only through their displacement.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -89,19 +89,52 @@ class LrpeTable:
         return self.values.shape[1]
 
 
-def lrpe_weight_matrix(table, grid, group=0):
-    """Look the displacement table up into an ``N x N`` mixing matrix.
+class WeightStack:
+    """The s token-mixing matrices of a gating unit as one ``(N, s, N)`` tensor.
 
-    No softmax is applied; the lookup value is used directly as the weight.
+    ``weights[:, g]`` is group g's ``N x N`` matrix: the leading axis is the
+    query token and ``len`` is the group count.
     """
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        if weights.ndim != 3 or weights.shape[0] != weights.shape[2]:
+            raise T.ShapeError(f"a weight stack is (N, s, N), got {weights.shape}")
+        self.weights = weights
+
+    def __len__(self):
+        return self.weights.shape[1]
+
+    def matrix(self, group):
+        """Group ``group``'s ``N x N`` matrix as a numpy array."""
+        return self.weights.data[:, group]
+
+
+def _lrpe_indices(table, grid, groups):
+    """``(N, len(groups), N)`` flat indices of the groups' entries in ``table.values``."""
     if table.window_side != grid.window_side:
         raise ValueError(
             f"table window {table.window_side} does not match grid {grid.window_side}")
+    offsets = table.entries_per_group * np.asarray(groups)
+    return lrpe_index_map(grid)[:, None, :] + offsets[None, :, None]
+
+
+def lrpe_weight_stack(table, grid):
+    """Look every group's displacement table up into one weight stack."""
+    n, s = grid.n_tokens, table.group_count
+    return WeightStack(T.take(table.values, _lrpe_indices(table, grid, range(s)), (n, s, n)))
+
+
+def lrpe_weight_matrix(table, grid, group=0):
+    """Look one group's displacement table up into an ``N x N`` mixing matrix.
+
+    No softmax is applied; the lookup value is used directly as the weight.
+    """
     if not 0 <= group < table.group_count:
         raise IndexError(f"group {group} out of range for {table.group_count} tables")
     n = grid.n_tokens
-    idx = lrpe_index_map(grid).reshape(-1) + group * table.entries_per_group
-    return T.take(table.values, idx, (n, n))
+    return T.take(table.values, _lrpe_indices(table, grid, [group]), (n, n))
 
 
 @dataclass
@@ -110,16 +143,27 @@ class GqpeEmbedding:
 
     window_side: int
     table: np.ndarray  # (N, N, 5)
+    _features: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def flat(self):
         return self.table.reshape(-1, 5)
 
+    def features(self, dtype):
+        """The ``(N^2, 5)`` feature matrix as a constant tensor, cast once per dtype."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._features:
+            self._features[dtype] = Tensor(self.flat.astype(dtype))
+        return self._features[dtype]
 
+
+@lru_cache(maxsize=16)
 def gqpe_embedding(grid, dtype=np.float64):
+    """The shared, read-only embedding of a displacement grid."""
     dx = grid.dx.astype(dtype)
     dy = grid.dy.astype(dtype)
     table = np.stack([dx, dy, dx * dx, dy * dy, dx * dy], axis=-1)
+    table.flags.writeable = False
     return GqpeEmbedding(grid.window_side, table)
 
 
@@ -195,46 +239,69 @@ class GqpeGroupParams:
         return np.array([[p[0, 0], p[0, 1]], [p[0, 1], p[1, 1]]], dtype=np.float64)
 
 
-def gqpe_vector(params):
-    """Assemble the 5-vector [P d, P d, -P00/2, -P11/2, -P01] (d = delta).
+# Flat offsets of [P d, P d, P00, P11, P01] in a group's (2, 3) block [P | P d],
+# and the coefficients that turn them into the 5-vector.
+_VECTOR_OFFSETS = np.array([2, 5, 0, 4, 1])
+_VECTOR_COEFFS = np.array([1.0, 1.0, -0.5, -0.5, -1.0])
 
-    Dotted with the displacement features this reproduces the Gaussian
-    logits up to a displacement-independent offset that the row softmax
-    cancels.
-    """
+
+def _precision_block(params):
+    """The group's ``(2, 3)`` block ``[P | P d]`` (d = delta)."""
     p = params.precision()
     delta = params.delta
     if params.delta.dtype != p.dtype:
         delta = Tensor(params.delta.data.astype(p.dtype), requires_grad=False)
-    pd = T.matmul(p, T.reshape(delta, (2, 1)))
-    p00 = T.take(p, [0], (1,))
-    p01 = T.take(p, [1], (1,))
-    p11 = T.take(p, [3], (1,))
-    return T.concat([T.reshape(pd, (2,)),
-                     T.scale(p00, -0.5),
-                     T.scale(p11, -0.5),
-                     T.scale(p01, -1.0)], axis=0)
+    return T.concat([p, T.matmul(p, T.reshape(delta, (2, 1)))], axis=1)
+
+
+def gqpe_vectors(params_list):
+    """``(5, s)`` matrix whose column g is group g's [P d, P d, -P00/2, -P11/2, -P01].
+
+    Dotted with the displacement features a column reproduces the Gaussian
+    logits up to a displacement-independent offset that the row softmax
+    cancels.
+    """
+    blocks = T.concat([_precision_block(p) for p in params_list], axis=0)
+    s = len(params_list)
+    idx = _VECTOR_OFFSETS[:, None] + 6 * np.arange(s)[None, :]
+    coeffs = np.repeat(_VECTOR_COEFFS[:, None], s, axis=1).astype(blocks.dtype)
+    return T.mul(T.take(blocks, idx, (5, s)), Tensor(coeffs))
+
+
+def gqpe_vector(params):
+    """One group's 5-vector; the s = 1 case of ``gqpe_vectors``."""
+    return T.reshape(gqpe_vectors([params]), (5,))
+
+
+def _stack_logits(params_list, emb):
+    """Pre-softmax ``(N, s, N)`` logits from one product with the features."""
+    v = gqpe_vectors(params_list)
+    n, s = emb.window_side ** 2, v.shape[1]
+    flat = T.matmul(emb.features(v.dtype), v)
+    return T.transpose(T.reshape(flat, (n, n, s)), (0, 2, 1))
 
 
 def gqpe_logits(params, emb):
     """Pre-softmax ``N x N`` logits; equal displacements give equal entries."""
     n = emb.window_side ** 2
-    v = gqpe_vector(params)
-    feat = Tensor(emb.flat.astype(v.dtype))
-    flat = T.matmul(feat, T.reshape(v, (5, 1)))
-    return T.reshape(flat, (n, n))
-
-
-def gqpe_weight_matrix(params, emb):
-    """Row-stochastic positional mixing matrix of the quadratic prior."""
-    return T.softmax_rows(gqpe_logits(params, emb))
+    return T.reshape(_stack_logits([params], emb), (n, n))
 
 
 def group_weight_stack(params_list, emb):
-    """One weight matrix per group, sharing a single displacement embedding."""
+    """Every group's row-stochastic matrix as one ``WeightStack``.
+
+    All groups share the displacement features: one product forms the logits
+    of every group and one softmax normalizes them.
+    """
     if not params_list:
         raise ValueError("group_weight_stack needs at least one parameter group")
-    return [gqpe_weight_matrix(p, emb) for p in params_list]
+    return WeightStack(T.softmax_rows(_stack_logits(params_list, emb)))
+
+
+def gqpe_weight_matrix(params, emb):
+    """Row-stochastic positional mixing matrix; the s = 1 case of the stack."""
+    n = emb.window_side ** 2
+    return T.reshape(group_weight_stack([params], emb).weights, (n, n))
 
 
 def trunc_normal(rng, shape, std, dtype):

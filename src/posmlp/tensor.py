@@ -218,33 +218,53 @@ def matmul(a, b):
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _result(ad @ bd, (a, b), vjp, "matmul")
 
 
 def mix_tokens(w, x):
-    """Apply an ``N x N`` token-mixing matrix to ``x`` of shape ``(B, N, C)``.
+    """Apply token-mixing weights to ``x`` of shape ``(B, N, C)``.
 
-    The product loops over the batch axis so each window's result is bitwise
-    identical to processing that window alone.
+    ``w`` is one ``N x N`` matrix or an ``(N, s, N)`` stack whose entry
+    ``w[:, g]`` mixes the g-th of s equal contiguous channel groups.  Every
+    window-group product is its own BLAS call, so each window's result is
+    bitwise identical to processing that window alone, and each group's to
+    mixing that group's channels on their own.
     """
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"mix_tokens: expected square matrix, got {w.shape}")
-    if x.ndim != 3 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"mix_tokens: token dims disagree for {w.shape} x {x.shape}")
+    if w.ndim not in (2, 3) or w.shape[0] != w.shape[-1]:
+        raise ShapeError(f"mix_tokens: expected an N x N matrix or (N, s, N) stack, "
+                         f"got {w.shape}")
+    ws = w.data if w.ndim == 3 else w.data[:, None, :]
+    n, s = ws.shape[:2]
+    if x.ndim != 3 or x.shape[1] != n or x.shape[2] % s != 0:
+        raise ShapeError(f"mix_tokens: weights {w.shape} do not fit input {x.shape}")
     _validate_finite("mix_tokens", w.data, x.data)
-    wd, xd = w.data, x.data
-    out = np.empty((xd.shape[0], wd.shape[0], xd.shape[2]), dtype=xd.dtype)
-    for b in range(xd.shape[0]):
-        out[b] = wd @ xd[b]
+    xd = x.data
+    c = xd.shape[2] // s
+    groups = [slice(i * c, (i + 1) * c) for i in range(s)]
+    out = np.empty_like(xd)
+    for i, sl in enumerate(groups):
+        wi = ws[:, i]
+        for b in range(xd.shape[0]):
+            np.matmul(wi, xd[b, :, sl], out=out[b, :, sl])
 
     def vjp(g):
-        gw = np.zeros_like(wd)
-        gx = np.empty_like(xd)
-        for b in range(xd.shape[0]):
-            gw += g[b] @ xd[b].T
-            gx[b] = wd.T @ g[b]
+        gw = gx = None
+        if w.requires_grad:
+            gws = np.zeros_like(ws)
+            for i, sl in enumerate(groups):
+                acc = gws[:, i]
+                for b in range(xd.shape[0]):
+                    acc += g[b, :, sl] @ xd[b, :, sl].T
+            gw = gws.reshape(w.shape)
+        if x.requires_grad:
+            gx = np.empty_like(xd)
+            for i, sl in enumerate(groups):
+                wt = ws[:, i].T
+                for b in range(xd.shape[0]):
+                    np.matmul(wt, g[b, :, sl], out=gx[b, :, sl])
         return gw, gx
 
     return _result(out, (w, x), vjp, "mix_tokens")
@@ -268,20 +288,24 @@ def linear(x, w, b=None):
         out = out + b.data
 
     def vjp(g):
+        gx = gw = None
         if xd.ndim == 2:
-            gx = g @ wd.T
-            gw = xd.T @ g
-            gb = g.sum(axis=0)
+            if x.requires_grad:
+                gx = g @ wd.T
+            if w.requires_grad:
+                gw = xd.T @ g
         else:
-            gx = np.empty_like(xd)
-            gw = np.zeros_like(wd)
-            for i in range(xd.shape[0]):
-                gx[i] = g[i] @ wd.T
-                gw += xd[i].T @ g[i]
-            gb = g.sum(axis=(0, 1))
+            if x.requires_grad:
+                gx = np.empty_like(xd)
+                for i in range(xd.shape[0]):
+                    gx[i] = g[i] @ wd.T
+            if w.requires_grad:
+                gw = np.zeros_like(wd)
+                for i in range(xd.shape[0]):
+                    gw += xd[i].T @ g[i]
         if b is None:
             return gx, gw
-        return gx, gw, gb
+        return gx, gw, g.sum(axis=tuple(range(g.ndim - 1))) if b.requires_grad else None
 
     parents = (x, w) if b is None else (x, w, b)
     return _result(out, parents, vjp, "linear")
@@ -329,6 +353,16 @@ def transpose2(x):
         raise ShapeError(f"transpose2 expects a matrix, got {x.shape}")
     return _result(np.ascontiguousarray(x.data.T), (x,),
                    lambda g: (np.ascontiguousarray(g.T),), "transpose2")
+
+
+def transpose(x, axes):
+    """Reorder the axes of x; the inverse permutation carries the gradient back."""
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {x.shape}")
+    inv = tuple(int(a) for a in np.argsort(axes))
+    return _result(np.ascontiguousarray(x.data.transpose(axes)), (x,),
+                   lambda g: (np.ascontiguousarray(g.transpose(inv)),), "transpose")
 
 
 def split(x, parts, axis=-1):
@@ -430,47 +464,59 @@ def softplus(x):
 
 
 def softmax_rows(x):
-    """Row-wise softmax of a matrix, stabilized by row-max subtraction."""
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got {x.shape}")
+    """Softmax over the last axis, stabilized by max subtraction.
+
+    Outputs below the dtype's smallest normal number become exact zeros.  A
+    sharp positional prior puts a few percent of its float32 weights in the
+    subnormal range, where each later matrix product slows several-fold on
+    common CPUs; such a weight is under 1e-38 of its row's sum.
+    """
+    if x.ndim < 2:
+        raise ShapeError(f"softmax_rows expects a matrix or a stack of rows, got {x.shape}")
     _validate_finite("softmax_rows", x.data)
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    y[y < np.finfo(y.dtype).tiny] = 0.0
 
     def vjp(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
+        gx = g - (g * y).sum(axis=-1, keepdims=True)
+        gx *= y
+        return (gx,)
 
-    return _result(y.astype(x.dtype, copy=False), (x,), vjp, "softmax_rows")
+    return _result(y, (x,), vjp, "softmax_rows")
 
 
-def layer_norm(x, gain, shift, eps=1e-5):
-    """Per-row standardization (population variance) followed by an affine map.
+def layer_norm(x, gain, shift, eps=1e-5, groups=1):
+    """Standardization (population variance) followed by an affine map.
 
-    x may be ``(R, d)`` or ``(B, N, d)``; gain and shift have length d.  Row
-    statistics only ever reduce over the final axis, so batching is exact.
+    x may be ``(R, d)`` or ``(B, N, d)``; gain and shift have length d.
+    Statistics only ever reduce over the final axis, so batching is exact.
+    With ``groups`` > 1 that axis is cut into equal contiguous groups, each
+    standardized on its own.
     """
     if x.shape[-1] != gain.shape[0] or gain.shape != shift.shape:
         raise ShapeError(f"layer_norm: affine {gain.shape}/{shift.shape} does not fit {x.shape}")
+    if x.shape[-1] % groups != 0:
+        raise ShapeError(f"layer_norm: width {x.shape[-1]} not divisible by {groups} groups")
     _validate_finite("layer_norm", x.data, gain.data, shift.data)
     xd = x.data
-    d = xd.shape[-1]
-    mean = xd.mean(axis=-1, keepdims=True)
-    var = ((xd - mean) ** 2).mean(axis=-1, keepdims=True)
+    xg = xd.reshape(xd.shape[:-1] + (groups, xd.shape[-1] // groups))
+    mean = xg.mean(axis=-1, keepdims=True)
+    var = ((xg - mean) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean) * inv
-    out = xhat * gain.data + shift.data
+    xhat = (xg - mean) * inv
+    out = xhat.reshape(xd.shape) * gain.data + shift.data
 
     def vjp(g):
         red = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=red)
+        ggain = (g * xhat.reshape(xd.shape)).sum(axis=red)
         gshift = g.sum(axis=red)
-        gx_hat = g * gain.data
+        gx_hat = (g * gain.data).reshape(xhat.shape)
         m1 = gx_hat.mean(axis=-1, keepdims=True)
         m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gx_hat - m1 - xhat * m2)
-        return gx, ggain, gshift
+        return gx.reshape(xd.shape), ggain, gshift
 
     return _result(out.astype(xd.dtype, copy=False), (x, gain, shift), vjp, "layer_norm")
 
@@ -590,17 +636,20 @@ def conv2d(x, w, b, stride, pad=1):
         out[i] = (cols @ wmat + b.data).reshape(ho, wo, cout)
 
     def vjp(g):
-        gx = np.empty_like(x.data)
-        gw = np.zeros_like(wmat)
-        gb = np.zeros_like(b.data)
+        gx = np.empty_like(x.data) if x.requires_grad else None
+        gw = np.zeros_like(wmat) if w.requires_grad else None
+        gb = np.zeros_like(b.data) if b.requires_grad else None
         for i in range(bsz):
             gi = g[i].reshape(ho * wo, cout)
-            gw += cols_cache[i].T @ gi
-            gb += gi.sum(axis=0)
-            gcols = (gi @ wmat.T).reshape(ho * wo, k * k, cin)
-            gpad = _col2im(gcols, h + 2 * pad, wd_ + 2 * pad, cin, k, stride, ho, wo)
-            gx[i] = gpad[pad:pad + h, pad:pad + wd_, :] if pad else gpad
-        return gx, gw.reshape(w.shape), gb
+            if gw is not None:
+                gw += cols_cache[i].T @ gi
+            if gb is not None:
+                gb += gi.sum(axis=0)
+            if gx is not None:
+                gcols = (gi @ wmat.T).reshape(ho * wo, k * k, cin)
+                gpad = _col2im(gcols, h + 2 * pad, wd_ + 2 * pad, cin, k, stride, ho, wo)
+                gx[i] = gpad[pad:pad + h, pad:pad + wd_, :] if pad else gpad
+        return gx, None if gw is None else gw.reshape(w.shape), gb
 
     return _result(out, (x, w, b), vjp, "conv2d")
 
@@ -630,17 +679,20 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
         out[i] = (res.reshape(ho * wo, c * m) + b.data).reshape(ho, wo, c * m)
 
     def vjp(g):
-        gx = np.empty_like(x.data)
-        gw = np.zeros_like(wtaps)
-        gb = np.zeros_like(b.data)
+        gx = np.empty_like(x.data) if x.requires_grad else None
+        gw = np.zeros_like(wtaps) if w.requires_grad else None
+        gb = np.zeros_like(b.data) if b.requires_grad else None
         for i in range(bsz):
             gi = g[i].reshape(ho * wo, c, m)
-            gw += np.einsum("ptc,pcm->tcm", cols_cache[i], gi)
-            gb += gi.reshape(ho * wo, c * m).sum(axis=0)
-            gcols = np.einsum("pcm,tcm->ptc", gi, wtaps)
-            gpad = _col2im(gcols, h + 2 * pad, wd_ + 2 * pad, c, k, stride, ho, wo)
-            gx[i] = gpad[pad:pad + h, pad:pad + wd_, :] if pad else gpad
-        return gx, gw.reshape(w.shape), gb
+            if gw is not None:
+                gw += np.einsum("ptc,pcm->tcm", cols_cache[i], gi)
+            if gb is not None:
+                gb += gi.reshape(ho * wo, c * m).sum(axis=0)
+            if gx is not None:
+                gcols = np.einsum("pcm,tcm->ptc", gi, wtaps)
+                gpad = _col2im(gcols, h + 2 * pad, wd_ + 2 * pad, c, k, stride, ho, wo)
+                gx[i] = gpad[pad:pad + h, pad:pad + wd_, :] if pad else gpad
+        return gx, None if gw is None else gw.reshape(w.shape), gb
 
     return _result(out, (x, w, b), vjp, "conv2d_depthwise")
 

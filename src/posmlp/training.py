@@ -224,6 +224,8 @@ def train_loop(model, dataset, config, out_dir=None, prefetch=False):
     Metrics are also rendered as CSV text (``epoch,split,loss,accuracy``)
     and written to ``out_dir/metrics.csv`` when a directory is given.
     """
+    if len(dataset) == 0:
+        raise ValueError("cannot train on an empty dataset")
     params = model.parameters()
     sample = dataset.images[0:1]
     if sample.shape[1] != model.config.image_side:
@@ -267,6 +269,8 @@ def metrics_csv(history):
 
 def evaluate(model, dataset, batch_size=64):
     """Mean loss and top-1 accuracy without parameter updates."""
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     losses = []
     hits = 0
     for i in range(0, len(dataset), batch_size):

@@ -224,8 +224,9 @@ def test_criterion_07_structural_invariants():
     # quadratic-prior rows are stochastic
     groups = [P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng,
                                 dtype=np.float64) for _ in range(8)]
-    for w in P.group_weight_stack(groups, P.gqpe_embedding(P.displacement_grid(14))):
-        np.testing.assert_allclose(w.data.sum(axis=1), np.ones(196), atol=1e-6)
+    stack = P.group_weight_stack(groups, P.gqpe_embedding(P.displacement_grid(14)))
+    for g in range(len(stack)):
+        np.testing.assert_allclose(stack.matrix(g).sum(axis=1), np.ones(196), atol=1e-6)
 
     # window partition/reverse identity
     for b, h, w_, d, kk in [(2, 28, 28, 8, 14), (1, 8, 8, 4, 2), (3, 12, 12, 2, 4)]:
@@ -319,9 +320,9 @@ def test_criterion_10_export_roundtrips(tmp_path):
             k = model.config.stages[0].window_side
             assert grid.shape == (k, k)
     w0 = model.stages[0][0].unit
-    mats = [m.data for m in w0._mixing_matrices()]
+    stack = w0.mixing_stack()
     back = A.read_map_csv([f for f in attn_files if f.endswith("_0_5.csv")][0])
-    assert np.max(np.abs(back.reshape(-1) - mats[0][5])) < 1e-6
+    assert np.max(np.abs(back.reshape(-1) - stack.matrix(0)[5])) < 1e-6
 
     bias_files = A.export_bias_maps(model, tmp_path / "bias")
     csvs = [f for f in bias_files if f.endswith(".csv")]

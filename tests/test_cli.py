@@ -14,18 +14,38 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_describe_tiny(capsys):
-    code, out, _ = run(capsys, "describe", "--variant", "T", "--out", "/tmp/posmlp_t")
+def test_describe_tiny(tmp_path, capsys):
+    code, out, _ = run(capsys, "describe", "--variant", "T", "--out", str(tmp_path))
     assert code == 0
     assert "dim 96" in out and "dim 192" in out and "dim 384" in out and "dim 768" in out
     assert "depth 18" in out and "window 7" in out
     assert "20.9M" in out
 
 
-def test_describe_unknown_variant_exit_2(capsys):
-    code, _, err = run(capsys, "describe", "--variant", "XXL")
+def test_describe_unknown_variant_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "describe", "--variant", "XXL", "--out", str(out))
     assert code == 2
     assert "MICRO" in err and "T" in err
+    assert not out.exists()
+
+
+def test_invalid_config_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "train", "--per-class", "-1", "--out", str(out))
+    assert code == 2
+    assert "per_class" in err
+    assert not out.exists()
+
+
+def test_empty_dataset_is_config_error(tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--per-class", "0", "--epochs", "1",
+                       "--out", str(tmp_path / "train"))
+    assert code == 2
+    assert "empty dataset" in err and "Traceback" not in err
+    code, _, err = run(capsys, "eval", "--per-class", "0", "--out", str(tmp_path / "eval"))
+    assert code == 2
+    assert "empty dataset" in err
 
 
 def test_unknown_flag_is_an_error(capsys):

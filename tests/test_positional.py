@@ -287,18 +287,46 @@ def test_group_stack_degenerate_and_shared(rng):
     g = make_gramian(rng)
     single = P.gqpe_weight_matrix(g, emb).data
     stack = P.group_weight_stack([g], emb)
-    assert len(stack) == 1
-    np.testing.assert_array_equal(stack[0].data, single)
+    assert len(stack) == 1 and stack.weights.shape == (9, 1, 9)
+    np.testing.assert_array_equal(stack.matrix(0), single)
     two = P.group_weight_stack([g, g], emb)
-    np.testing.assert_array_equal(two[0].data, two[1].data)
+    assert len(two) == 2 and two.weights.shape == (9, 2, 9)
+    np.testing.assert_array_equal(two.matrix(0), two.matrix(1))
 
 
 def test_group_stack_row_stochastic_large(rng):
     grid = P.displacement_grid(14)
     emb = P.gqpe_embedding(grid)
     groups = [make_gramian(rng) for _ in range(8)]
-    for w in P.group_weight_stack(groups, emb):
-        np.testing.assert_allclose(w.data.sum(axis=1), np.ones(196), atol=1e-6)
+    stack = P.group_weight_stack(groups, emb)
+    assert len(stack) == 8
+    for g in range(len(stack)):
+        np.testing.assert_allclose(stack.matrix(g).sum(axis=1), np.ones(196), atol=1e-6)
+
+
+def test_group_stack_entries_match_single_group(rng):
+    # the stacked product and softmax give each group its own matrix
+    grid = P.displacement_grid(4)
+    emb = P.gqpe_embedding(grid)
+    groups = [make_gramian(rng) for _ in range(5)]
+    stack = P.group_weight_stack(groups, emb)
+    for g, params in enumerate(groups):
+        want = softmax_oracle(P.gqpe_logits(params, emb).data)
+        np.testing.assert_allclose(stack.matrix(g), want, rtol=0, atol=1e-15)
+
+
+def test_float32_stack_has_no_subnormal_weights():
+    # a T-sized stage-3 stack at init: the sharp prior underflows some
+    # weights, which come out as exact zeros rather than subnormals
+    rng = np.random.default_rng(0)
+    emb = P.gqpe_embedding(P.displacement_grid(14))
+    groups = [P.GqpeGroupParams(rng=rng, dtype=np.float32) for _ in range(32)]
+    w = P.group_weight_stack(groups, emb).weights.data
+    assert w.dtype == np.float32 and w.shape == (196, 32, 196)
+    tiny = np.finfo(np.float32).tiny
+    assert not np.any((w != 0) & (np.abs(w) < tiny))
+    assert np.any(w == 0)
+    np.testing.assert_allclose(w.sum(axis=-1, dtype=np.float64), 1.0, rtol=0, atol=1e-6)
 
 
 def test_group_stack_rejects_empty():

@@ -58,6 +58,19 @@ def test_matmul_oracle_shapes(rng, m, k, n):
     assert np.max(np.abs(got - matmul_oracle(a, b))) < 1e-12
 
 
+def test_matmul_vjp_skips_constant_operand(rng):
+    feat = t64(rng.standard_normal((6, 5)))
+    v = t64(rng.standard_normal((5, 3)), grad=True)
+    out = T.matmul(feat, v)
+    g = rng.standard_normal(out.shape)
+    g_feat, g_v = out._vjp(g)
+    assert g_feat is None
+    np.testing.assert_array_equal(g_v, feat.data.T @ g)
+    backward(T.weighted_sum(out, g))
+    assert feat.grad is None
+    np.testing.assert_array_equal(v.grad, feat.data.T @ g)
+
+
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(T.ShapeError) as err:
         T.matmul(t64(np.ones((2, 3))), t64(np.ones((4, 5))))
@@ -248,6 +261,77 @@ def test_linear_and_conv_gradcheck(rng):
     res = gradcheck(fn, {"w": w, "bias": bias, "cw": cw, "cb": cb,
                          "dw": dw, "db": db, "img": img})
     assert res.ok, res.failures[:3]
+
+
+@pytest.mark.parametrize("n,s,c,b", [(9, 2, 1, 2), (9, 4, 3, 3), (49, 8, 4, 1), (16, 1, 5, 2)])
+def test_stacked_mix_tokens_matches_group_loop(rng, n, s, c, b):
+    w = rng.random((n, s, n))
+    x = rng.standard_normal((b, n, s * c))
+    g = rng.standard_normal((b, n, s * c))
+    wt, xt = t64(w, grad=True), t64(x, grad=True)
+    out = T.mix_tokens(wt, xt)
+    backward(T.weighted_sum(out, g))
+    for i in range(s):
+        sl = slice(i * c, (i + 1) * c)
+        wi, xi = t64(w[:, i].copy(), grad=True), t64(x[..., sl].copy(), grad=True)
+        ref = T.mix_tokens(wi, xi)
+        backward(T.weighted_sum(ref, g[..., sl].copy()))
+        np.testing.assert_array_equal(out.data[..., sl], ref.data)
+        np.testing.assert_array_equal(wt.grad[:, i], wi.grad)
+        np.testing.assert_array_equal(xt.grad[..., sl], xi.grad)
+
+
+def test_mix_tokens_rejects_indivisible_groups():
+    with pytest.raises(T.ShapeError):
+        T.mix_tokens(t64(np.ones((4, 3, 4))), t64(np.ones((1, 4, 8))))
+
+
+def test_grouped_layer_norm_matches_group_loop(rng):
+    x = rng.standard_normal((2, 5, 12))
+    gain, shift = rng.standard_normal(12), rng.standard_normal(12)
+    got = T.layer_norm(t64(x), t64(gain), t64(shift), groups=3).data
+    for i in range(3):
+        sl = slice(4 * i, 4 * (i + 1))
+        ref = T.layer_norm(t64(x[..., sl].copy()), t64(gain[sl]), t64(shift[sl])).data
+        np.testing.assert_array_equal(got[..., sl], ref)
+
+
+def test_grouped_layer_norm_gradcheck(rng):
+    gain = t64(rng.standard_normal(6) * 0.1 + 1.0, grad=True)
+    shift = t64(rng.standard_normal(6) * 0.1, grad=True)
+    x = t64(rng.standard_normal((2, 3, 6)), grad=True)
+    weights = rng.standard_normal((2, 3, 6))
+
+    def fn():
+        return T.weighted_sum(T.layer_norm(x, gain, shift, groups=2), weights)
+
+    res = gradcheck(fn, {"x": x, "gain": gain, "shift": shift})
+    assert res.ok, res.failures
+    assert res.max_rel_err < 1e-4
+
+
+def test_transpose_roundtrip_and_gradient(rng):
+    x = t64(rng.standard_normal((2, 3, 4)), grad=True)
+    y = T.transpose(x, (2, 0, 1))
+    np.testing.assert_array_equal(y.data, x.data.transpose(2, 0, 1))
+    weights = rng.standard_normal(y.shape)
+    backward(T.weighted_sum(y, weights))
+    np.testing.assert_array_equal(x.grad, weights.transpose(1, 2, 0))
+    with pytest.raises(T.ShapeError):
+        T.transpose(x, (0, 0, 1))
+
+
+def test_softmax_flushes_subnormals_to_zero():
+    out = T.softmax_rows(Tensor(np.array([[0.0, -100.0, -200.0]], dtype=np.float32))).data
+    # exp(-100) is subnormal in float32; exp(-200) underflows on its own
+    assert out[0, 0] == 1.0 and out[0, 1] == 0.0 and out[0, 2] == 0.0
+
+
+def test_softmax_normalizes_last_axis_of_a_stack(rng):
+    x = rng.standard_normal((3, 2, 5))
+    got = T.softmax_rows(t64(x)).data
+    for i in range(2):
+        np.testing.assert_array_equal(got[:, i], T.softmax_rows(t64(x[:, i].copy())).data)
 
 
 # -- structural ops -------------------------------------------------------------
