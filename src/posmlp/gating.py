@@ -148,6 +148,7 @@ class GatingUnit:
         if config.pre_norm_on_x1:
             self.norm_gain = Tensor(np.ones(x1_width, dtype=dtype), requires_grad=True)
             self.norm_shift = Tensor(np.zeros(x1_width, dtype=dtype), requires_grad=True)
+        self._stack_entry = None
 
     # -- parameters --------------------------------------------------------
 
@@ -170,8 +171,38 @@ class GatingUnit:
 
     # -- forward -----------------------------------------------------------
 
+    def _positional_tensors(self):
+        """Every tensor the mixing stack is a function of, in a fixed order."""
+        tensors = [self.token_fc_weight, self.lrpe.values if self.lrpe else None]
+        for grp in self.gqpe or ():
+            tensors += (grp.delta, grp.gamma, grp.alpha_raw)
+        return [t for t in tensors if t is not None]
+
     def mixing_stack(self):
-        """The unit's s token-mixing matrices as one ``(N, s, N)`` ``WeightStack``."""
+        """The unit's s token-mixing matrices as one ``(N, s, N)`` ``WeightStack``.
+
+        The stack is a pure function of ``_positional_tensors()``, so the one
+        built last is returned again while each of them is the same object
+        with the same ``requires_grad``, dtype and bytes.  In-place
+        edits (an optimizer step, ``p.data[:] = ...``) and replaced tensors
+        both force a rebuild.  A returned stack keeps its tape, so gradients
+        through it reach the parameters as if it were built afresh.  The
+        entry is one ``(key, stack)`` pair, read once and replaced in one
+        assignment, so concurrent forwards never pair a key with another
+        key's stack.
+        """
+        tensors = self._positional_tensors()
+        # Lists of tensors compare by identity: Tensor defines no __eq__.
+        key = (tensors, [t.requires_grad for t in tensors], [t.data.dtype for t in tensors],
+               b"".join([t.data.tobytes() for t in tensors]))
+        entry = self._stack_entry
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        stack = self._build_mixing_stack()
+        self._stack_entry = (key, stack)
+        return stack
+
+    def _build_mixing_stack(self):
         cfg = self.config
         if cfg.kind is GatingKind.GGQPE:
             return group_weight_stack(self.gqpe, self.emb)

@@ -10,6 +10,8 @@ channel width; MICRO is a desk-scale shrink for tests and smoke training
 """
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 from functools import lru_cache
@@ -33,6 +35,11 @@ class CheckpointError(RuntimeError):
 
 # -- configuration ------------------------------------------------------------
 
+def _check_positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StageConfig:
     depth: int
@@ -40,6 +47,10 @@ class StageConfig:
     window_side: int
     groups: int
     expansion: int
+
+    def __post_init__(self):
+        for name in ("depth", "dim", "window_side", "groups", "expansion"):
+            _check_positive_int(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,8 @@ class ModelConfig:
             s if isinstance(s, StageConfig) else StageConfig(**s) for s in self.stages))
         if len(self.stages) != 4:
             raise ValueError("the backbone is four stages")
+        _check_positive_int("image_side", self.image_side)
+        _check_positive_int("num_classes", self.num_classes)
         if self.image_side % 4 != 0:
             raise ValueError(f"image side {self.image_side} must be divisible by 4")
         side = self.image_side // 4
@@ -401,7 +414,9 @@ def _write_record(fh, path, arr):
 
 
 def _read_exact(fh, n, what):
-    buf = fh.read(n)
+    # A corrupt extent may ask for far more than the file holds; refuse it
+    # before the read allocates a buffer of that size.
+    buf = b"" if n > os.fstat(fh.fileno()).st_size - fh.tell() else fh.read(n)
     if len(buf) != n:
         raise CheckpointError(f"truncated checkpoint while reading {what}")
     return buf
@@ -414,13 +429,18 @@ def _read_record(fh):
     if len(head) != 4:
         raise CheckpointError("truncated checkpoint while reading record header")
     (plen,) = struct.unpack("<I", head)
-    path = _read_exact(fh, plen, "parameter path").decode("utf-8")
+    try:
+        path = _read_exact(fh, plen, "parameter path").decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"parameter path is not utf-8: {err}") from None
     tag, rank = struct.unpack("<BB", _read_exact(fh, 2, f"dtype tag of {path}"))
     if tag not in _DTYPE_TAGS:
         raise CheckpointError(f"unknown dtype tag {tag} for {path}")
     shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"extents of {path}"))
+    if 0 in shape:
+        raise CheckpointError(f"zero extent in {shape} for {path}")
     dtype = np.dtype(_DTYPE_TAGS[tag]).newbyteorder("<")
-    nbytes = int(np.prod(shape)) * dtype.itemsize if rank else dtype.itemsize
+    nbytes = math.prod(shape) * dtype.itemsize
     raw = _read_exact(fh, nbytes, f"buffer of {path}")
     arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPE_TAGS[tag])
     return path, arr
@@ -437,6 +457,16 @@ def save_checkpoint(model, path):
             _write_record(fh, name, p.data)
 
 
+def _decode_config(arr):
+    """The model configuration held by the ``__config__`` record's bytes."""
+    if arr.dtype != np.uint8:
+        raise CheckpointError(f"__config__ record has dtype {arr.dtype}, expected uint8")
+    try:
+        return ModelConfig.from_json_dict(json.loads(arr.tobytes().decode("utf-8")))
+    except (ValueError, TypeError, KeyError, AttributeError) as err:
+        raise CheckpointError(f"corrupt __config__ record: {err!r}") from None
+
+
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint file; buffers round-trip bit-exactly."""
     with open(path, "rb") as fh:
@@ -450,12 +480,14 @@ def load_checkpoint(path):
         first = _read_record(fh)
         if first is None or first[0] != "__config__":
             raise CheckpointError("checkpoint missing leading __config__ record")
-        config = ModelConfig.from_json_dict(json.loads(first[1].tobytes().decode("utf-8")))
+        config = _decode_config(first[1])
         records = []
         while True:
             rec = _read_record(fh)
             if rec is None:
                 break
+            if rec[1].dtype.kind != "f":
+                raise CheckpointError(f"parameter {rec[0]!r} has non-float dtype {rec[1].dtype}")
             records.append(rec)
     dtype = records[0][1].dtype if records else np.float32
     model = PosMlpModel(config, rng=np.random.default_rng(0), dtype=dtype)

@@ -273,29 +273,29 @@ def gqpe_vector(params):
     return T.reshape(gqpe_vectors([params]), (5,))
 
 
-def _stack_logits(params_list, emb):
-    """Pre-softmax ``(N, s, N)`` logits from one product with the features."""
+def _feature_logits(params_list, emb):
+    """``(N^2, s)`` logits: row ``i * N + j`` holds every group's logit of pair (i, j)."""
     v = gqpe_vectors(params_list)
-    n, s = emb.window_side ** 2, v.shape[1]
-    flat = T.matmul(emb.features(v.dtype), v)
-    return T.transpose(T.reshape(flat, (n, n, s)), (0, 2, 1))
+    return T.matmul(emb.features(v.dtype), v)
 
 
 def gqpe_logits(params, emb):
     """Pre-softmax ``N x N`` logits; equal displacements give equal entries."""
     n = emb.window_side ** 2
-    return T.reshape(_stack_logits([params], emb), (n, n))
+    return T.reshape(_feature_logits([params], emb), (n, n))
 
 
 def group_weight_stack(params_list, emb):
     """Every group's row-stochastic matrix as one ``WeightStack``.
 
     All groups share the displacement features: one product forms the logits
-    of every group and one softmax normalizes them.
+    of every group and one softmax normalizes them, reading the product as
+    ``(N, N, s)`` and writing the ``(N, s, N)`` stack directly.
     """
     if not params_list:
         raise ValueError("group_weight_stack needs at least one parameter group")
-    return WeightStack(T.softmax_rows(_stack_logits(params_list, emb)))
+    n, s = emb.window_side ** 2, len(params_list)
+    return WeightStack(T.softmax_rows(_feature_logits(params_list, emb), (n, n, s), (0, 2, 1)))
 
 
 def gqpe_weight_matrix(params, emb):

@@ -355,16 +355,6 @@ def transpose2(x):
                    lambda g: (np.ascontiguousarray(g.T),), "transpose2")
 
 
-def transpose(x, axes):
-    """Reorder the axes of x; the inverse permutation carries the gradient back."""
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {x.shape}")
-    inv = tuple(int(a) for a in np.argsort(axes))
-    return _result(np.ascontiguousarray(x.data.transpose(axes)), (x,),
-                   lambda g: (np.ascontiguousarray(g.transpose(inv)),), "transpose")
-
-
 def split(x, parts, axis=-1):
     """Split into ``parts`` equal contiguous slices along ``axis``.
 
@@ -463,26 +453,45 @@ def softplus(x):
     return _result(out.astype(xd.dtype, copy=False), (x,), vjp, "softplus")
 
 
-def softmax_rows(x):
+def softmax_rows(x, shape=None, axes=None):
     """Softmax over the last axis, stabilized by max subtraction.
+
+    With ``shape`` and ``axes`` the rows are read from a view of x: its data
+    reshaped to ``shape``, then with the axes permuted by ``axes``.  The
+    output is a fresh contiguous array in the permuted layout, bitwise equal
+    to copying x into that layout first, and the gradient is returned in x's
+    own layout.  No permuted copy of x is made or kept.
 
     Outputs below the dtype's smallest normal number become exact zeros.  A
     sharp positional prior puts a few percent of its float32 weights in the
     subnormal range, where each later matrix product slows several-fold on
     common CPUs; such a weight is under 1e-38 of its row's sum.
     """
-    if x.ndim < 2:
-        raise ShapeError(f"softmax_rows expects a matrix or a stack of rows, got {x.shape}")
+    view = x.data
+    if shape is not None:
+        view = view.reshape(shape)
+    if axes is not None:
+        axes = tuple(int(a) for a in axes)
+        if sorted(axes) != list(range(view.ndim)):
+            raise ShapeError(f"softmax_rows: {axes} is not a permutation of the axes "
+                             f"of {view.shape}")
+        view = view.transpose(axes)
+    if view.ndim < 2:
+        raise ShapeError(f"softmax_rows expects a matrix or a stack of rows, got {view.shape}")
     _validate_finite("softmax_rows", x.data)
-    y = x.data - x.data.max(axis=-1, keepdims=True)
+    y = np.empty(view.shape, dtype=view.dtype)
+    np.subtract(view, view.max(axis=-1, keepdims=True), out=y)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     y[y < np.finfo(y.dtype).tiny] = 0.0
+    inv = None if axes is None else tuple(int(a) for a in np.argsort(axes))
 
     def vjp(g):
         gx = g - (g * y).sum(axis=-1, keepdims=True)
         gx *= y
-        return (gx,)
+        if inv is not None:
+            gx = np.ascontiguousarray(gx.transpose(inv))
+        return (gx.reshape(x.shape),)
 
     return _result(y, (x,), vjp, "softmax_rows")
 

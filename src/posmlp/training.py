@@ -2,15 +2,12 @@
 binary-image-dataset reader.
 
 Everything is deterministic under a fixed seed: batch order is drawn up
-front from the seed, the optional prefetch thread only materializes batches
-in that precomputed order, and the optimizer touches parameters in their
-stable path order.
+front from the seed, and the optimizer touches parameters in their stable
+path order.
 """
 
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,29 +193,7 @@ def _batch_plan(n, batch_size, epochs, seed):
     return plan
 
 
-def _batches(dataset, index_lists, prefetch):
-    if not prefetch:
-        for idx in index_lists:
-            yield dataset.images[idx], dataset.labels[idx]
-        return
-    q = queue.Queue(maxsize=2)
-
-    def producer():
-        for idx in index_lists:
-            q.put((dataset.images[idx], dataset.labels[idx]))
-        q.put(None)
-
-    thread = threading.Thread(target=producer, daemon=True)
-    thread.start()
-    while True:
-        item = q.get()
-        if item is None:
-            break
-        yield item
-    thread.join()
-
-
-def train_loop(model, dataset, config, out_dir=None, prefetch=False):
+def train_loop(model, dataset, config, out_dir=None):
     """Cross-entropy training; returns per-epoch metric rows.
 
     Metrics are also rendered as CSV text (``epoch,split,loss,accuracy``)
@@ -240,7 +215,8 @@ def train_loop(model, dataset, config, out_dir=None, prefetch=False):
         losses = []
         hits = 0
         seen = 0
-        for images, labels in _batches(dataset, plan[epoch], prefetch):
+        for idx in plan[epoch]:
+            images, labels = dataset.images[idx], dataset.labels[idx]
             x = Tensor(images.astype(model.dtype, copy=False))
             logits = model.forward(x)
             loss = T.cross_entropy_mean(logits, labels)

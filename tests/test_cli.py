@@ -187,6 +187,20 @@ def test_load_missing_file_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_load_corrupt_config_is_io_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.pmlp"
+    assert run(capsys, "save", "--variant", "MICRO", "--checkpoint", str(ckpt),
+               "--out", str(tmp_path))[0] == 0
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob.replace(b'"image_side"', b'"image+side"'))
+    code, _, err = run(capsys, "load", "--checkpoint", str(ckpt), "--out", str(tmp_path))
+    assert code == 3 and "__config__" in err
+    at = blob.find(b"variant")
+    ckpt.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])  # not utf-8
+    code, _, err = run(capsys, "load", "--checkpoint", str(ckpt), "--out", str(tmp_path))
+    assert code == 3 and "__config__" in err
+
+
 def test_attn_missing_checkpoint_is_io_error(tmp_path, capsys):
     # a mistyped checkpoint path must not silently export a fresh model
     code, _, err = run(capsys, "attn", "--variant", "MICRO",

@@ -341,3 +341,96 @@ def test_gating_gradcheck_all_parameters(rng, kind, groups):
     res = gradcheck(fn, u.parameters())
     assert res.ok, res.failures[:5]
     assert res.max_rel_err < 1e-4
+
+
+# -- the mixing-stack cache ----------------------------------------------------------
+
+def counting_generator(monkeypatch):
+    """Count the GGQPE stack generations a gating unit asks for."""
+    calls = []
+    real = G.group_weight_stack
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(G, "group_weight_stack", counted)
+    return calls
+
+
+def test_mixing_stack_hit_returns_the_same_stack(monkeypatch):
+    calls = counting_generator(monkeypatch)
+    u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
+    first = u.mixing_stack()
+    assert u.mixing_stack() is first
+    u.gqpe[1].gamma.data[:] = u.gqpe[1].gamma.data  # rewriting the same bytes is no change
+    assert u.mixing_stack() is first
+    assert len(calls) == 1
+
+
+def _edit_gamma_in_place(u):
+    u.gqpe[1].gamma.data[:] = u.gqpe[1].gamma.data * 1.5
+
+
+def _replace_gamma(u):
+    # Equal bytes, so only the tensor's identity tells the stack is stale.
+    u.gqpe[1].gamma = Tensor(u.gqpe[1].gamma.data.copy(), requires_grad=True)
+
+
+def _freeze_delta(u):
+    u.gqpe[0].delta.requires_grad = False
+
+
+def _cast_to_float32(u):
+    for t in u._positional_tensors():
+        t.data = t.data.astype(np.float32)
+
+
+@pytest.mark.parametrize("edit", [_edit_gamma_in_place, _replace_gamma, _freeze_delta,
+                                  _cast_to_float32])
+def test_mixing_stack_rebuilds_after_a_parameter_change(rng, monkeypatch, edit):
+    calls = counting_generator(monkeypatch)
+    u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
+    fresh = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
+    before = u.mixing_stack()
+    edit(u)
+    edit(fresh)
+    after = u.mixing_stack()
+    assert after is not before and len(calls) == 2
+    want = fresh.mixing_stack()
+    assert after.weights.dtype == want.weights.dtype
+    np.testing.assert_array_equal(after.weights.data, want.weights.data)
+    if edit is _cast_to_float32:
+        return
+    x = tin(rng, 2, 9, 8)
+    weights = rng.standard_normal((2, 9, 4))
+    for v in (u, fresh):
+        T.backward(T.weighted_sum(v.forward(x), weights))
+    for (name, p), q in zip(u.parameters().items(), fresh.parameters().values()):
+        if p.requires_grad:
+            np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
+        else:
+            assert p.grad is None and q.grad is None, name
+    if edit is _freeze_delta:
+        assert u.gqpe[0].delta.grad is None and u.gqpe[0].gamma.grad is not None
+
+
+def test_shared_stack_gradients_match_two_built_stacks(rng, monkeypatch):
+    calls = counting_generator(monkeypatch)
+    cached = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=5)
+    uncached = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=5)
+    x1, x2 = tin(rng, 2, 9, 8), tin(rng, 1, 9, 8)
+    w1, w2 = rng.standard_normal((2, 9, 4)), rng.standard_normal((1, 9, 4))
+
+    T.backward(T.add(T.weighted_sum(cached.forward(x1), w1),
+                     T.weighted_sum(cached.forward(x2), w2)))
+    assert len(calls) == 1
+    first = uncached.forward(x1)
+    uncached._stack_entry = None
+    loss = T.add(T.weighted_sum(first, w1), T.weighted_sum(uncached.forward(x2), w2))
+    T.backward(loss)
+    assert len(calls) == 3
+    # The chain rule is linear in the incoming gradient; only the order in
+    # which the two forwards' contributions are summed differs.
+    for (name, p), q in zip(cached.parameters().items(), uncached.parameters().values()):
+        np.testing.assert_allclose(p.grad, q.grad, rtol=1e-12, atol=1e-15, err_msg=name)

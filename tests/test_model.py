@@ -1,5 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posmlp import model as M
 from posmlp import tensor as T
@@ -337,6 +342,71 @@ def test_checkpoint_version_mismatch(tmp_path):
     with pytest.raises(M.CheckpointError) as err:
         M.load_checkpoint(path)
     assert "version" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory):
+    """A MICRO checkpoint's bytes, the end of its config record, and a scratch path."""
+    path = tmp_path_factory.mktemp("corrupt") / "m.pmlp"
+    M.save_checkpoint(micro(seed=21), path)
+    blob = path.read_bytes()
+    return blob, blob.find(b"stem."), path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(micro_checkpoint, data):
+    blob, config_end, path = micro_checkpoint
+    # Half the draws land in the magic, version and config record, where a
+    # flip changes structure rather than one parameter value.
+    at = data.draw(st.one_of(st.integers(0, config_end), st.integers(0, len(blob) - 1)))
+    if data.draw(st.booleans()):
+        corrupt = bytearray(blob)
+        corrupt[at] ^= data.draw(st.integers(1, 255))
+    else:
+        corrupt = blob[:at]
+    path.write_bytes(bytes(corrupt))
+    try:
+        M.load_checkpoint(path)
+    except M.CheckpointError:
+        pass
+
+
+# -- concurrency ---------------------------------------------------------------------------
+
+def test_concurrent_forwards_match_serial_logits(rng):
+    # Forward writes each gating unit's mixing-stack cache; threads sharing a
+    # model must still see exactly the serial results, also right after the
+    # parameters change.  More threads than cores and a short switch
+    # interval make the threads interleave inside forward.
+    shared, serial = micro(seed=8), micro(seed=8)
+    x = Tensor(rng.standard_normal((2, 32, 32, 3)).astype(np.float32))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            for m in (shared, serial):
+                for name, p in m.parameters().items():
+                    if ".gqpe." in name:
+                        p.data *= np.float32(1.0 + 0.1 * round_)
+            want = serial.forward(x).data
+            results = []
+
+            def work():
+                for _ in range(2):
+                    results.append(shared.forward(x).data)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 8
+            for got in results:
+                np.testing.assert_array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- window presets --------------------------------------------------------------------------

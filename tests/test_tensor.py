@@ -310,15 +310,32 @@ def test_grouped_layer_norm_gradcheck(rng):
     assert res.max_rel_err < 1e-4
 
 
-def test_transpose_roundtrip_and_gradient(rng):
-    x = t64(rng.standard_normal((2, 3, 4)), grad=True)
-    y = T.transpose(x, (2, 0, 1))
-    np.testing.assert_array_equal(y.data, x.data.transpose(2, 0, 1))
-    weights = rng.standard_normal(y.shape)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_fused_layout_matches_copy_chain(rng, dtype):
+    # Oracle: the copying chain reshape (N^2, s) -> (N, N, s), transpose to
+    # (N, s, N), then a plain softmax; the gradient goes back the same way.
+    n, s = 9, 4
+    flat = (rng.standard_normal((n * n, s)) * 30.0).astype(dtype)
+    weights = rng.standard_normal((n, s, n)).astype(dtype)
+
+    x = Tensor(flat, requires_grad=True)
+    y = T.softmax_rows(x, (n, n, s), (0, 2, 1))
     backward(T.weighted_sum(y, weights))
-    np.testing.assert_array_equal(x.grad, weights.transpose(1, 2, 0))
+
+    z = Tensor(np.ascontiguousarray(flat.reshape(n, n, s).transpose(0, 2, 1)),
+               requires_grad=True)
+    want = T.softmax_rows(z)
+    backward(T.weighted_sum(want, weights))
+
+    assert y.shape == (n, s, n) and y.data.flags.c_contiguous
+    np.testing.assert_array_equal(y.data, want.data)
+    np.testing.assert_array_equal(
+        x.grad, np.ascontiguousarray(z.grad.transpose(0, 2, 1)).reshape(n * n, s))
+
+
+def test_softmax_rejects_a_bad_axis_permutation():
     with pytest.raises(T.ShapeError):
-        T.transpose(x, (0, 0, 1))
+        T.softmax_rows(t64(np.zeros((4, 2))), (2, 2, 2), (0, 0, 1))
 
 
 def test_softmax_flushes_subnormals_to_zero():
