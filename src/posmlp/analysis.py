@@ -141,12 +141,19 @@ def _positional_matrix(unit):
     return [stack.matrix(g) for g in range(len(stack))]
 
 
+def _check_selection(unit, query_index, groups):
+    n, s = unit.config.n_tokens, unit.config.groups
+    if not 0 <= query_index < n:
+        raise IndexError(f"query index {query_index} out of range for {n} tokens")
+    bad = [g for g in groups or () if not 0 <= g < s]
+    if bad:
+        raise IndexError(f"group indices {bad} out of range for {s} groups")
+
+
 def export_unit_attention_maps(unit, query_index, out_dir, layer="unit", groups=None):
     """Write one query row of each group's positional matrix as CSV + PGM."""
     k = unit.config.window_side
-    n = k * k
-    if not 0 <= query_index < n:
-        raise IndexError(f"query index {query_index} out of range for {n} tokens")
+    _check_selection(unit, query_index, groups)
     mats = _positional_matrix(unit)
     groups = range(len(mats)) if groups is None else groups
     os.makedirs(out_dir, exist_ok=True)
@@ -164,13 +171,19 @@ def export_attention_maps(model, query_index, out_dir, layers=None, groups=None)
     """Export positional-matrix rows for selected blocks of a model.
 
     ``layers`` selects flat block indices (stage-major); the default is all
-    blocks that carry positional matrices.
+    blocks that carry positional matrices.  Every selection is checked
+    before the first map is written.
     """
     flat = [(f"stage{i}_block{j}", blk.unit)
             for i, blocks in enumerate(model.stages)
             for j, blk in enumerate(blocks)]
     if layers is not None:
+        bad = [i for i in layers if not 0 <= i < len(flat)]
+        if bad:
+            raise IndexError(f"layer indices {bad} out of range for {len(flat)} blocks")
         flat = [flat[i] for i in layers]
+    for _, unit in flat:
+        _check_selection(unit, query_index, groups)
     written = []
     for label, unit in flat:
         written.extend(export_unit_attention_maps(unit, query_index, out_dir,

@@ -133,8 +133,7 @@ def _model_config(resolved):
         kw["covariance_form"] = resolved["form"]
     for key in _BOOL_KEYS:
         if resolved.get(key) is not None:
-            name = "delta_frozen" if key == "delta_frozen" else key
-            kw[name] = resolved[key]
+            kw[key] = resolved[key]
     windows = resolved.get("windows")
     if isinstance(windows, str):
         windows = tuple(int(w) for w in windows.split(","))
@@ -158,12 +157,36 @@ def _train_config(resolved):
         raise ConfigError(str(err))
 
 
+def _is_int(val):
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _check_model_types(resolved):
+    """Each model key holds the type its flag gives it; only ``variant`` may not be None."""
+    for key in _MODEL_KEYS:
+        val = resolved.get(key)
+        if val is None and key != "variant":
+            continue
+        if key in ("image_side", "num_classes"):
+            ok, want = _is_int(val), "an integer"
+        elif key == "windows":
+            ok = isinstance(val, str) or (isinstance(val, list) and all(map(_is_int, val)))
+            want = "a comma-separated string or a list of integers"
+        elif key in _BOOL_KEYS:
+            ok, want = isinstance(val, bool), "true or false"
+        else:
+            ok, want = isinstance(val, str), "a string"
+        if not ok:
+            raise ConfigError(f"{key} must be {want}, got {val!r}")
+
+
 def _validate(resolved):
     """Reject a configuration that cannot run, before anything is written."""
     for key in ("epochs", "batch_size", "per_class", "seed"):
         val = resolved[key]
-        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+        if not _is_int(val) or val < 0:
             raise ConfigError(f"{key} must be a nonnegative integer, got {val!r}")
+    _check_model_types(resolved)
     _model_config(resolved)
     _train_config(resolved)
     kind = resolved.get("dataset", "synthetic")
@@ -348,9 +371,12 @@ def cmd_attn(resolved):
     groups = resolved.get("groups")
     layers = [int(v) for v in layers.split(",")] if isinstance(layers, str) else layers
     groups = [int(v) for v in groups.split(",")] if isinstance(groups, str) else groups
-    files = export_attention_maps(model, int(resolved.get("query", 0)),
-                                  os.path.join(resolved["out"], "attn"),
-                                  layers=layers, groups=groups)
+    try:
+        files = export_attention_maps(model, int(resolved.get("query", 0)),
+                                      os.path.join(resolved["out"], "attn"),
+                                      layers=layers, groups=groups)
+    except IndexError as err:  # a selection out of range, raised before any write
+        raise ConfigError(str(err))
     for f in files:
         print(f)
     return 0

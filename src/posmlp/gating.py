@@ -110,7 +110,6 @@ class GatingUnit:
         rng = rng or np.random.default_rng(0)
         self.config = config
         self.width = int(width)
-        self.norm_enabled = True
         k = config.window_side
         n = config.n_tokens
         if config.split_channels:
@@ -229,7 +228,7 @@ class GatingUnit:
             x1, x2 = T.split(x, 2, axis=-1)
         else:
             x1 = x2 = x
-        if cfg.pre_norm_on_x1 and self.norm_enabled:
+        if cfg.pre_norm_on_x1:
             # Statistics stay inside each group's channel slice, so groups
             # remain independent channel-wise.
             x1 = T.layer_norm(x1, self.norm_gain, self.norm_shift, groups=cfg.groups)
@@ -242,8 +241,3 @@ class GatingUnit:
         if cfg.combine is Combine.ADD:
             return T.add(z1, x2)
         return T.concat([z1, x2], axis=-1)
-
-
-def apply_ape(x, ape):
-    """Add a learnable absolute-position map to every image in the batch."""
-    return T.add_map(x, ape)

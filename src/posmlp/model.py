@@ -14,7 +14,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, asdict
-from functools import lru_cache
 
 import numpy as np
 
@@ -179,7 +178,9 @@ def variant_config(variant, image_side=None, num_classes=None, windows=None, **o
         image_side = 32 if variant == "MICRO" else 224
     if num_classes is None:
         num_classes = 4 if variant == "MICRO" else 1000
-    windows = tuple(windows) if windows else default_windows(variant, image_side)
+    windows = default_windows(variant, image_side) if windows is None else tuple(windows)
+    if len(windows) != 4:
+        raise ValueError(f"windows needs one side per stage (four), got {windows}")
     c = spec["base_dim"]
     stages = tuple(
         StageConfig(depth=spec["depths"][i], dim=c * 2 ** i, window_side=windows[i],
@@ -191,22 +192,13 @@ def variant_config(variant, image_side=None, num_classes=None, windows=None, **o
 
 # -- window partitioning -------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _window_perms(b, h, w, d, k):
-    src = np.arange(b * h * w * d, dtype=np.int64).reshape(b, h, w, d)
-    src = src.reshape(b, h // k, k, w // k, k, d)
-    perm = src.transpose(0, 1, 3, 2, 4, 5).reshape(-1)
-    inv = np.argsort(perm, kind="stable")
-    return perm, inv
-
-
 def window_partition(x, k):
     """(B, h, w, d) -> (B * h*w/k^2, k^2, d) in raster order per window."""
     b, h, w, d = x.shape
     if h % k or w % k:
         raise T.ShapeError(f"window side {k} does not divide feature map {h}x{w}")
-    perm, inv = _window_perms(b, h, w, d, k)
-    return T.permute_flat(x, perm, inv, (b * (h // k) * (w // k), k * k, d))
+    return T.permute_flat(x, (b, h // k, k, w // k, k, d), (0, 1, 3, 2, 4, 5),
+                          (b * (h // k) * (w // k), k * k, d))
 
 
 def window_reverse(x, k, h, w):
@@ -216,8 +208,7 @@ def window_reverse(x, k, h, w):
     if b * nw != x.shape[0] or x.shape[1] != k * k:
         raise T.ShapeError(f"cannot reverse windows {x.shape} into {h}x{w} with k={k}")
     d = x.shape[2]
-    perm, inv = _window_perms(b, h, w, d, k)
-    return T.permute_flat(x, inv, perm, (b, h, w, d))
+    return T.permute_flat(x, (b, h // k, w // k, k, k, d), (0, 1, 3, 2, 4, 5), (b, h, w, d))
 
 
 # -- building blocks -------------------------------------------------------------

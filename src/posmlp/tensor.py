@@ -95,9 +95,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def is_leaf(self):
-        return not self._parents
-
     def detach(self):
         return Tensor(self.data.copy(), requires_grad=False)
 
@@ -414,13 +411,28 @@ def take(x, flat_indices, out_shape):
     return _result(data, (x,), vjp, "take")
 
 
-def permute_flat(x, perm, inv_perm, out_shape):
-    """Bijective element permutation (used by window partition/reverse)."""
-    data = x.data.reshape(-1)[perm].reshape(out_shape)
-    old = x.shape
+def _permuted_view(op, x, shape, axes):
+    """x's data read as ``shape`` with its axes permuted by ``axes``, and the inverse axes."""
+    view = x.data
+    if shape is not None:
+        if np.prod(shape) != x.size:
+            raise ShapeError(f"{op}: {shape} does not hold the {x.size} elements of {x.shape}")
+        view = view.reshape(shape)
+    if axes is None:
+        return view, None
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(view.ndim)):
+        raise ShapeError(f"{op}: {axes} is not a permutation of the axes of {view.shape}")
+    return view.transpose(axes), tuple(int(a) for a in np.argsort(axes))
+
+
+def permute_flat(x, shape, axes, out_shape):
+    """x read as ``shape``, axes permuted by ``axes``, copied out as ``out_shape``."""
+    view, inv = _permuted_view("permute_flat", x, shape, axes)
+    data = view.copy().reshape(out_shape)
 
     def vjp(g):
-        return (g.reshape(-1)[inv_perm].reshape(old),)
+        return (g.reshape(view.shape).transpose(inv).copy().reshape(x.shape),)
 
     return _result(data, (x,), vjp, "permute_flat")
 
@@ -467,15 +479,7 @@ def softmax_rows(x, shape=None, axes=None):
     subnormal range, where each later matrix product slows several-fold on
     common CPUs; such a weight is under 1e-38 of its row's sum.
     """
-    view = x.data
-    if shape is not None:
-        view = view.reshape(shape)
-    if axes is not None:
-        axes = tuple(int(a) for a in axes)
-        if sorted(axes) != list(range(view.ndim)):
-            raise ShapeError(f"softmax_rows: {axes} is not a permutation of the axes "
-                             f"of {view.shape}")
-        view = view.transpose(axes)
+    view, inv = _permuted_view("softmax_rows", x, shape, axes)
     if view.ndim < 2:
         raise ShapeError(f"softmax_rows expects a matrix or a stack of rows, got {view.shape}")
     _validate_finite("softmax_rows", x.data)
@@ -484,7 +488,6 @@ def softmax_rows(x, shape=None, axes=None):
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     y[y < np.finfo(y.dtype).tiny] = 0.0
-    inv = None if axes is None else tuple(int(a) for a in np.argsort(axes))
 
     def vjp(g):
         gx = g - (g * y).sum(axis=-1, keepdims=True)

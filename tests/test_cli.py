@@ -230,6 +230,45 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "varaint" in err
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--windows", "14,14"], None),
+    (["--windows", "8,4,2,1,9"], None),
+    ([], {"windows": [8, 4, 2]}),
+    ([], {"windows": []}),
+    ([], {"windows": 14}),
+    ([], {"windows": [8, 4, 2, True]}),
+    ([], {"image_side": "224"}),
+    ([], {"num_classes": 4.0}),
+    ([], {"variant": 5}),
+    ([], {"gating": 3}),
+    ([], {"use_ape": "no"}),
+    ([], {"use_bias": 1}),
+])
+def test_bad_model_setting_exits_2_and_writes_nothing(tmp_path, capsys, flags, config):
+    out = tmp_path / "out"
+    argv = ["describe", *flags, "--out", str(out)]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--query", "999"], ["--query", "-1"], ["--query", "2"], ["--layers", "99"],
+    ["--layers", "0,99"], ["--layers", "-1"], ["--groups", "99"], ["--groups", "0,-1"],
+])
+def test_attn_bad_selection_exits_2_before_any_map(tmp_path, capsys, flags):
+    # --query 2 is in range for the first blocks but not for the 1x1 last window
+    code, out, err = run(capsys, "attn", "--variant", "MICRO", *flags, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+    assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.pgm"))
+
+
 def test_reproducible_outputs(tmp_path, capsys):
     for d in ("r1", "r2"):
         code, _, _ = run(capsys, "attn", "--variant", "MICRO", "--seed", "5",

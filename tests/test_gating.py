@@ -72,14 +72,14 @@ def test_sgu_unit_gate_passes_x2(rng):
     np.testing.assert_allclose(out.data, x.data[..., 3:], atol=1e-12)
 
 
-def test_sgu_identity_mixing_without_norm(rng):
+def test_sgu_identity_mixing_gates_the_normed_half(rng):
     u = unit(G.GatingKind.SGU, k=2, width=6)
     u.token_fc_weight.data[:] = np.eye(4)
     u.bias.data[:] = 0.0
-    u.norm_enabled = False
     x = tin(rng, 2, 4, 6)
     out = u.forward(x)
-    np.testing.assert_allclose(out.data, x.data[..., :3] * x.data[..., 3:], atol=1e-12)
+    normed = layer_norm_oracle(x.data[..., :3], u.norm_gain.data, u.norm_shift.data)
+    np.testing.assert_allclose(out.data, normed * x.data[..., 3:], atol=1e-12)
 
 
 def test_sgu_matches_loop_oracle(rng):
@@ -158,10 +158,10 @@ def test_lrpe_onehot_center_gates_identity(rng):
     u.lrpe.values.data[:] = 0.0
     center = (k - 1) * (2 * k - 1) + (k - 1)
     u.lrpe.values.data[0, center] = 1.0
-    u.norm_enabled = False
     x = tin(rng, 2, 9, 6)
     out = u.forward(x)
-    np.testing.assert_allclose(out.data, x.data[..., :3] * x.data[..., 3:], atol=1e-12)
+    normed = layer_norm_oracle(x.data[..., :3], u.norm_gain.data, u.norm_shift.data)
+    np.testing.assert_allclose(out.data, normed * x.data[..., 3:], atol=1e-12)
 
 
 def test_glrpe_matches_group_oracle(rng):
@@ -269,13 +269,13 @@ def test_forced_norm_for_lookup_family():
 def test_apply_ape_zero_is_identity(rng):
     x = tin(rng, 2, 9, 4)
     ape = Tensor(np.zeros((9, 4)))
-    np.testing.assert_array_equal(G.apply_ape(x, ape).data, x.data)
+    np.testing.assert_array_equal(T.add_map(x, ape).data, x.data)
 
 
 def test_apply_ape_on_zero_input_broadcasts(rng):
     ape = Tensor(rng.standard_normal((9, 4)))
     x = Tensor(np.zeros((3, 9, 4)))
-    out = G.apply_ape(x, ape).data
+    out = T.add_map(x, ape).data
     for b in range(3):
         np.testing.assert_array_equal(out[b], ape.data)
 
@@ -283,7 +283,7 @@ def test_apply_ape_on_zero_input_broadcasts(rng):
 def test_apply_ape_difference_is_exact(rng):
     x = tin(rng, 3, 9, 4)
     ape = Tensor(rng.standard_normal((9, 4)))
-    out = G.apply_ape(x, ape).data
+    out = T.add_map(x, ape).data
     for b in range(3):
         # exact as an addition identity; the re-subtracted form only holds
         # to roundoff

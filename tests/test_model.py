@@ -108,6 +108,33 @@ def test_partition_gradient_is_inverse_permutation(rng):
     np.testing.assert_array_equal(x.grad, back.data)
 
 
+def window_oracle(x, k):
+    """Window (i, j) of each image, sliced out one at a time, raster order."""
+    b, h, w, d = x.shape
+    return np.stack([x[n, i:i + k, j:j + k].reshape(k * k, d)
+                     for n in range(b) for i in range(0, h, k) for j in range(0, w, k)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5),
+       st.integers(1, 4), st.sampled_from([np.float32, np.float64]), st.integers(0, 99))
+def test_partition_matches_slicing_oracle(b, rows, cols, k, d, dtype, seed):
+    h, w = rows * k, cols * k
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((b, h, w, d)).astype(dtype)
+    x = Tensor(data, requires_grad=True)
+    tokens = M.window_partition(x, k)
+    want = window_oracle(data, k)
+    # a copy even when the permutation moves nothing (one window across)
+    assert tokens.dtype == dtype and not np.shares_memory(tokens.data, data)
+    np.testing.assert_array_equal(tokens.data, want)
+    np.testing.assert_array_equal(M.window_reverse(Tensor(want), k, h, w).data, data)
+
+    g = rng.standard_normal(tokens.shape).astype(dtype)
+    T.backward(T.weighted_sum(tokens, g))
+    np.testing.assert_array_equal(x.grad, M.window_reverse(Tensor(g), k, h, w).data)
+
+
 # -- block ----------------------------------------------------------------------------
 
 def block_cfg(k=14, groups=8, kind=GatingKind.GGQPE, **kw):

@@ -338,6 +338,16 @@ def test_softmax_rejects_a_bad_axis_permutation():
         T.softmax_rows(t64(np.zeros((4, 2))), (2, 2, 2), (0, 0, 1))
 
 
+def test_permute_flat_rejects_a_bad_permutation_or_shape():
+    x = t64(np.zeros((4, 2)))
+    with pytest.raises(T.ShapeError):
+        T.permute_flat(x, (2, 2, 2), (0, 0, 1), (8,))
+    with pytest.raises(T.ShapeError):
+        T.permute_flat(x, (2, 2, 2), (0, 1), (8,))
+    with pytest.raises(T.ShapeError):
+        T.permute_flat(x, (3, 3), (1, 0), (9,))
+
+
 def test_softmax_flushes_subnormals_to_zero():
     out = T.softmax_rows(Tensor(np.array([[0.0, -100.0, -200.0]], dtype=np.float32))).data
     # exp(-100) is subnormal in float32; exp(-200) underflows on its own
