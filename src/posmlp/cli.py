@@ -192,6 +192,9 @@ def _validate(resolved):
     kind = resolved.get("dataset", "synthetic")
     if kind not in ("synthetic", "cifar"):
         raise ConfigError(f"unknown dataset {kind!r} (synthetic or cifar)")
+    if kind == "synthetic" and resolved["per_class"] < 1:
+        raise ConfigError("per_class must be at least 1 for the synthetic dataset "
+                          "(0 gives an empty dataset)")
     if kind == "cifar" and not resolved.get("data_path"):
         raise ConfigError("dataset 'cifar' needs --data-path")
 

@@ -192,17 +192,22 @@ def variant_config(variant, image_side=None, num_classes=None, windows=None, **o
 
 # -- window partitioning -------------------------------------------------------
 
+def _check_window_side(k, h, w):
+    if not 1 <= k <= min(h, w) or h % k or w % k:
+        raise T.ShapeError(f"window side {k} does not divide feature map {h}x{w}")
+
+
 def window_partition(x, k):
     """(B, h, w, d) -> (B * h*w/k^2, k^2, d) in raster order per window."""
     b, h, w, d = x.shape
-    if h % k or w % k:
-        raise T.ShapeError(f"window side {k} does not divide feature map {h}x{w}")
+    _check_window_side(k, h, w)
     return T.permute_flat(x, (b, h // k, k, w // k, k, d), (0, 1, 3, 2, 4, 5),
                           (b * (h // k) * (w // k), k * k, d))
 
 
 def window_reverse(x, k, h, w):
     """Inverse of window_partition back to (B, h, w, d)."""
+    _check_window_side(k, h, w)
     nw = (h // k) * (w // k)
     b = x.shape[0] // nw
     if b * nw != x.shape[0] or x.shape[1] != k * k:

@@ -7,6 +7,7 @@ path order.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -36,8 +37,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr_init < 0 or self.lr_min < 0:
-            raise ValueError("learning rates must be nonnegative")
+        for name in ("lr_init", "lr_min", "weight_decay"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Real) \
+                    or not math.isfinite(val) or val < 0:
+                raise ValueError(f"{name} must be a finite nonnegative number, got {val!r}")
         if self.lr_init < self.lr_min:
             raise ValueError("initial learning rate must be >= the minimum")
         if self.epochs < 1 or self.batch_size < 1:

@@ -38,6 +38,30 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config, key", [
+    (["--weight-decay", "nan"], None, "weight_decay"),
+    (["--lr-init", "inf"], None, "lr_init"),
+    (["--lr-min", "nan"], None, "lr_min"),
+    (["--weight-decay", "-1"], None, "weight_decay"),
+    ([], '{"weight_decay": null}', "weight_decay"),
+    ([], '{"weight_decay": 1e400}', "weight_decay"),
+    ([], '{"lr_init": "0.1"}', "lr_init"),
+    ([], '{"lr_min": true}', "lr_min"),
+    (["--per-class", "0"], None, "per_class"),
+])
+def test_bad_training_setting_exits_2_and_writes_nothing(tmp_path, capsys, flags, config, key):
+    out = tmp_path / "out"
+    argv = ["train", "--variant", "MICRO", "--epochs", "1", *flags, "--out", str(out)]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("configuration error:") and key in err
+    assert not out.exists()
+
+
 def test_empty_dataset_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--per-class", "0", "--epochs", "1",
                        "--out", str(tmp_path / "train"))

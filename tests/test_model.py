@@ -99,6 +99,19 @@ def test_partition_rejects_indivisible():
         M.window_partition(Tensor(np.zeros((1, 6, 6, 2), dtype=np.float32)), 4)
 
 
+@pytest.mark.parametrize("op,k", [
+    ("partition", 0), ("partition", -2), ("partition", 4),
+    ("reverse", 0), ("reverse", -2), ("reverse", 4),
+])
+def test_window_side_that_does_not_fit_is_a_shape_error(op, k):
+    x = Tensor(np.zeros((1, 2, 2, 3), dtype=np.float32))
+    with pytest.raises(T.ShapeError):
+        if op == "partition":
+            M.window_partition(x, k)
+        else:
+            M.window_reverse(x, k, 2, 2)
+
+
 def test_partition_gradient_is_inverse_permutation(rng):
     x = Tensor(rng.standard_normal((1, 4, 4, 2)), requires_grad=True)
     tokens = M.window_partition(x, 2)

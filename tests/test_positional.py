@@ -323,10 +323,32 @@ def test_float32_stack_has_no_subnormal_weights():
     groups = [P.GqpeGroupParams(rng=rng, dtype=np.float32) for _ in range(32)]
     w = P.group_weight_stack(groups, emb).weights.data
     assert w.dtype == np.float32 and w.shape == (196, 32, 196)
-    tiny = np.finfo(np.float32).tiny
-    assert not np.any((w != 0) & (np.abs(w) < tiny))
+    fi = np.finfo(np.float32)
+    assert not np.any((w != 0) & (np.abs(w) < fi.tiny / (fi.eps * 196)))
     assert np.any(w == 0)
     np.testing.assert_allclose(w.sum(axis=-1, dtype=np.float64), 1.0, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("k, s, c", [(14, 8, 192), (14, 16, 384), (14, 32, 768), (7, 64, 768)])
+def test_cut_stack_mixes_like_the_tiny_flush_oracle(k, s, c):
+    # T's stage shapes: the weights cut below tiny/eps of the row maximum
+    # change no mixed value, though they are a few percent of the stack
+    rng = np.random.default_rng(0)
+    n = k * k
+    emb = P.gqpe_embedding(P.displacement_grid(k))
+    groups = [P.GqpeGroupParams(rng=rng, dtype=np.float32) for _ in range(s)]
+    w = P.group_weight_stack(groups, emb).weights
+    logits = np.ascontiguousarray(
+        P._feature_logits(groups, emb).data.reshape(n, n, s).transpose(0, 2, 1))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    oracle = e / e.sum(axis=-1, keepdims=True)
+    oracle[oracle < np.finfo(np.float32).tiny] = 0.0
+    kept = w.data != 0
+    np.testing.assert_array_equal(w.data[kept], oracle[kept])
+    if k == 14:  # the 7x7 windows hold no logit that far below its row's maximum
+        assert np.any(oracle[~kept] != 0)
+    x = Tensor(rng.standard_normal((2, n, c)).astype(np.float32))
+    np.testing.assert_array_equal(T.mix_tokens(w, x).data, T.mix_tokens(Tensor(oracle), x).data)
 
 
 def test_group_stack_rejects_empty():

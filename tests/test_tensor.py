@@ -354,6 +354,22 @@ def test_softmax_flushes_subnormals_to_zero():
     assert out[0, 0] == 1.0 and out[0, 1] == 0.0 and out[0, 2] == 0.0
 
 
+@pytest.mark.parametrize("dtype, want_cut", [(np.float32, 71.394), (np.float64, 672.353)])
+def test_softmax_cuts_logits_far_below_the_row_max(dtype, want_cut):
+    fi = np.finfo(dtype)
+    cut = np.log(fi.eps / fi.tiny)
+    assert abs(cut - want_cut) < 1e-3
+    n = 196
+    row = np.full(n, -2 * want_cut, dtype=dtype)
+    row[0] = 0.0
+    row[1] = np.nextafter(-cut, dtype(0))  # just above the cut
+    row[2] = np.nextafter(-cut, dtype(-np.inf))  # just below it
+    out = T.softmax_rows(Tensor(row[None, :])).data[0]
+    assert out[1] >= fi.tiny / (fi.eps * n)
+    assert out[2] == 0.0 and not np.any(out[3:])
+    assert out[0] == 1.0
+
+
 def test_softmax_normalizes_last_axis_of_a_stack(rng):
     x = rng.standard_normal((3, 2, 5))
     got = T.softmax_rows(t64(x)).data
