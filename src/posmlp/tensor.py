@@ -13,6 +13,7 @@ instead of merely close.
 
 import numpy as np
 from scipy.special import erf as _erf
+from scipy.special import expit as _expit
 
 DEFAULT_DTYPE = np.float32
 
@@ -173,6 +174,7 @@ def add(a, b):
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check_same_shape("sub", a, b)
+    _check_same_dtype("sub", a, b)
     _validate_finite("sub", a.data, b.data)
     return _result(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
@@ -439,18 +441,115 @@ def permute_flat(x, shape, axes, out_shape):
 
 # -- nonlinearities and normalization ---------------------------------------
 
+# Coefficients of erf(t) ~ t * P(t^2) / Q(t^2) in float32, highest power
+# first; P is halved (see _gelu_f32).
+_ERF_F32_NUM = 0.5 * np.array(
+    [-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+     -1.60960333262415e-02], dtype=np.float32)
+_ERF_F32_DEN = np.array(
+    [-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+     -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+
+# Elements per pass of the elementwise loops: the few chunk-sized buffers a
+# loop touches stay in cache between its passes.
+_CHUNK = 1 << 16
+
+
+def _chunks(n):
+    return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
+def _gelu_scipy(x, phi, out, t, s):
+    """phi = Phi(x) from SciPy's erf, out = x * phi; t and s are unused."""
+    np.multiply(x, _INV_SQRT2, out=phi)
+    _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    np.multiply(x, phi, out=out)
+
+
+def _gelu_f32(x, phi, out, t, s):
+    """phi = Phi(x), out = x * Phi(x) from a float32 rational erf; t, s are scratch.
+
+    erf's argument is clamped to [-4, 4], where the rational function
+    reaches exactly +-1, and an odd degree-13 numerator is divided by an
+    even degree-8 denominator (the form of Eigen's and XLA's float erf).
+    The numerator's coefficients are halved, which changes no bit, so the
+    quotient is h = erf/2; rounding can carry it a few spacings past +-1/2,
+    so it is clipped back.  The output is formed as
+    max(x, 0) - |x| * (1/2 - |h|), where 1/2 - |h| = Phi(-|x|) is exact for
+    |x| >= 0.68 (|h| >= 1/4): x * (1/2 + h) would add the rounding of
+    1/2 + h, up to half a spacing of x, to the error for positive x.  Only
+    +, -, *, /, abs, max and clip run, so each element's bits depend on its
+    value alone.
+    """
+    np.multiply(x, _INV_SQRT2, out=t)
+    np.clip(t, -4.0, 4.0, out=t)
+    np.multiply(t, t, out=s)
+    a, h = _ERF_F32_NUM, phi
+    np.multiply(s, a[0], out=h)
+    h += a[1]
+    for c in a[2:]:
+        h *= s
+        h += c
+    h *= t
+    b = _ERF_F32_DEN
+    np.multiply(s, b[0], out=t)
+    t += b[1]
+    for c in b[2:]:
+        t *= s
+        t += c
+    h /= t
+    np.clip(h, -0.5, 0.5, out=h)
+    np.abs(h, out=s)
+    np.subtract(0.5, s, out=s)
+    h += 0.5
+    np.multiply(x, s, out=s)
+    np.abs(s, out=s)
+    np.maximum(x, 0.0, out=out)
+    out -= s
+
+
 def gelu(x):
-    """Exact Gaussian-CDF GELU, x * Phi(x)."""
+    """Exact Gaussian-CDF GELU, x * Phi(x), with Phi(x) = (1 + erf(x/sqrt(2))) / 2.
+
+    float64 takes erf from SciPy.  float32 takes it from a float32 rational
+    function (``_gelu_f32``): every finite float32 output lies within 3.55
+    float32 spacings of |x| of the float64 result, has the sign of x, and
+    depends on its input's value alone.  Both work in place over chunks
+    that stay in cache; the forward keeps only Phi(x) for the backward pass.
+    """
     _validate_finite("gelu", x.data)
     xd = x.data
-    phi = 0.5 * (1.0 + _erf(xd * _INV_SQRT2))
-    out = xd * phi
+    xf = xd.reshape(-1)
+    n = xf.size
+    phi = np.empty_like(xd)
+    out = np.empty_like(xd)
+    phif, outf = phi.reshape(-1), out.reshape(-1)
+    kernel = _gelu_f32 if xd.dtype == np.float32 else _gelu_scipy
+    t, s = np.empty((2, min(n, _CHUNK)), dtype=xd.dtype)
+    for sl in _chunks(n):
+        m = sl.stop - sl.start
+        kernel(xf[sl], phif[sl], outf[sl], t[:m], s[:m])
 
     def vjp(g):
-        dens = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (phi + xd * dens),)
+        gf = g.reshape(-1)
+        gx = np.empty_like(xd)
+        gxf = gx.reshape(-1)
+        d = np.empty(min(n, _CHUNK), dtype=xd.dtype)
+        for sl in _chunks(n):
+            xs, ds = xf[sl], d[:sl.stop - sl.start]
+            np.multiply(xs, -0.5, out=ds)
+            ds *= xs
+            np.exp(ds, out=ds)
+            ds *= _INV_SQRT2PI
+            ds *= xs
+            ds += phif[sl]
+            np.multiply(ds, gf[sl], out=gxf[sl])
+        return (gx,)
 
-    return _result(out.astype(xd.dtype, copy=False), (x,), vjp, "gelu")
+    return _result(out, (x,), vjp, "gelu")
 
 
 def softplus(x):
@@ -459,8 +558,7 @@ def softplus(x):
     out = np.log1p(np.exp(-np.abs(xd))) + np.maximum(xd, 0.0)
 
     def vjp(g):
-        sig = 1.0 / (1.0 + np.exp(-xd))
-        return (g * sig,)
+        return (g * _expit(xd),)
 
     return _result(out.astype(xd.dtype, copy=False), (x,), vjp, "softplus")
 

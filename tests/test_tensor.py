@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from posmlp import tensor as T
 from posmlp.gradcheck import gradcheck
 from posmlp.tensor import Tensor, backward
+
+
+# Measured float32 GELU error against float64 SciPy: the output in float32
+# spacings of |x|, the derivative (at most 1.13 in size) in float32 eps.
+GELU_F32_SPACINGS = 3.55
+GELU_F32_GRAD_EPS = 2.5
 
 
 def t64(a, grad=False):
@@ -75,6 +82,36 @@ def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(T.ShapeError) as err:
         T.matmul(t64(np.ones((2, 3))), t64(np.ones((4, 5))))
     assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
+
+
+# -- elementwise ----------------------------------------------------------------
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+def test_elementwise_ops_reject_a_dtype_mismatch(op):
+    a = Tensor(np.ones(3, dtype=np.float32))
+    b = Tensor(np.ones(3, dtype=np.float64))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(T.ShapeError, match="dtype mismatch"):
+            op(x, y)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_gradient_never_overflows(dtype):
+    # The logistic 1/(1 + exp(-x)) overflows in exp for x below about -88
+    # (float32) or -709 (float64).
+    fi = np.finfo(dtype)
+    x = np.concatenate([np.linspace(-800, 800, 160_001), [-1e30, 1e30, -fi.max, fi.max]])
+    x = Tensor(x.astype(dtype), requires_grad=True)
+    with np.errstate(over="raise"):
+        got = T.softplus(x)._vjp(np.ones(x.shape, dtype=dtype))[0]
+    assert got.dtype == dtype
+    with np.errstate(over="ignore"):
+        e = np.exp(-x.data)
+    fits = np.isfinite(e)
+    assert not fits.all()
+    np.testing.assert_allclose(got[fits], 1.0 / (1.0 + e[fits]), rtol=3 * fi.eps, atol=fi.tiny)
+    assert np.all(got[~fits] < fi.tiny)
+    assert np.all((got >= 0) & (got <= 1))
 
 
 # -- softmax ------------------------------------------------------------------
@@ -163,6 +200,71 @@ def test_gelu_matches_erf_oracle():
     got = T.gelu(t64([x])).data[0]
     assert abs(got - expected) < 1e-6
     assert abs(expected - 0.8413447460685429) < 1e-12
+
+
+def gelu64(x):
+    """Float64 GELU and its derivative from SciPy's erf."""
+    x = np.asarray(x, dtype=np.float64)
+    phi = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    return x * phi, phi + x * (np.exp(-0.5 * x * x) * 0.3989422804014327)
+
+
+def test_gelu_float64_is_scipy_bit_for_bit(rng):
+    # Several chunks and a ragged tail: chunking changes no float64 bit.
+    x = rng.standard_normal(2 * T._CHUNK + 1001) * 6
+    x[:4] = [0.0, -0.0, 1e-310, -40.0]
+    g = rng.standard_normal(x.shape)
+    y = T.gelu(t64(x, grad=True))
+    want, dwant = gelu64(x)
+    assert y.data.tobytes() == want.tobytes()
+    assert y._vjp(g)[0].tobytes() == (g * dwant).tobytes()
+
+
+def test_gelu_float32_sweep_is_within_the_stated_spacing_bound():
+    # The bound the gelu docstring states, measured over every float32 in
+    # [-12, 12]; beyond it the output is x or +-0 exactly.
+    x = np.linspace(-12, 12, 2**22 + 1, dtype=np.float32)
+    got = T.gelu(Tensor(x)).data
+    want, _ = gelu64(x)
+    err = np.abs(got.astype(np.float64) - want) / np.spacing(np.abs(x))
+    assert err.max() <= GELU_F32_SPACINGS
+    assert not np.any(got * x < 0)
+
+
+@pytest.mark.parametrize("big", [1e30, 3.4e38])
+def test_gelu_float32_extremes(big):
+    x = np.array([big, -big, 12.0, -12.0, -6.0, 6.0], dtype=np.float32)
+    with np.errstate(over="raise", invalid="raise"):
+        got = T.gelu(Tensor(x)).data
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got[[0, 2, 5]], x[[0, 2, 5]])
+    np.testing.assert_array_equal(got[[1, 3, 4]], 0.0)
+
+
+def test_gelu_float32_bits_do_not_depend_on_position(rng):
+    x = (rng.standard_normal((3, 5, T._CHUNK // 4 + 77)) * 4).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    whole = T.gelu(Tensor(x, requires_grad=True))
+    gwhole = whole._vjp(g)[0]
+    flat, gflat = x.reshape(-1), g.reshape(-1)
+    cuts = [0, 1, 1000, T._CHUNK - 3, 2 * T._CHUNK + 5, flat.size - 17, flat.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = T.gelu(Tensor(flat[lo:hi].copy(), requires_grad=True))
+        np.testing.assert_array_equal(part.data, whole.data.reshape(-1)[lo:hi])
+        np.testing.assert_array_equal(part._vjp(gflat[lo:hi].copy())[0], gwhole.reshape(-1)[lo:hi])
+    for i in range(x.shape[0]):
+        one = T.gelu(Tensor(x[i].copy(), requires_grad=True))
+        np.testing.assert_array_equal(one.data, whole.data[i])
+        np.testing.assert_array_equal(one._vjp(g[i].copy())[0], gwhole[i])
+
+
+def test_gelu_float32_gradient_matches_float64():
+    x = np.linspace(-12, 12, 2**22 + 1, dtype=np.float32)
+    y = T.gelu(Tensor(x, requires_grad=True))
+    got = y._vjp(np.ones_like(x))[0]
+    _, want = gelu64(x)
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - want)) <= GELU_F32_GRAD_EPS * np.finfo(np.float32).eps
 
 
 # -- backward -----------------------------------------------------------------
