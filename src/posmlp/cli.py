@@ -220,8 +220,6 @@ def _load_or_build(resolved, dtype=None):
 
     path = resolved.get("checkpoint")
     if path:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"checkpoint {path!r} does not exist")
         return load_checkpoint(path)
     return _build(resolved, dtype=dtype)
 
@@ -494,7 +492,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         code = 2
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         code = 3
     except Exception as err:  # noqa: BLE001 - map module errors to exit codes

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .gating import Combine, GatingConfig, GatingKind, GatingUnit
-from .positional import CovarianceForm, trunc_normal
+from .positional import CovarianceForm, ZeroDraws, trunc_normal
 
 CHECKPOINT_MAGIC = b"PMLP"
 CHECKPOINT_VERSION = 1
@@ -438,6 +438,7 @@ def _read_record(fh):
     dtype = np.dtype(_DTYPE_TAGS[tag]).newbyteorder("<")
     nbytes = math.prod(shape) * dtype.itemsize
     raw = _read_exact(fh, nbytes, f"buffer of {path}")
+    # astype copies: the array owns writable memory the loaded model can keep.
     arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPE_TAGS[tag])
     return path, arr
 
@@ -464,7 +465,12 @@ def _decode_config(arr):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint file; buffers round-trip bit-exactly."""
+    """Rebuild a model from a checkpoint file; buffers round-trip bit-exactly.
+
+    The model is built with ``ZeroDraws``, so no random initialisation runs,
+    and each parameter then takes the array read from its record.  Every
+    parameter record must share one float dtype, which becomes the model's.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -482,11 +488,16 @@ def load_checkpoint(path):
             rec = _read_record(fh)
             if rec is None:
                 break
-            if rec[1].dtype.kind != "f":
-                raise CheckpointError(f"parameter {rec[0]!r} has non-float dtype {rec[1].dtype}")
+            name, arr = rec
+            if arr.dtype.kind != "f":
+                raise CheckpointError(f"parameter {name!r} has non-float dtype {arr.dtype}")
+            if records and arr.dtype != records[0][1].dtype:
+                raise CheckpointError(
+                    f"parameter {name!r} has dtype {arr.dtype}, but {records[0][0]!r} "
+                    f"has {records[0][1].dtype}")
             records.append(rec)
     dtype = records[0][1].dtype if records else np.float32
-    model = PosMlpModel(config, rng=np.random.default_rng(0), dtype=dtype)
+    model = PosMlpModel(config, rng=ZeroDraws(), dtype=dtype)
     params = model.parameters()
     seen = set()
     for name, arr in records:
@@ -496,7 +507,7 @@ def load_checkpoint(path):
         if tuple(arr.shape) != tuple(p.shape):
             raise CheckpointError(
                 f"shape mismatch for {name!r}: file has {tuple(arr.shape)}, model needs {tuple(p.shape)}")
-        p.data = arr.astype(p.dtype) if arr.dtype != p.dtype else arr.copy()
+        p.data = arr
         seen.add(name)
     missing = set(params) - seen
     if missing:

@@ -304,11 +304,37 @@ def gqpe_weight_matrix(params, emb):
     return T.reshape(group_weight_stack([params], emb).weights, (n, n))
 
 
+class ZeroDraws:
+    """A stand-in for ``np.random.Generator`` whose every draw is zero.
+
+    A model built with it has the structure, shapes and fixed values of a
+    randomly initialised one, but draws no random numbers: its drawn
+    parameters are zero-filled allocations that nothing writes.
+    ``model.load_checkpoint`` builds its model this way and then replaces
+    every parameter with the array read from the file.
+    """
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.zeros(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.zeros(size)
+
+
 def trunc_normal(rng, shape, std, dtype):
-    """Normal(0, std) resampled into [-2 std, 2 std]."""
+    """Normal(0, std) resampled into [-2 std, 2 std].
+
+    Values outside are redrawn in raster order until none is left; each
+    pass checks only the values it has just drawn.  ``ZeroDraws`` gives
+    zeros without drawing.
+    """
+    if isinstance(rng, ZeroDraws):
+        return np.zeros(shape, dtype)
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        redrawn = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > 2 * std]
     return out.astype(dtype)

@@ -538,10 +538,14 @@ def gelu(x):
         gx = np.empty_like(xd)
         gxf = gx.reshape(-1)
         d = np.empty(min(n, _CHUNK), dtype=xd.dtype)
+        # exp(-x^2/2) is already 0 at the clamp, so clamping first changes
+        # no bit and keeps x^2 from overflowing.
+        lim = 15.0 if xd.dtype == np.float32 else 40.0
         for sl in _chunks(n):
             xs, ds = xf[sl], d[:sl.stop - sl.start]
-            np.multiply(xs, -0.5, out=ds)
-            ds *= xs
+            np.clip(xs, -lim, lim, out=ds)
+            ds *= ds
+            ds *= -0.5
             np.exp(ds, out=ds)
             ds *= _INV_SQRT2PI
             ds *= xs

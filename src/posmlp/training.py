@@ -66,14 +66,22 @@ def excluded_from_decay(path):
 
 
 class AdamW:
-    """Decoupled weight decay Adam with bias-corrected moments."""
+    """Decoupled weight decay Adam with bias-corrected moments.
+
+    Each step updates every tensor in place, one cache-sized chunk at a
+    time, through two chunk-sized scratch buffers per dtype; no full-size
+    temporary is made.  Per element the operations and their order are
+    those of the textbook form: ``m/bc1 / (sqrt(v/bc2) + eps)``, plus
+    ``wd * p`` where decay applies, then ``p -= lr * update``.
+    """
 
     def __init__(self, params, config):
         self.params = dict(params)
         self.config = config
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m = {k: np.zeros_like(p.data, order="C") for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data, order="C") for k, p in self.params.items()}
+        self.decays = {k: not excluded_from_decay(k) for k in self.params}
 
     def step(self, lr):
         self.step_count += 1
@@ -81,22 +89,47 @@ class AdamW:
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
         wd = self.config.weight_decay
+        scratch = {}
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if g.shape != p.data.shape:
                 raise T.ShapeError(f"gradient shape {g.shape} != parameter {p.data.shape}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            if wd and not excluded_from_decay(name):
-                update = update + wd * p.data
-            p.data -= lr * update
+            data = p.data
+            if data.dtype not in scratch:
+                scratch[data.dtype] = np.empty((2, T._CHUNK), data.dtype)
+            a, b = scratch[data.dtype]
+            mf, vf, gf = self.m[name].reshape(-1), self.v[name].reshape(-1), g.reshape(-1)
+            pf = data.reshape(-1)
+            decay = wd if self.decays[name] else 0.0
+            for sl in T._chunks(pf.size):
+                n = sl.stop - sl.start
+                _adamw_chunk(pf[sl], mf[sl], vf[sl], gf[sl], a[:n], b[:n],
+                             lr, bc1, bc2, decay)
+            if not data.flags.c_contiguous:
+                data[...] = pf.reshape(data.shape)
+
+
+def _adamw_chunk(p, m, v, g, a, b, lr, bc1, bc2, decay):
+    """One AdamW update of a chunk in place; ``a`` and ``b`` are scratch."""
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    m += a
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=a)
+    a *= 1.0 - ADAM_BETA2
+    v += a
+    np.divide(v, bc2, out=a)
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    np.divide(m, bc1, out=b)
+    b /= a
+    if decay:
+        np.multiply(p, decay, out=a)
+        b += a
+    b *= lr
+    p -= b
 
 
 # -- datasets -----------------------------------------------------------------------

@@ -211,6 +211,16 @@ def test_load_missing_file_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["load", "eval"])
+def test_checkpoint_directory_is_io_error(tmp_path, capsys, command):
+    ckpt = tmp_path / "a_directory"
+    ckpt.mkdir()
+    code, _, err = run(capsys, command, "--checkpoint", str(ckpt), "--out", str(tmp_path))
+    assert code == 3
+    assert err.startswith("i/o error:") and err.count("\n") == 1
+    assert "a_directory" in err
+
+
 def test_load_corrupt_config_is_io_error(tmp_path, capsys):
     ckpt = tmp_path / "m.pmlp"
     assert run(capsys, "save", "--variant", "MICRO", "--checkpoint", str(ckpt),

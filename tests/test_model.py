@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 import threading
 
@@ -362,6 +364,51 @@ def test_checkpoint_roundtrip_bytes_and_forward(tmp_path, rng):
     for (n1, q1), (n2, q2) in zip(m.parameters().items(), m2.parameters().items()):
         assert n1 == n2
         np.testing.assert_array_equal(q1.data, q2.data)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"gating_kind": "lrpe_m"}, {"gating_kind": "glrpe"},
+                                       {"use_ape": True, "delta_frozen": True}])
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, overrides):
+    m = micro(seed=12, **overrides)
+    path = tmp_path / "r.pmlp"
+    M.save_checkpoint(m, path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = M.load_checkpoint(path)
+    for (name, p), q in zip(m.parameters().items(), loaded.parameters().values()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+        assert q.data.flags.writeable and q.data.flags.c_contiguous
+
+
+def _write_checkpoint(path, config, records):
+    with open(path, "wb") as fh:
+        fh.write(M.CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", M.CHECKPOINT_VERSION))
+        cfg = json.dumps(config.to_json_dict(), sort_keys=True).encode("utf-8")
+        M._write_record(fh, "__config__", np.frombuffer(cfg, dtype=np.uint8))
+        for name, arr in records:
+            M._write_record(fh, name, arr)
+
+
+def test_checkpoint_mixed_dtypes_name_the_first_disagreeing_record(tmp_path):
+    m = micro()
+    records = [(name, p.data) for name, p in m.parameters().items()]
+    odd = [3, 7]
+    for i in odd:
+        records[i] = (records[i][0], records[i][1].astype(np.float64))
+    path = tmp_path / "mixed.pmlp"
+    _write_checkpoint(path, m.config, records)
+    with pytest.raises(M.CheckpointError) as err:
+        M.load_checkpoint(path)
+    assert repr(records[odd[0]][0]) in str(err.value)
+    assert "float64" in str(err.value) and "float32" in str(err.value)
+    # the same hand-written file with one dtype throughout loads
+    records = [(name, arr.astype(np.float32)) for name, arr in records]
+    _write_checkpoint(path, m.config, records)
+    assert M.load_checkpoint(path).dtype == np.float32
 
 
 def test_checkpoint_corrupt_shape_names_parameter(tmp_path):

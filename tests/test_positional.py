@@ -77,6 +77,46 @@ def test_index_map_is_bijection():
         assert len(set(seen.values())) == len(seen)
 
 
+# -- initialisation -------------------------------------------------------------
+
+def trunc_normal_full_rescan(rng, shape, std, dtype):
+    """The resampling loop that rescans the whole array after every redraw."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * std
+    return out.astype(dtype)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 3), (96, 384), (3, 3, 48, 96), (2, 2, 2, 2, 2)])
+@pytest.mark.parametrize("std", [0.02, 0.1, 1.0])
+def test_trunc_normal_matches_the_full_rescan_loop(shape, std):
+    for seed in range(3):
+        for dtype in (np.float32, np.float64):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = P.trunc_normal(got_rng, shape, std, dtype)
+            want = trunc_normal_full_rescan(want_rng, shape, std, dtype)
+            assert got.dtype == dtype and got.shape == shape
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+            assert np.all(np.abs(got) <= 2 * std)
+            # the same draws were consumed, so the generators agree afterwards
+            assert got_rng.normal() == want_rng.normal()
+
+
+def test_zero_draws_give_zeros_without_drawing(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    got = P.trunc_normal(P.ZeroDraws(), (4, 5), 0.02, np.float32)
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, np.zeros((4, 5)))
+    g = P.GqpeGroupParams(rng=P.ZeroDraws(), dtype=np.float64)
+    np.testing.assert_array_equal(g.delta.data, [0.0, 0.0])
+    np.testing.assert_array_equal(g.gamma.data, np.eye(2))
+
+
 # -- lrpe -----------------------------------------------------------------------
 
 def test_lrpe_zero_table_gives_zero_matrix():

@@ -267,6 +267,47 @@ def test_gelu_float32_gradient_matches_float64():
     assert np.max(np.abs(got - want)) <= GELU_F32_GRAD_EPS * np.finfo(np.float32).eps
 
 
+@pytest.mark.parametrize("dtype,big", [(np.float32, 3e38), (np.float64, 1e300)])
+def test_gelu_gradient_never_overflows(dtype, big):
+    x = np.array([big, -big, 1.0, -1.0], dtype=dtype)
+    y = T.gelu(Tensor(x, requires_grad=True))
+    with np.errstate(over="raise"):
+        got = y._vjp(np.ones_like(x))[0]
+    np.testing.assert_array_equal(got[:2], [1.0, 0.0])
+    assert np.all(np.isfinite(got))
+
+
+def gelu_vjp_unclamped(x, g):
+    """The gelu vjp with exp(-x*x/2) formed from x itself, as before the clamp."""
+    phi, out, t, s = (np.empty_like(x) for _ in range(4))
+    kernel = T._gelu_f32 if x.dtype == np.float32 else T._gelu_scipy
+    kernel(x, phi, out, t, s)
+    d = x * -0.5
+    d *= x
+    np.exp(d, out=d)
+    d *= T._INV_SQRT2PI
+    d *= x
+    d += phi
+    return d * g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_clamp_changes_no_bit(rng, dtype):
+    # In range, x*x does not overflow: below 1.8e19 (float32) and 1.3e154
+    # (float64).  The sweep crosses the clamps at 15 and 40 and reaches
+    # down into the subnormals, where x*x rounds differently from x*-0.5*x.
+    tiny = np.finfo(dtype).smallest_subnormal
+    mags = np.concatenate([np.linspace(0, 50, 2**18 + 1),
+                           np.geomspace(tiny, 1e18, 2**16),
+                           np.abs(rng.standard_normal(2**16)) * 8])
+    x = np.concatenate([mags, -mags]).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    got = T.gelu(Tensor(x, requires_grad=True))._vjp(g)[0]
+    with np.errstate(under="ignore"):
+        want = gelu_vjp_unclamped(x, g)
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 # -- backward -----------------------------------------------------------------
 
 def test_backward_sum_gives_ones(rng):

@@ -94,6 +94,77 @@ def test_two_steps_match_reference(rng):
     assert np.max(np.abs(p.data - ref)) < 1e-12
 
 
+class AdamWPerTensor:
+    """The unchunked per-tensor update, whole-array temporaries and all."""
+
+    def __init__(self, params, config):
+        self.params, self.config, self.step_count = params, config, 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr):
+        self.step_count += 1
+        bc1 = 1.0 - TR.ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - TR.ADAM_BETA2 ** self.step_count
+        wd = self.config.weight_decay
+        for name, p in self.params.items():
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= TR.ADAM_BETA1
+            m += (1.0 - TR.ADAM_BETA1) * g
+            v *= TR.ADAM_BETA2
+            v += (1.0 - TR.ADAM_BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + TR.ADAM_EPS)
+            if wd and not TR.excluded_from_decay(name):
+                update = update + wd * p.data
+            p.data -= lr * update
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_chunked_adamw_matches_the_per_tensor_update_bitwise(rng, dtype, weight_decay):
+    c = T._CHUNK
+    shapes = {"a.weight": (3, 5), "a.bias": (c,), "b.weight": (c // 8, 8),
+              "b.gamma": (2 * c + 37,), "c.weight": (3, c + 1), "d.weight": (40, 30)}
+    init = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    params = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+    oracle = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+    # a parameter rebound to a column-major array is still updated in place
+    for p in (params["d.weight"], oracle["d.weight"]):
+        p.data = np.asfortranarray(p.data)
+    d_weight = params["d.weight"].data
+    cfg = TR.TrainConfig(weight_decay=weight_decay)
+    opt, want = TR.AdamW(params, cfg), AdamWPerTensor(oracle, cfg)
+    for lr in (1e-2, 3e-3, 1e-3, 5e-4):
+        for k, s in shapes.items():
+            g = (rng.standard_normal(s) * rng.choice([1e-6, 1.0, 1e3])).astype(dtype)
+            params[k].grad, oracle[k].grad = g, g.copy()
+        opt.step(lr)
+        want.step(lr)
+        for k in shapes:
+            for got, exp in ((params[k].data, oracle[k].data), (opt.m[k], want.m[k]),
+                             (opt.v[k], want.v[k])):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint8),
+                                              np.ascontiguousarray(exp).view(np.uint8), err_msg=k)
+    assert params["d.weight"].data is d_weight
+
+
+def test_parameter_without_gradient_is_left_untouched(rng):
+    a = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(5), requires_grad=True)
+    opt = TR.AdamW({"a.weight": a, "b.weight": b}, TR.TrainConfig(weight_decay=0.05))
+    a.grad, b.grad = rng.standard_normal(a.shape), rng.standard_normal(b.shape)
+    opt.step(1e-2)
+    before = [x.copy() for x in (a.data, opt.m["a.weight"], opt.v["a.weight"])]
+    b_before = b.data.copy()
+    a.grad = None
+    b.grad = rng.standard_normal(b.shape)
+    opt.step(1e-2)
+    for got, want in zip((a.data, opt.m["a.weight"], opt.v["a.weight"]), before):
+        np.testing.assert_array_equal(got, want)
+    assert np.any(b.data != b_before)
+
+
 def test_shape_mismatch_rejected():
     p = Tensor(np.zeros(3), requires_grad=True)
     p.grad = np.zeros(4)
