@@ -8,7 +8,7 @@ learnable 5-vector and fixed polynomial displacement features.
 
 import numpy as np
 
-from posmlp.positional import (CovarianceForm, GqpeGroupParams, PRECISION_EPS,
+from posmlp.positional import (CovarianceForm, GqpeParams, PRECISION_EPS,
                                displacement_grid, gqpe_embedding, gqpe_vector,
                                gqpe_weight_matrix)
 
@@ -28,17 +28,17 @@ def show(label, params):
 
 
 # sharp isotropic prior: attention collapses onto the query pixel
-sharp = GqpeGroupParams(CovarianceForm.ALPHA_I, delta_frozen=True, dtype=np.float64)
+sharp = GqpeParams(CovarianceForm.ALPHA_I, delta_frozen=True, dtype=np.float64)
 sharp.alpha_raw.data[:] = np.log(np.expm1(8.0 - PRECISION_EPS))
 show("sharp isotropic precision (alpha = 8)", sharp)
 
 # nearly flat precision: attention approaches the uniform 1/N mix
-flat = GqpeGroupParams(CovarianceForm.ALPHA_I, delta_frozen=True, dtype=np.float64)
+flat = GqpeParams(CovarianceForm.ALPHA_I, delta_frozen=True, dtype=np.float64)
 flat.alpha_raw.data[:] = -30.0
 show("near-zero precision", flat)
 
 # shifted center: the peak moves to the learned displacement
-shifted = GqpeGroupParams(CovarianceForm.GAMMA_GRAMIAN, dtype=np.float64)
+shifted = GqpeParams(CovarianceForm.GAMMA_GRAMIAN, dtype=np.float64)
 shifted.gamma.data[:] = np.eye(2)
 shifted.delta.data[:] = [2.0, -1.0]
 show("unit precision, center shifted by (2, -1)", shifted)
@@ -46,7 +46,7 @@ show("unit precision, center shifted by (2, -1)", shifted)
 # the 5-vector times the feature row reproduces the explicit quadratic
 v = gqpe_vector(shifted).data
 d = np.array([2.0, -1.0])
-prec = shifted.effective_precision_numpy()
+prec = shifted.effective_precision_numpy()[0]
 dots = emb.flat @ v
 explicit = np.einsum("ijk,kl,ijl->ij",
                      np.stack([grid.dx, grid.dy], -1) - d, prec,

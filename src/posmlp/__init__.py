@@ -6,7 +6,7 @@ _LAZY = {
     "Tensor": "tensor", "backward": "tensor", "set_checked": "tensor",
     "gradcheck": "gradcheck", "gradcheck_directional": "gradcheck",
     "DisplacementGrid": "positional", "LrpeTable": "positional",
-    "GqpeGroupParams": "positional", "CovarianceForm": "positional",
+    "GqpeParams": "positional", "CovarianceForm": "positional",
     "GatingConfig": "gating", "GatingKind": "gating", "GatingUnit": "gating",
     "Combine": "gating",
     "ModelConfig": "model", "variant_config": "model", "build_model": "model",

@@ -17,16 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gating import GatingKind
-from .positional import GqpeGroupParams, group_weight_stack, lrpe_weight_stack
+from .positional import GqpeParams, group_weight_stack, lrpe_weight_stack
 
 DEFAULT_EXCLUSION = 1e-3
 
 
 def symmetric_eigvals_2x2(mat):
-    """Closed-form eigenvalues of a symmetric 2x2 matrix, ascending."""
-    a, b, c = float(mat[0, 0]), float(mat[0, 1]), float(mat[1, 1])
+    """Closed-form eigenvalues of symmetric 2x2 matrices ``(..., 2, 2)``, ascending."""
+    mat = np.asarray(mat, dtype=np.float64)
+    a, b, c = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 1]
     half_tr = (a + c) / 2.0
-    disc = math.sqrt(((a - c) / 2.0) ** 2 + b * b)
+    disc = np.sqrt(((a - c) / 2.0) ** 2 + b * b)
     return half_tr - disc, half_tr + disc
 
 
@@ -38,28 +39,21 @@ class NonLocalityEntry:
     excluded_groups: int
 
 
-def non_locality(gqpe_groups, layer="layer", exclusion=DEFAULT_EXCLUSION):
+def non_locality(params, layer="layer", exclusion=DEFAULT_EXCLUSION):
     """Mean sqrt(lambda1 * lambda2) of the group precisions of one layer.
 
-    Groups whose smallest eigenvalue falls below ``exclusion`` are skipped
-    and counted.  Smaller values mean flatter attention, i.e. more
-    non-local mixing; scaling every precision by c scales the score by c.
+    ``params`` is the layer's ``GqpeParams``.  Groups whose smallest
+    eigenvalue falls below ``exclusion`` are skipped and counted.  Smaller
+    values mean flatter attention, i.e. more non-local mixing; scaling
+    every precision by c scales the score by c.
     """
-    for g in gqpe_groups:
-        if not isinstance(g, GqpeGroupParams):
-            raise TypeError("non_locality expects quadratic-prior group parameters")
-    if not gqpe_groups:
-        raise ValueError("non_locality needs at least one group")
-    vals = []
-    excluded = 0
-    for g in gqpe_groups:
-        lo, hi = symmetric_eigvals_2x2(g.effective_precision_numpy())
-        if lo < exclusion:
-            excluded += 1
-            continue
-        vals.append(math.sqrt(lo * hi))
+    if not isinstance(params, GqpeParams):
+        raise TypeError("non_locality expects quadratic-prior parameters (GqpeParams)")
+    lo, hi = symmetric_eigvals_2x2(params.effective_precision_numpy())
+    kept = ~(lo < exclusion)
+    vals = np.sqrt(lo[kept] * hi[kept]).tolist()
     value = None if not vals else sum(vals) / len(vals)
-    return NonLocalityEntry(layer, value, len(vals), excluded)
+    return NonLocalityEntry(layer, value, len(vals), int(lo.size - len(vals)))
 
 
 def model_non_locality(model, exclusion=DEFAULT_EXCLUSION):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .positional import (CovarianceForm, GqpeGroupParams, LrpeTable, WeightStack,
+from .positional import (CovarianceForm, GqpeParams, LrpeTable, WeightStack,
                          displacement_grid, gqpe_embedding, group_weight_stack,
                          lrpe_weight_matrix, lrpe_weight_stack, trunc_normal)
 
@@ -102,8 +102,9 @@ class GatingUnit:
 
     Exactly the parameter sets the configuration demands exist: dense token
     weights for the baseline and the merged variant, lookup tables for the
-    lookup variants, per-group quadratic parameters for the quadratic one,
-    plus the optional shared position bias and pre-norm affine.
+    lookup variants, one block per kind of per-group quadratic parameter
+    for the quadratic one, plus the optional shared position bias and
+    pre-norm affine.
     """
 
     def __init__(self, config, width, rng=None, dtype=np.float32):
@@ -134,9 +135,8 @@ class GatingUnit:
             self.lrpe = LrpeTable(k, config.groups, rng=rng, dtype=dtype)
         self.gqpe = None
         if config.kind is GatingKind.GGQPE:
-            self.gqpe = [GqpeGroupParams(config.covariance_form, config.delta_frozen,
-                                         rng=rng, dtype=dtype)
-                         for _ in range(config.groups)]
+            self.gqpe = GqpeParams(config.covariance_form, config.delta_frozen,
+                                   config.groups, rng=rng, dtype=dtype)
         self.bias = None
         if config.use_bias:
             # The gate starts as identity for the dense/lookup family
@@ -158,9 +158,8 @@ class GatingUnit:
         if self.lrpe is not None:
             out["lrpe.values"] = self.lrpe.values
         if self.gqpe is not None:
-            for i, grp in enumerate(self.gqpe):
-                for name, p in grp.parameters().items():
-                    out[f"gqpe.{i}.{name}"] = p
+            for name, p in self.gqpe.parameters().items():
+                out[f"gqpe.{name}"] = p
         if self.bias is not None:
             out["bias"] = self.bias
         if self.norm_gain is not None:
@@ -173,8 +172,8 @@ class GatingUnit:
     def _positional_tensors(self):
         """Every tensor the mixing stack is a function of, in a fixed order."""
         tensors = [self.token_fc_weight, self.lrpe.values if self.lrpe else None]
-        for grp in self.gqpe or ():
-            tensors += (grp.delta, grp.gamma, grp.alpha_raw)
+        if self.gqpe is not None:
+            tensors += (self.gqpe.delta, self.gqpe.gamma, self.gqpe.alpha_raw)
         return [t for t in tensors if t is not None]
 
     def mixing_stack(self):

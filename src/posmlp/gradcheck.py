@@ -136,7 +136,7 @@ def gradcheck_directional(fn, params, h=1e-5, rtol=1e-4, atol=1e-7, groups=None,
 def category_groups(params):
     """Group parameter paths by their trailing category for coarse directions.
 
-    ``stages.0.blocks.1.unit.gqpe.3.gamma`` and its siblings land in one
+    ``stages.0.blocks.1.unit.gqpe.gamma`` and its siblings land in one
     group, all projection weights in another, and so on.
     """
     groups = {}

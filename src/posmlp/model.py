@@ -443,6 +443,31 @@ def _read_record(fh):
     return path, arr
 
 
+_GQPE_KINDS = ("delta", "gamma", "alpha_raw")
+
+
+def _records(params):
+    """Checkpoint record path -> ``(parameter, row)``, in file order.
+
+    A quadratic unit's parameter blocks are written one record per group
+    and kind, ``<unit>.gqpe.{i}.delta|gamma|alpha_raw``, group after group;
+    such a record holds row i of its block.  Every other parameter is one
+    record of its own, with row None.
+    """
+    out = {}
+    for name, p in params.items():
+        unit, sep, kind = name.rpartition(".gqpe.")
+        if not sep:
+            out[name] = (p, None)
+        elif f"{unit}.gqpe.0.{kind}" not in out:
+            blocks = [(k, params[f"{unit}.gqpe.{k}"]) for k in _GQPE_KINDS
+                      if f"{unit}.gqpe.{k}" in params]
+            for i in range(p.shape[0]):
+                for k, block in blocks:
+                    out[f"{unit}.gqpe.{i}.{k}"] = (block, i)
+    return out
+
+
 def save_checkpoint(model, path):
     """Write magic, version, config record, then every parameter buffer."""
     cfg_bytes = json.dumps(model.config.to_json_dict(), sort_keys=True).encode("utf-8")
@@ -450,8 +475,8 @@ def save_checkpoint(model, path):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         _write_record(fh, "__config__", np.frombuffer(cfg_bytes, dtype=np.uint8))
-        for name, p in model.parameters().items():
-            _write_record(fh, name, p.data)
+        for name, (p, row) in _records(model.parameters()).items():
+            _write_record(fh, name, p.data if row is None else p.data[row])
 
 
 def _decode_config(arr):
@@ -468,8 +493,10 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint file; buffers round-trip bit-exactly.
 
     The model is built with ``ZeroDraws``, so no random initialisation runs,
-    and each parameter then takes the array read from its record.  Every
-    parameter record must share one float dtype, which becomes the model's.
+    and each parameter then takes the array read from its record; a
+    per-group quadratic record fills its row of the unit's block.  Every
+    parameter record must share one float dtype, which becomes the model's,
+    and no path may appear twice.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -498,18 +525,24 @@ def load_checkpoint(path):
             records.append(rec)
     dtype = records[0][1].dtype if records else np.float32
     model = PosMlpModel(config, rng=ZeroDraws(), dtype=dtype)
-    params = model.parameters()
+    targets = _records(model.parameters())
     seen = set()
     for name, arr in records:
-        if name not in params:
+        if name in seen:
+            raise CheckpointError(f"duplicate parameter path {name!r} in checkpoint")
+        if name not in targets:
             raise CheckpointError(f"unknown parameter path {name!r} in checkpoint")
-        p = params[name]
-        if tuple(arr.shape) != tuple(p.shape):
+        p, row = targets[name]
+        want = p.shape if row is None else p.shape[1:]
+        if tuple(arr.shape) != tuple(want):
             raise CheckpointError(
-                f"shape mismatch for {name!r}: file has {tuple(arr.shape)}, model needs {tuple(p.shape)}")
-        p.data = arr
+                f"shape mismatch for {name!r}: file has {tuple(arr.shape)}, model needs {tuple(want)}")
+        if row is None:
+            p.data = arr
+        else:
+            p.data[row] = arr
         seen.add(name)
-    missing = set(params) - seen
+    missing = set(targets) - seen
     if missing:
         raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)[:3]} ...")
     return model

@@ -150,10 +150,10 @@ class GqpeEmbedding:
         return self.table.reshape(-1, 5)
 
     def features(self, dtype):
-        """The ``(N^2, 5)`` feature matrix as a constant tensor, cast once per dtype."""
+        """The ``(5, N^2)`` transposed feature matrix as a constant tensor, cast once per dtype."""
         dtype = np.dtype(dtype)
         if dtype not in self._features:
-            self._features[dtype] = Tensor(self.flat.astype(dtype))
+            self._features[dtype] = Tensor(self.flat.T.astype(dtype))
         return self._features[dtype]
 
 
@@ -167,37 +167,48 @@ def gqpe_embedding(grid, dtype=np.float64):
     return GqpeEmbedding(grid.window_side, table)
 
 
-class GqpeGroupParams:
-    """Per-group center shift and precision factor of the quadratic prior.
+class GqpeParams:
+    """Center shifts and precision factors of the quadratic prior of s groups.
 
-    ``delta`` shifts the attention peak relative to the query token (token
-    units); the covariance form selects how the 2x2 precision is built.  A
-    frozen delta stays at (0, 0) and receives no gradient.  Under ALPHA_I the
-    only learnable value is the softplus-reparameterized scalar, so delta is
+    Each kind of parameter is one block whose row g belongs to group g:
+    ``delta`` is ``(s, 2)``, and ``gamma`` is ``(s, 2, 2)`` or, under
+    ALPHA_I, ``alpha_raw`` is ``(s, 1)``.  A delta row shifts its group's
+    attention peak relative to the query token (token units); the
+    covariance form selects how the 2x2 precisions are built.  A frozen
+    delta stays at (0, 0) and receives no gradient.  Under ALPHA_I the only
+    learnable value is the softplus-reparameterized scalar, so delta is
     necessarily frozen.
     """
 
-    def __init__(self, form=CovarianceForm.GAMMA_GRAMIAN, delta_frozen=False,
+    def __init__(self, form=CovarianceForm.GAMMA_GRAMIAN, delta_frozen=False, groups=1,
                  rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.form = CovarianceForm(form)
         if self.form is CovarianceForm.ALPHA_I and not delta_frozen:
             raise ValueError("ALPHA_I admits only the scalar as learnable; freeze delta")
+        s = int(groups)
+        if s < 1:
+            raise ValueError(f"the quadratic prior needs at least one group, got {groups}")
         self.delta_frozen = bool(delta_frozen)
-        if self.delta_frozen:
-            self.delta = Tensor(np.zeros(2, dtype=dtype), requires_grad=False)
-        else:
-            self.delta = Tensor(rng.uniform(-0.5, 0.5, size=2).astype(dtype),
-                                requires_grad=True)
-        self.gamma = None
+        delta = np.zeros((s, 2), dtype=dtype)
+        gamma = None if self.form is CovarianceForm.ALPHA_I else np.empty((s, 2, 2), dtype=dtype)
+        # One group at a time, delta before gamma, so every block row gets
+        # the draws it would get if the groups were built one by one.
+        for g in range(s):
+            if not self.delta_frozen:
+                delta[g] = rng.uniform(-0.5, 0.5, size=2)
+            if gamma is not None:
+                gamma[g] = np.eye(2) + rng.normal(0.0, 0.1, size=(2, 2))
+        self.delta = Tensor(delta, requires_grad=not self.delta_frozen)
+        self.gamma = None if gamma is None else Tensor(gamma, requires_grad=True)
         self.alpha_raw = None
         if self.form is CovarianceForm.ALPHA_I:
             # softplus(raw) + eps == 1 at init -> unit isotropic precision
             raw = np.log(np.expm1(1.0 - PRECISION_EPS))
-            self.alpha_raw = Tensor(np.full(1, raw, dtype=dtype), requires_grad=True)
-        else:
-            g = np.eye(2) + rng.normal(0.0, 0.1, size=(2, 2))
-            self.gamma = Tensor(g.astype(dtype), requires_grad=True)
+            self.alpha_raw = Tensor(np.full((s, 1), raw, dtype=dtype), requires_grad=True)
+
+    def __len__(self):
+        return self.delta.shape[0]
 
     @property
     def dtype(self):
@@ -215,19 +226,20 @@ class GqpeGroupParams:
         return out
 
     def precision(self):
-        """The 2x2 matrix fed into the quadratic form, as a tape tensor."""
-        dtype = self.dtype
+        """The ``(s, 2, 2)`` matrices fed into the quadratic form, as one tape tensor."""
+        s, dtype = len(self), self.dtype
         if self.form is CovarianceForm.GAMMA_GRAMIAN:
-            eps_eye = Tensor(np.eye(2, dtype=dtype) * PRECISION_EPS)
-            return T.add(T.matmul(self.gamma, T.transpose2(self.gamma)), eps_eye)
+            gamma_t = T.permute_flat(self.gamma, None, (0, 2, 1), (s, 2, 2))
+            eps_eye = Tensor(np.broadcast_to(np.eye(2, dtype=dtype) * PRECISION_EPS, (s, 2, 2)))
+            return T.add(T.matmul(self.gamma, gamma_t), eps_eye)
         if self.form is CovarianceForm.GAMMA_RAW:
             return self.gamma
         alpha = T.add_scalar(T.softplus(self.alpha_raw), PRECISION_EPS)
-        zero = Tensor(np.zeros(1, dtype=dtype))
-        return T.reshape(T.concat([alpha, zero, zero, alpha], axis=0), (2, 2))
+        zero = Tensor(np.zeros((s, 1), dtype=dtype))
+        return T.reshape(T.concat([alpha, zero, zero, alpha], axis=1), (s, 2, 2))
 
     def effective_precision_numpy(self):
-        """The symmetric matrix inducing the quadratic part of the logits.
+        """The ``(s, 2, 2)`` symmetric matrices inducing the quadratic part of the logits.
 
         The 5-vector's quadratic entries consume (0,0), (1,1) and (0,1), so
         an asymmetric raw factor acts through its upper entry mirrored.  Its
@@ -235,8 +247,9 @@ class GqpeGroupParams:
         symmetric precision (or a frozen center) do the logits equal the
         Gaussian form of this matrix up to a constant.
         """
-        p = self.precision().data
-        return np.array([[p[0, 0], p[0, 1]], [p[0, 1], p[1, 1]]], dtype=np.float64)
+        p = self.precision().data.astype(np.float64)
+        p[:, 1, 0] = p[:, 0, 1]
+        return p
 
 
 # Flat offsets of [P d, P d, P00, P11, P01] in a group's (2, 3) block [P | P d],
@@ -245,63 +258,70 @@ _VECTOR_OFFSETS = np.array([2, 5, 0, 4, 1])
 _VECTOR_COEFFS = np.array([1.0, 1.0, -0.5, -0.5, -1.0])
 
 
-def _precision_block(params):
-    """The group's ``(2, 3)`` block ``[P | P d]`` (d = delta)."""
-    p = params.precision()
-    delta = params.delta
-    if params.delta.dtype != p.dtype:
-        delta = Tensor(params.delta.data.astype(p.dtype), requires_grad=False)
-    return T.concat([p, T.matmul(p, T.reshape(delta, (2, 1)))], axis=1)
+def gqpe_vectors(params):
+    """``(s, 5)`` matrix whose row g is group g's [P d, P d, -P00/2, -P11/2, -P01].
 
-
-def gqpe_vectors(params_list):
-    """``(5, s)`` matrix whose column g is group g's [P d, P d, -P00/2, -P11/2, -P01].
-
-    Dotted with the displacement features a column reproduces the Gaussian
+    Dotted with the displacement features a row reproduces the Gaussian
     logits up to a displacement-independent offset that the row softmax
-    cancels.
+    cancels.  Every group is formed at once: stacked 2x2 products, one
+    concat into the ``(s, 2, 3)`` blocks ``[P | P d]``, one gather, one
+    product with the coefficients.
     """
-    blocks = T.concat([_precision_block(p) for p in params_list], axis=0)
-    s = len(params_list)
-    idx = _VECTOR_OFFSETS[:, None] + 6 * np.arange(s)[None, :]
-    coeffs = np.repeat(_VECTOR_COEFFS[:, None], s, axis=1).astype(blocks.dtype)
-    return T.mul(T.take(blocks, idx, (5, s)), Tensor(coeffs))
+    p = params.precision()
+    s = len(params)
+    delta = params.delta
+    if delta.dtype != p.dtype:
+        delta = Tensor(delta.data.astype(p.dtype), requires_grad=False)
+    blocks = T.concat([p, T.matmul(p, T.reshape(delta, (s, 2, 1)))], axis=2)
+    idx = _VECTOR_OFFSETS[None, :] + 6 * np.arange(s)[:, None]
+    coeffs = np.broadcast_to(_VECTOR_COEFFS.astype(blocks.dtype), (s, 5))
+    return T.mul(T.take(blocks, idx, (s, 5)), Tensor(coeffs))
+
+
+def _one_group(params, what):
+    if len(params) != 1:
+        raise ValueError(f"{what} takes one group, got {len(params)}")
 
 
 def gqpe_vector(params):
-    """One group's 5-vector; the s = 1 case of ``gqpe_vectors``."""
-    return T.reshape(gqpe_vectors([params]), (5,))
+    """The 5-vector of a one-group ``GqpeParams``."""
+    _one_group(params, "gqpe_vector")
+    return T.reshape(gqpe_vectors(params), (5,))
 
 
-def _feature_logits(params_list, emb):
-    """``(N^2, s)`` logits: row ``i * N + j`` holds every group's logit of pair (i, j)."""
-    v = gqpe_vectors(params_list)
-    return T.matmul(emb.features(v.dtype), v)
+def _feature_logits(params, emb):
+    """``(s, N^2)`` logits: row g holds group g's logit of pair (i, j) at ``i * N + j``."""
+    v = gqpe_vectors(params)
+    return T.matmul(v, emb.features(v.dtype))
 
 
 def gqpe_logits(params, emb):
-    """Pre-softmax ``N x N`` logits; equal displacements give equal entries."""
+    """Pre-softmax ``N x N`` logits of a one-group ``GqpeParams``.
+
+    Equal displacements give equal entries.
+    """
+    _one_group(params, "gqpe_logits")
     n = emb.window_side ** 2
-    return T.reshape(_feature_logits([params], emb), (n, n))
+    return T.reshape(_feature_logits(params, emb), (n, n))
 
 
-def group_weight_stack(params_list, emb):
+def group_weight_stack(params, emb):
     """Every group's row-stochastic matrix as one ``WeightStack``.
 
-    All groups share the displacement features: one product forms the logits
-    of every group and one softmax normalizes them, reading the product as
-    ``(N, N, s)`` and writing the ``(N, s, N)`` stack directly.
+    All groups share the displacement features: one product forms the
+    group-major ``(s, N^2)`` logits and one softmax normalizes them,
+    reading contiguous rows of the ``(s, N, N)`` view and writing the
+    ``(N, s, N)`` stack directly.  The op count does not depend on s.
     """
-    if not params_list:
-        raise ValueError("group_weight_stack needs at least one parameter group")
-    n, s = emb.window_side ** 2, len(params_list)
-    return WeightStack(T.softmax_rows(_feature_logits(params_list, emb), (n, n, s), (0, 2, 1)))
+    n, s = emb.window_side ** 2, len(params)
+    return WeightStack(T.softmax_rows(_feature_logits(params, emb), (s, n, n), (1, 0, 2)))
 
 
 def gqpe_weight_matrix(params, emb):
-    """Row-stochastic positional mixing matrix; the s = 1 case of the stack."""
+    """Row-stochastic mixing matrix of a one-group ``GqpeParams``; the s = 1 stack."""
+    _one_group(params, "gqpe_weight_matrix")
     n = emb.window_side ** 2
-    return T.reshape(group_weight_stack([params], emb).weights, (n, n))
+    return T.reshape(group_weight_stack(params, emb).weights, (n, n))
 
 
 class ZeroDraws:

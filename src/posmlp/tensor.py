@@ -207,18 +207,23 @@ def add_scalar(x, c):
 # -- matrix products -------------------------------------------------------
 
 def matmul(a, b):
-    """Strict 2-D matrix product ``[m x k] @ [k x n]``."""
+    """Strict matrix product ``[m x k] @ [k x n]``, or a stack of them.
+
+    Stacked operands ``(s, m, k)`` and ``(s, k, n)`` give ``(s, m, n)``;
+    each product is the one its pair of matrices gives alone.
+    """
     a, b = _as_tensor(a), _as_tensor(b, like=a)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul expects 2-D operands or equal stacks of them, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} x {b.shape}")
     _validate_finite("matmul", a.data, b.data)
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
+        return (g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None,
+                np.swapaxes(ad, -1, -2) @ g if b.requires_grad else None)
 
     return _result(ad @ bd, (a, b), vjp, "matmul")
 
@@ -252,10 +257,12 @@ def mix_tokens(w, x):
     def vjp(g):
         gw = gx = None
         if w.requires_grad:
-            gws = np.zeros_like(ws)
+            # The first window's product is written in place; the others add on.
+            gws = np.empty_like(ws)
             for i, sl in enumerate(groups):
                 acc = gws[:, i]
-                for b in range(xd.shape[0]):
+                np.matmul(g[0, :, sl], xd[0, :, sl].T, out=acc)
+                for b in range(1, xd.shape[0]):
                     acc += g[b, :, sl] @ xd[b, :, sl].T
             gw = gws.reshape(w.shape)
         if x.requires_grad:

@@ -96,11 +96,10 @@ def test_criterion_04_quadratic_oracle_equivalence():
         grid = P.displacement_grid(k)
         emb = P.gqpe_embedding(grid)
         for _ in range(40):
-            g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng,
-                                  dtype=np.float64)
+            g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng, dtype=np.float64)
             got = P.gqpe_weight_matrix(g, emb).data
-            want = gaussian_oracle_weights(grid, g.delta.data,
-                                           g.effective_precision_numpy())
+            want = gaussian_oracle_weights(grid, g.delta.data[0],
+                                           g.effective_precision_numpy()[0])
             worst = max(worst, float(np.max(np.abs(got - want))))
             draws += 1
     assert worst < 1e-9
@@ -150,7 +149,7 @@ def test_criterion_05_degeneracy_lattice():
         # grouped quadratic unit at one group == plain quadratic weight matrix
         ugq = G.GatingUnit(G.GatingConfig(G.GatingKind.GGQPE, 3, groups=1),
                            8, rng=np.random.default_rng(trial), dtype=np.float64)
-        w = P.gqpe_weight_matrix(ugq.gqpe[0], ugq.emb).data
+        w = P.gqpe_weight_matrix(ugq.gqpe, ugq.emb).data
         x1, x2 = x8.data[..., :4], x8.data[..., 4:]
         want = np.stack([(w @ x1[b] + ugq.bias.data[:, None]) * x2[b] for b in range(2)])
         worst = max(worst, max_diff(ugq.forward(x8).data, want))
@@ -211,7 +210,7 @@ def test_criterion_07_structural_invariants():
     k = 7
     grid = P.displacement_grid(k)
     emb = P.gqpe_embedding(grid)
-    g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng, dtype=np.float64)
+    g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng, dtype=np.float64)
     logits = P.gqpe_logits(g, emb).data
     tab = P.LrpeTable(k, 1, rng=rng, dtype=np.float64)
     lrpe = P.lrpe_weight_matrix(tab, grid).data
@@ -222,8 +221,7 @@ def test_criterion_07_structural_invariants():
             assert np.all(sel == sel.flat[0])
 
     # quadratic-prior rows are stochastic
-    groups = [P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng,
-                                dtype=np.float64) for _ in range(8)]
+    groups = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, groups=8, rng=rng, dtype=np.float64)
     stack = P.group_weight_stack(groups, P.gqpe_embedding(P.displacement_grid(14)))
     for g in range(len(stack)):
         np.testing.assert_allclose(stack.matrix(g).sum(axis=1), np.ones(196), atol=1e-6)
@@ -237,7 +235,7 @@ def test_criterion_07_structural_invariants():
     # attention peaks at the learned center when it is on-grid
     hits = 0
     for dx, dy in [(0, 0), (1, 0), (0, -1), (2, 1), (-1, -2)]:
-        gg = P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng, dtype=np.float64)
+        gg = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng, dtype=np.float64)
         gg.delta.data[:] = [dx, dy]
         wmat = P.gqpe_weight_matrix(gg, emb).data
         for i in range(49):
@@ -251,36 +249,26 @@ def test_criterion_07_structural_invariants():
 
 def test_criterion_08_non_locality_metric():
     eps = P.PRECISION_EPS
-    ident = [P.GqpeGroupParams(P.CovarianceForm.GAMMA_RAW, delta_frozen=True,
-                               dtype=np.float64) for _ in range(4)]
-    for g in ident:
-        g.gamma.data[:] = np.eye(2)
+    ident = P.GqpeParams(P.CovarianceForm.GAMMA_RAW, delta_frozen=True, groups=4,
+                         dtype=np.float64)
+    ident.gamma.data[:] = np.eye(2)
     entry = A.non_locality(ident)
     assert entry.value == 1.0 and entry.excluded_groups == 0
 
     rng = np.random.default_rng(3)
-    rand_groups = []
-    for _ in range(16):
-        g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True,
-                              rng=rng, dtype=np.float64)
-        rand_groups.append(g)
+    rand_groups = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True, groups=16,
+                               rng=rng, dtype=np.float64)
     got = A.non_locality(rand_groups)
-    dets = [np.sqrt(np.linalg.det(g.effective_precision_numpy())) for g in rand_groups
-            if A.symmetric_eigvals_2x2(g.effective_precision_numpy())[0] >= A.DEFAULT_EXCLUSION]
+    dets = [np.sqrt(np.linalg.det(p)) for p in rand_groups.effective_precision_numpy()
+            if A.symmetric_eigvals_2x2(p)[0] >= A.DEFAULT_EXCLUSION]
     want = sum(dets) / len(dets)
     assert abs(got.value - want) < 1e-10
 
-    base, scaled = [], []
-    for g in rand_groups[:6]:
-        p = g.effective_precision_numpy()
-        r1 = P.GqpeGroupParams(P.CovarianceForm.GAMMA_RAW, delta_frozen=True,
-                               dtype=np.float64)
-        r1.gamma.data[:] = p
-        r2 = P.GqpeGroupParams(P.CovarianceForm.GAMMA_RAW, delta_frozen=True,
-                               dtype=np.float64)
-        r2.gamma.data[:] = 2.0 * p
-        base.append(r1)
-        scaled.append(r2)
+    p = rand_groups.effective_precision_numpy()[:6]
+    base, scaled = (P.GqpeParams(P.CovarianceForm.GAMMA_RAW, delta_frozen=True, groups=6,
+                                 dtype=np.float64) for _ in range(2))
+    base.gamma.data[:] = p
+    scaled.gamma.data[:] = 2.0 * p
     assert A.non_locality(scaled).value == 2.0 * A.non_locality(base).value
     verdict(8, True, f"identity -> 1 exactly, det-oracle gap < 1e-10, g(2P) == 2 g(P) "
                      f"exactly (value {got.value:.4f} on random groups)")

@@ -4,20 +4,24 @@ import pytest
 from posmlp import analysis as A
 from posmlp import model as M
 from posmlp.gating import GatingKind
-from posmlp.positional import CovarianceForm, GqpeGroupParams
+from posmlp.positional import CovarianceForm, GqpeParams
 
 
-def gram_group(mat, dtype=np.float64):
-    g = GqpeGroupParams(CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True, dtype=dtype)
-    g.gamma.data[:] = mat
+def gqpe_with(form, mats, dtype=np.float64):
+    """One ``GqpeParams`` whose group g has ``mats[g]`` as its factor, delta frozen."""
+    g = GqpeParams(form, delta_frozen=True, groups=len(mats), dtype=dtype)
+    g.gamma.data[:] = mats
     return g
 
 
-def sqrt_det_oracle(groups, exclusion=A.DEFAULT_EXCLUSION):
+def gram_groups(mats, dtype=np.float64):
+    return gqpe_with(CovarianceForm.GAMMA_GRAMIAN, mats, dtype)
+
+
+def sqrt_det_oracle(params, exclusion=A.DEFAULT_EXCLUSION):
     """Determinant-based reference: sqrt(det P) averaged over included groups."""
     vals = []
-    for g in groups:
-        p = g.effective_precision_numpy()
+    for p in params.effective_precision_numpy():
         lo, _ = A.symmetric_eigvals_2x2(p)
         if lo < exclusion:
             continue
@@ -29,23 +33,20 @@ def sqrt_det_oracle(groups, exclusion=A.DEFAULT_EXCLUSION):
 
 def test_identity_precision_scores_one():
     eps = 1e-6
-    groups = [gram_group(np.eye(2) * np.sqrt(1 - eps)) for _ in range(4)]
-    entry = A.non_locality(groups)
+    entry = A.non_locality(gram_groups([np.eye(2) * np.sqrt(1 - eps)] * 4))
     assert entry.excluded_groups == 0
     assert abs(entry.value - 1.0) < 1e-9
 
 
 def test_diagonal_precision_known_value():
     # precision diag(4, 9) -> sqrt(36) = 6
-    g = gram_group(np.diag([2.0, 3.0]))
-    g.gamma.data[:] = np.diag([2.0, 3.0])
-    entry = A.non_locality([g])
+    entry = A.non_locality(gram_groups([np.diag([2.0, 3.0])]))
     assert abs(entry.value - np.sqrt((4 + 1e-6) * (9 + 1e-6))) < 1e-9
     assert abs(entry.value - 6.0) < 1e-5
 
 
 def test_matches_determinant_oracle(rng):
-    groups = [gram_group(rng.standard_normal((2, 2))) for _ in range(8)]
+    groups = gram_groups(rng.standard_normal((8, 2, 2)))
     entry = A.non_locality(groups)
     want = sqrt_det_oracle(groups)
     assert abs(entry.value - want) < 1e-10
@@ -54,39 +55,30 @@ def test_matches_determinant_oracle(rng):
 def test_scaling_law_exact_for_power_of_two():
     rng = np.random.default_rng(3)
     mats = [rng.standard_normal((2, 2)) + 2 * np.eye(2) for _ in range(5)]
-    base = A.non_locality([gram_group(m) for m in mats])
+    base = A.non_locality(gram_groups(mats))
     # scale P by 4 by doubling gamma (P = G G^T + eps; use raw form for exactness)
-    raws = []
-    scaled = []
-    for m in mats:
-        p = gram_group(m).effective_precision_numpy()
-        r1 = GqpeGroupParams(CovarianceForm.GAMMA_RAW, delta_frozen=True, dtype=np.float64)
-        r1.gamma.data[:] = p
-        raws.append(r1)
-        r2 = GqpeGroupParams(CovarianceForm.GAMMA_RAW, delta_frozen=True, dtype=np.float64)
-        r2.gamma.data[:] = 2.0 * p
-        scaled.append(r2)
-    a = A.non_locality(raws)
-    b = A.non_locality(scaled)
+    p = gram_groups(mats).effective_precision_numpy()
+    a = A.non_locality(gqpe_with(CovarianceForm.GAMMA_RAW, p))
+    b = A.non_locality(gqpe_with(CovarianceForm.GAMMA_RAW, 2.0 * p))
     assert b.value == 2.0 * a.value  # exact: powers of two scale every fp op exactly
     assert abs(a.value - base.value) < 1e-12
 
 
 def test_near_singular_groups_are_excluded():
-    healthy = gram_group(np.eye(2))
-    singular = GqpeGroupParams(CovarianceForm.GAMMA_RAW, delta_frozen=True, dtype=np.float64)
-    singular.gamma.data[:] = np.diag([1e-9, 1.0])
-    entry = A.non_locality([healthy, singular])
+    mixed = gqpe_with(CovarianceForm.GAMMA_RAW, [np.eye(2), np.diag([1e-9, 1.0])])
+    entry = A.non_locality(mixed)
     assert entry.included_groups == 1 and entry.excluded_groups == 1
-    all_bad = A.non_locality([singular])
+    all_bad = A.non_locality(gqpe_with(CovarianceForm.GAMMA_RAW, [np.diag([1e-9, 1.0])]))
     assert all_bad.value is None and all_bad.excluded_groups == 1
 
 
 def test_non_locality_rejects_wrong_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         A.non_locality([])
     with pytest.raises(TypeError):
         A.non_locality([np.eye(2)])
+    with pytest.raises(ValueError):
+        GqpeParams(groups=0)
 
 
 def test_model_non_locality_walks_quadratic_blocks():
@@ -132,7 +124,7 @@ def sharp_unit(k=7):
     cfg = GatingConfig(kind=GatingKind.GGQPE, window_side=k, groups=1,
                        covariance_form=CovarianceForm.ALPHA_I, delta_frozen=True)
     u = GatingUnit(cfg, 4, rng=np.random.default_rng(0), dtype=np.float64)
-    u.gqpe[0].alpha_raw.data[:] = np.log(np.expm1(50.0))
+    u.gqpe.alpha_raw.data[:] = np.log(np.expm1(50.0))
     return u
 
 
@@ -156,7 +148,7 @@ def test_attention_export_roundtrip_and_determinism(tmp_path):
         assert open(a, "rb").read() == open(b, "rb").read()
     csv = [f for f in f1 if f.endswith(".csv")][0]
     from posmlp.positional import gqpe_weight_matrix
-    w = gqpe_weight_matrix(u.gqpe[0], u.emb).data
+    w = gqpe_weight_matrix(u.gqpe, u.emb).data
     back = A.read_map_csv(csv).reshape(-1)
     assert np.max(np.abs(back - w[10])) < 1e-6
 

@@ -139,8 +139,10 @@ def test_estimate_matches_instrumented_forward(monkeypatch):
             for name in ("matmul", "linear", "mix_tokens", "conv2d", "conv2d_depthwise")}
 
     def wrap_matmul(a, b):
-        counted["macs"] += a.shape[0] * a.shape[1] * b.shape[1]
-        return real["matmul"](a, b)
+        # a 2-D product or a stack of them: each output entry contracts a's last axis
+        out = real["matmul"](a, b)
+        counted["macs"] += out.size * a.shape[-1]
+        return out
 
     def wrap_linear(x, w, b=None):
         rows = x.size // x.shape[-1]

@@ -41,6 +41,18 @@ def sgu_oracle(x, w, bias, gain, shift):
     return out
 
 
+def group_matrices(u):
+    """Each group's quadratic-prior matrix, generated on its own from its block rows."""
+    mats = []
+    for g in range(len(u.gqpe)):
+        one = P.GqpeParams(u.config.covariance_form, u.config.delta_frozen,
+                           dtype=u.gqpe.dtype)
+        for name, block in u.gqpe.parameters().items():
+            getattr(one, name).data[:] = block.data[g]
+        mats.append(P.gqpe_weight_matrix(one, u.emb).data)
+    return mats
+
+
 def grouped_oracle(x, mats, bias, gain, shift, use_norm):
     """Per-group loop oracle shared by the lookup and quadratic variants."""
     b, n, d = x.shape
@@ -144,7 +156,7 @@ def test_glrpe_s1_equals_lrpe(rng):
 def test_ggqpe_s1_equals_single_group(rng):
     ug = unit(G.GatingKind.GGQPE, k=3, width=6, groups=1, seed=3)
     x = tin(rng, 2, 9, 6)
-    w = P.gqpe_weight_matrix(ug.gqpe[0], ug.emb).data
+    w = P.gqpe_weight_matrix(ug.gqpe, ug.emb).data
     x1, x2 = x.data[..., :3], x.data[..., 3:]
     want = np.stack([(w @ x1[b] + ug.bias.data[:, None]) * x2[b] for b in range(2)])
     np.testing.assert_allclose(ug.forward(x).data, want, atol=1e-12)
@@ -186,9 +198,8 @@ def test_ggqpe_group_concat_identity(rng):
     cfg = dict(k=3, width=8, use_bias=False, seed=13)
     u2 = unit(G.GatingKind.GGQPE, groups=2, **cfg)
     u1 = unit(G.GatingKind.GGQPE, groups=1, **cfg)
-    for tgt, src in ((u2.gqpe[0], u1.gqpe[0]), (u2.gqpe[1], u1.gqpe[0])):
-        tgt.gamma.data[:] = src.gamma.data
-        tgt.delta.data[:] = src.delta.data
+    u2.gqpe.gamma.data[:] = u1.gqpe.gamma.data
+    u2.gqpe.delta.data[:] = u1.gqpe.delta.data
     x = tin(rng, 2, 9, 8)
     np.testing.assert_allclose(u2.forward(x).data, u1.forward(x).data, atol=1e-12)
 
@@ -197,7 +208,7 @@ def test_ggqpe_sharp_limit_is_hadamard(rng):
     k = 7
     u = unit(G.GatingKind.GGQPE, k=k, width=4, use_bias=False,
              covariance_form=P.CovarianceForm.ALPHA_I, delta_frozen=True)
-    u.gqpe[0].alpha_raw.data[:] = np.log(np.expm1(50.0 - P.PRECISION_EPS))
+    u.gqpe.alpha_raw.data[:] = np.log(np.expm1(50.0 - P.PRECISION_EPS))
     x = tin(rng, 1, 49, 4)
     out = u.forward(x).data
     want = x.data[..., :2] * x.data[..., 2:]
@@ -207,7 +218,7 @@ def test_ggqpe_sharp_limit_is_hadamard(rng):
 def test_ggqpe_matches_group_oracle(rng):
     u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=17)
     x = tin(rng, 2, 9, 8)
-    mats = [P.gqpe_weight_matrix(g, u.emb).data for g in u.gqpe]
+    mats = group_matrices(u)
     want = grouped_oracle(x.data, mats, u.bias.data, None, None, False)
     assert np.max(np.abs(u.forward(x).data - want)) < 1e-10
 
@@ -234,7 +245,7 @@ def test_output_width_contract(rng):
 def test_add_combine_semantics(rng):
     u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, combine=G.Combine.ADD, seed=17)
     x = tin(rng, 2, 9, 8)
-    mats = [P.gqpe_weight_matrix(g, u.emb).data for g in u.gqpe]
+    mats = group_matrices(u)
     gated = grouped_oracle(x.data, mats, u.bias.data, None, None, False)
     mixed = gated / np.where(x.data[..., 4:] == 0, 1.0, x.data[..., 4:])
     want = mixed + x.data[..., 4:]
@@ -251,7 +262,7 @@ def test_concat_combine_semantics(rng):
 def test_nonsplit_uses_full_tensor(rng):
     u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, split_channels=False, seed=17)
     x = tin(rng, 2, 9, 8)
-    mats = [P.gqpe_weight_matrix(g, u.emb).data for g in u.gqpe]
+    mats = group_matrices(u)
     xx = np.concatenate([x.data, x.data], axis=-1)  # X1 = X2 = x
     want = grouped_oracle(xx, mats, u.bias.data, None, None, False)
     assert np.max(np.abs(u.forward(x).data - want)) < 1e-10
@@ -363,22 +374,22 @@ def test_mixing_stack_hit_returns_the_same_stack(monkeypatch):
     u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
     first = u.mixing_stack()
     assert u.mixing_stack() is first
-    u.gqpe[1].gamma.data[:] = u.gqpe[1].gamma.data  # rewriting the same bytes is no change
+    u.gqpe.gamma.data[1] = u.gqpe.gamma.data[1]  # rewriting the same bytes is no change
     assert u.mixing_stack() is first
     assert len(calls) == 1
 
 
 def _edit_gamma_in_place(u):
-    u.gqpe[1].gamma.data[:] = u.gqpe[1].gamma.data * 1.5
+    u.gqpe.gamma.data[1] = u.gqpe.gamma.data[1] * 1.5
 
 
 def _replace_gamma(u):
     # Equal bytes, so only the tensor's identity tells the stack is stale.
-    u.gqpe[1].gamma = Tensor(u.gqpe[1].gamma.data.copy(), requires_grad=True)
+    u.gqpe.gamma = Tensor(u.gqpe.gamma.data.copy(), requires_grad=True)
 
 
 def _freeze_delta(u):
-    u.gqpe[0].delta.requires_grad = False
+    u.gqpe.delta.requires_grad = False
 
 
 def _cast_to_float32(u):
@@ -412,7 +423,7 @@ def test_mixing_stack_rebuilds_after_a_parameter_change(rng, monkeypatch, edit):
         else:
             assert p.grad is None and q.grad is None, name
     if edit is _freeze_delta:
-        assert u.gqpe[0].delta.grad is None and u.gqpe[0].gamma.grad is not None
+        assert u.gqpe.delta.grad is None and u.gqpe.gamma.grad is not None
 
 
 def test_shared_stack_gradients_match_two_built_stacks(rng, monkeypatch):

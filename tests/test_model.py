@@ -12,8 +12,11 @@ from scipy.special import erf
 from posmlp import model as M
 from posmlp import tensor as T
 from posmlp.complexity import analytic_params, count_block_gating_fc, count_params
+from posmlp import gating as G
 from posmlp.gating import Combine, GatingConfig, GatingKind
 from posmlp.gradcheck import category_groups, gradcheck, gradcheck_directional
+from posmlp.positional import CovarianceForm, ZeroDraws
+from posmlp.positional import GqpeParams as RealGqpeParams
 from posmlp.tensor import Tensor
 
 
@@ -244,6 +247,40 @@ def test_micro_exact_parameter_count():
     assert total == expected
 
 
+def per_group_gqpe(form=CovarianceForm.GAMMA_GRAMIAN, delta_frozen=False, groups=1, rng=None,
+                   dtype=np.float32):
+    """Re-draw oracle: each group draws its own delta, then its own gamma, in group order."""
+    out = RealGqpeParams(form, delta_frozen, groups, rng=ZeroDraws(), dtype=dtype)
+    for g in range(groups):
+        if not out.delta_frozen:
+            out.delta.data[g] = rng.uniform(-0.5, 0.5, size=2).astype(dtype)
+        if out.gamma is not None:
+            out.gamma.data[g] = (np.eye(2) + rng.normal(0.0, 0.1, size=(2, 2))).astype(dtype)
+    return out
+
+
+@pytest.mark.parametrize("variant, overrides, seed", [
+    ("T", {}, 3), ("MICRO", {}, 0), ("MICRO", {"covariance_form": "gamma_raw"}, 1),
+    ("MICRO", {"covariance_form": "alpha_i", "delta_frozen": True}, 2),
+    ("MICRO", {"delta_frozen": True}, 4)])
+def test_built_model_matches_the_per_group_redraw_oracle(monkeypatch, variant, overrides, seed):
+    cfg = M.variant_config(variant, **overrides)
+    built = M.build_model(cfg, rng=np.random.default_rng(seed))
+    monkeypatch.setattr(G, "GqpeParams", per_group_gqpe)
+    oracle = M.build_model(cfg, rng=np.random.default_rng(seed))
+    assert list(built.parameters()) == list(oracle.parameters())
+    for (name, p), q in zip(built.parameters().items(), oracle.parameters().values()):
+        np.testing.assert_array_equal(p.data.view(np.uint8), q.data.view(np.uint8), err_msg=name)
+
+
+def test_tiny_has_one_parameter_block_per_kind_per_unit():
+    params = M.build_model(M.variant_config("T"), rng=ZeroDraws()).parameters()
+    assert len(params) == 232
+    assert params["stages.2.blocks.7.unit.gqpe.delta"].shape == (32, 2)
+    assert params["stages.2.blocks.7.unit.gqpe.gamma"].shape == (32, 2, 2)
+    assert sum(".gqpe." in name for name in params) == 2 * 24
+
+
 def test_stage_shapes_match_published_table_for_tiny():
     cfg = M.variant_config("T")
     m = M.build_model(cfg, rng=np.random.default_rng(0), dtype=np.float32)
@@ -393,9 +430,70 @@ def _write_checkpoint(path, config, records):
             M._write_record(fh, name, arr)
 
 
+def file_records(m):
+    """``(path, array)`` of every parameter record of m's checkpoint, in file order.
+
+    Written out from the model's structure: a quadratic unit's blocks go
+    one record per group and kind, ``<unit>.gqpe.{g}.delta|gamma|alpha_raw``,
+    group after group, as files have always held them.
+    """
+    records, done = [], set()
+    for name, p in m.parameters().items():
+        if ".gqpe." not in name:
+            records.append((name, p.data))
+            continue
+        unit = name.rsplit(".gqpe.", 1)[0]
+        if unit in done:
+            continue
+        done.add(unit)
+        _, i, _, j, _ = unit.split(".")
+        gqpe = m.stages[int(i)][int(j)].unit.gqpe
+        for g in range(len(gqpe)):
+            if not gqpe.delta_frozen:
+                records.append((f"{unit}.gqpe.{g}.delta", gqpe.delta.data[g]))
+            for kind in ("gamma", "alpha_raw"):
+                block = getattr(gqpe, kind)
+                if block is not None:
+                    records.append((f"{unit}.gqpe.{g}.{kind}", block.data[g]))
+    return records
+
+
+@pytest.mark.parametrize("overrides", [{}, {"delta_frozen": True}, {"covariance_form": "gamma_raw"},
+                                       {"covariance_form": "alpha_i", "delta_frozen": True},
+                                       {"gating_kind": "glrpe"}])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_per_group_records_load_and_save_byte_identical(tmp_path, overrides, dtype):
+    m = micro(dtype=dtype, seed=13, **overrides)
+    hand = tmp_path / "hand.pmlp"
+    _write_checkpoint(hand, m.config, file_records(m))
+    saved = tmp_path / "saved.pmlp"
+    M.save_checkpoint(m, saved)
+    assert saved.read_bytes() == hand.read_bytes()
+    loaded = M.load_checkpoint(hand)
+    assert loaded.dtype == dtype
+    for (name, p), q in zip(m.parameters().items(), loaded.parameters().values()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+    again = tmp_path / "again.pmlp"
+    M.save_checkpoint(loaded, again)
+    assert again.read_bytes() == hand.read_bytes()
+
+
+@pytest.mark.parametrize("repeat", ["head.bias", "stages.2.blocks.1.unit.gqpe.5.gamma",
+                                    "stages.0.blocks.0.unit.gqpe.0.delta"])
+def test_checkpoint_repeated_record_is_refused(tmp_path, repeat):
+    m = micro()
+    records = file_records(m)
+    records.append((repeat, np.full_like(dict(records)[repeat], 7.0)))
+    path = tmp_path / "twice.pmlp"
+    _write_checkpoint(path, m.config, records)
+    with pytest.raises(M.CheckpointError, match="duplicate") as err:
+        M.load_checkpoint(path)
+    assert repr(repeat) in str(err.value)
+
+
 def test_checkpoint_mixed_dtypes_name_the_first_disagreeing_record(tmp_path):
     m = micro()
-    records = [(name, p.data) for name, p in m.parameters().items()]
+    records = file_records(m)
     odd = [3, 7]
     for i in odd:
         records[i] = (records[i][0], records[i][1].astype(np.float64))

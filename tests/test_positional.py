@@ -24,10 +24,9 @@ def softmax_oracle(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def make_gramian(rng, frozen=False):
-    g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=frozen,
-                          rng=rng, dtype=np.float64)
-    return g
+def make_gramian(rng, frozen=False, groups=1):
+    return P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=frozen, groups=groups,
+                        rng=rng, dtype=np.float64)
 
 
 # -- displacement grid ---------------------------------------------------------
@@ -112,9 +111,9 @@ def test_zero_draws_give_zeros_without_drawing(monkeypatch):
     got = P.trunc_normal(P.ZeroDraws(), (4, 5), 0.02, np.float32)
     assert got.dtype == np.float32
     np.testing.assert_array_equal(got, np.zeros((4, 5)))
-    g = P.GqpeGroupParams(rng=P.ZeroDraws(), dtype=np.float64)
-    np.testing.assert_array_equal(g.delta.data, [0.0, 0.0])
-    np.testing.assert_array_equal(g.gamma.data, np.eye(2))
+    g = P.GqpeParams(groups=3, rng=P.ZeroDraws(), dtype=np.float64)
+    np.testing.assert_array_equal(g.delta.data, np.zeros((3, 2)))
+    np.testing.assert_array_equal(g.gamma.data, [np.eye(2)] * 3)
 
 
 # -- lrpe -----------------------------------------------------------------------
@@ -178,8 +177,7 @@ def test_embedding_rows():
 
 
 def test_vector_identity_precision_zero_delta():
-    g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True,
-                          dtype=np.float64)
+    g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True, dtype=np.float64)
     g.gamma.data[:] = np.eye(2)
     v = P.gqpe_vector(g).data
     eps = P.PRECISION_EPS
@@ -188,7 +186,7 @@ def test_vector_identity_precision_zero_delta():
 
 
 def test_vector_unit_shift():
-    g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, dtype=np.float64)
+    g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, dtype=np.float64)
     g.gamma.data[:] = np.eye(2)
     g.delta.data[:] = [1.0, 0.0]
     v = P.gqpe_vector(g).data
@@ -205,8 +203,8 @@ def test_vector_dot_equals_quadratic_up_to_constant(rng):
     for _ in range(10):
         g = make_gramian(rng)
         v = P.gqpe_vector(g).data
-        prec = g.effective_precision_numpy()
-        delta = g.delta.data.astype(np.float64)
+        prec = g.effective_precision_numpy()[0]
+        delta = g.delta.data[0].astype(np.float64)
         offset = 0.5 * delta @ prec @ delta
         dots = emb.flat @ v
         quad = gaussian_logits_oracle(grid, delta, prec).reshape(-1)
@@ -216,7 +214,7 @@ def test_vector_dot_equals_quadratic_up_to_constant(rng):
 # -- gqpe weight matrices ---------------------------------------------------------
 
 def alpha_params(alpha, dtype=np.float64):
-    g = P.GqpeGroupParams(P.CovarianceForm.ALPHA_I, delta_frozen=True, dtype=dtype)
+    g = P.GqpeParams(P.CovarianceForm.ALPHA_I, delta_frozen=True, dtype=dtype)
     g.alpha_raw.data[:] = np.log(np.expm1(alpha - P.PRECISION_EPS))
     return g
 
@@ -230,7 +228,7 @@ def test_sharp_isotropic_concentrates_on_query():
 
 def test_flat_precision_limit_is_uniform():
     k = 7
-    g = P.GqpeGroupParams(P.CovarianceForm.ALPHA_I, delta_frozen=True, dtype=np.float64)
+    g = P.GqpeParams(P.CovarianceForm.ALPHA_I, delta_frozen=True, dtype=np.float64)
     g.alpha_raw.data[:] = -40.0  # softplus -> 0, precision -> eps
     w = P.gqpe_weight_matrix(g, P.gqpe_embedding(P.displacement_grid(k)))
     np.testing.assert_allclose(w.data, np.full((49, 49), 1 / 49), atol=1e-3)
@@ -244,7 +242,7 @@ def test_softmax_equivalence_oracle(rng, k):
         g = make_gramian(rng)
         got = P.gqpe_weight_matrix(g, emb).data
         want = softmax_oracle(
-            gaussian_logits_oracle(grid, g.delta.data, g.effective_precision_numpy()))
+            gaussian_logits_oracle(grid, g.delta.data[0], g.effective_precision_numpy()[0]))
         assert np.max(np.abs(got - want)) < 1e-9
 
 
@@ -253,27 +251,26 @@ def test_raw_form_quadratic_part_uses_mirrored_upper_entry(rng):
     # factor; with a frozen center the (1,0) entry is ignored entirely
     grid = P.displacement_grid(4)
     emb = P.gqpe_embedding(grid)
-    g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_RAW, delta_frozen=True,
-                          rng=rng, dtype=np.float64)
+    g = P.GqpeParams(P.CovarianceForm.GAMMA_RAW, delta_frozen=True, rng=rng, dtype=np.float64)
     g.gamma.data[:] = [[1.5, 0.7], [-2.0, 0.9]]  # deliberately asymmetric
     got = P.gqpe_weight_matrix(g, emb).data
     want = softmax_oracle(
-        gaussian_logits_oracle(grid, np.zeros(2), g.effective_precision_numpy()))
+        gaussian_logits_oracle(grid, np.zeros(2), g.effective_precision_numpy()[0]))
     assert np.max(np.abs(got - want)) < 1e-9
-    eff = g.effective_precision_numpy()
+    eff = g.effective_precision_numpy()[0]
     assert eff[1, 0] == eff[0, 1] == 0.7
 
 
 def test_raw_form_linear_term_follows_full_matrix(rng):
     # with a learnable center the linear logit term is the verbatim P @ delta,
     # so an asymmetric raw factor does not reduce to one symmetric Gaussian
-    g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_RAW, rng=rng, dtype=np.float64)
+    g = P.GqpeParams(P.CovarianceForm.GAMMA_RAW, rng=rng, dtype=np.float64)
     g.gamma.data[:] = [[1.5, 0.7], [-2.0, 0.9]]
     g.delta.data[:] = [1.0, -0.5]
     v = P.gqpe_vector(g).data
-    pd = g.gamma.data @ g.delta.data
+    pd = g.gamma.data[0] @ g.delta.data[0]
     np.testing.assert_allclose(v[:2], pd, atol=1e-12)
-    assert v[1] != pytest.approx(g.effective_precision_numpy()[1] @ g.delta.data)
+    assert v[1] != pytest.approx(g.effective_precision_numpy()[0, 1] @ g.delta.data[0])
 
 
 def test_row_shift_invariance(rng):
@@ -326,10 +323,13 @@ def test_group_stack_degenerate_and_shared(rng):
     emb = P.gqpe_embedding(grid)
     g = make_gramian(rng)
     single = P.gqpe_weight_matrix(g, emb).data
-    stack = P.group_weight_stack([g], emb)
+    stack = P.group_weight_stack(g, emb)
     assert len(stack) == 1 and stack.weights.shape == (9, 1, 9)
     np.testing.assert_array_equal(stack.matrix(0), single)
-    two = P.group_weight_stack([g, g], emb)
+    g2 = make_gramian(rng, groups=2)
+    g2.delta.data[:] = g.delta.data
+    g2.gamma.data[:] = g.gamma.data
+    two = P.group_weight_stack(g2, emb)
     assert len(two) == 2 and two.weights.shape == (9, 2, 9)
     np.testing.assert_array_equal(two.matrix(0), two.matrix(1))
 
@@ -337,8 +337,7 @@ def test_group_stack_degenerate_and_shared(rng):
 def test_group_stack_row_stochastic_large(rng):
     grid = P.displacement_grid(14)
     emb = P.gqpe_embedding(grid)
-    groups = [make_gramian(rng) for _ in range(8)]
-    stack = P.group_weight_stack(groups, emb)
+    stack = P.group_weight_stack(make_gramian(rng, groups=8), emb)
     assert len(stack) == 8
     for g in range(len(stack)):
         np.testing.assert_allclose(stack.matrix(g).sum(axis=1), np.ones(196), atol=1e-6)
@@ -348,9 +347,12 @@ def test_group_stack_entries_match_single_group(rng):
     # the stacked product and softmax give each group its own matrix
     grid = P.displacement_grid(4)
     emb = P.gqpe_embedding(grid)
-    groups = [make_gramian(rng) for _ in range(5)]
+    groups = make_gramian(rng, groups=5)
     stack = P.group_weight_stack(groups, emb)
-    for g, params in enumerate(groups):
+    for g in range(5):
+        params = make_gramian(rng)
+        params.delta.data[:] = groups.delta.data[g]
+        params.gamma.data[:] = groups.gamma.data[g]
         want = softmax_oracle(P.gqpe_logits(params, emb).data)
         np.testing.assert_allclose(stack.matrix(g), want, rtol=0, atol=1e-15)
 
@@ -360,8 +362,7 @@ def test_float32_stack_has_no_subnormal_weights():
     # weights, which come out as exact zeros rather than subnormals
     rng = np.random.default_rng(0)
     emb = P.gqpe_embedding(P.displacement_grid(14))
-    groups = [P.GqpeGroupParams(rng=rng, dtype=np.float32) for _ in range(32)]
-    w = P.group_weight_stack(groups, emb).weights.data
+    w = P.group_weight_stack(P.GqpeParams(groups=32, rng=rng), emb).weights.data
     assert w.dtype == np.float32 and w.shape == (196, 32, 196)
     fi = np.finfo(np.float32)
     assert not np.any((w != 0) & (np.abs(w) < fi.tiny / (fi.eps * 196)))
@@ -376,10 +377,10 @@ def test_cut_stack_mixes_like_the_tiny_flush_oracle(k, s, c):
     rng = np.random.default_rng(0)
     n = k * k
     emb = P.gqpe_embedding(P.displacement_grid(k))
-    groups = [P.GqpeGroupParams(rng=rng, dtype=np.float32) for _ in range(s)]
+    groups = P.GqpeParams(groups=s, rng=rng)
     w = P.group_weight_stack(groups, emb).weights
     logits = np.ascontiguousarray(
-        P._feature_logits(groups, emb).data.reshape(n, n, s).transpose(0, 2, 1))
+        P._feature_logits(groups, emb).data.reshape(s, n, n).transpose(1, 0, 2))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     oracle = e / e.sum(axis=-1, keepdims=True)
     oracle[oracle < np.finfo(np.float32).tiny] = 0.0
@@ -393,7 +394,7 @@ def test_cut_stack_mixes_like_the_tiny_flush_oracle(k, s, c):
 
 def test_group_stack_rejects_empty():
     with pytest.raises(ValueError):
-        P.group_weight_stack([], P.gqpe_embedding(P.displacement_grid(2)))
+        P.GqpeParams(groups=0)
 
 
 # -- gradients -------------------------------------------------------------------
@@ -408,7 +409,7 @@ def test_group_stack_rejects_empty():
 def test_weight_matrix_gradcheck(rng, form, frozen):
     grid = P.displacement_grid(3)
     emb = P.gqpe_embedding(grid)
-    g = P.GqpeGroupParams(form, delta_frozen=frozen, rng=rng, dtype=np.float64)
+    g = P.GqpeParams(form, delta_frozen=frozen, rng=rng, dtype=np.float64)
     weights = rng.standard_normal((9, 9))
 
     def fn():
@@ -422,19 +423,19 @@ def test_weight_matrix_gradcheck(rng, form, frozen):
 def test_frozen_delta_receives_no_gradient(rng):
     grid = P.displacement_grid(3)
     emb = P.gqpe_embedding(grid)
-    g = P.GqpeGroupParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True,
-                          rng=rng, dtype=np.float64)
+    g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True, rng=rng,
+                     dtype=np.float64)
     loss = T.sum_all(T.mul(P.gqpe_weight_matrix(g, emb),
                            Tensor(rng.standard_normal((9, 9)))))
     backward(loss)
     assert g.delta.grad is None
-    np.testing.assert_array_equal(g.delta.data, np.zeros(2))
+    np.testing.assert_array_equal(g.delta.data, np.zeros((1, 2)))
     assert g.gamma.grad is not None
 
 
 def test_alpha_i_requires_frozen_delta():
     with pytest.raises(ValueError):
-        P.GqpeGroupParams(P.CovarianceForm.ALPHA_I, delta_frozen=False)
+        P.GqpeParams(P.CovarianceForm.ALPHA_I, delta_frozen=False)
 
 
 def test_lrpe_table_gradcheck(rng):
@@ -449,3 +450,119 @@ def test_lrpe_table_gradcheck(rng):
 
     res = gradcheck(fn, {"values": tab.values})
     assert res.ok, res.failures
+
+
+# -- the stacked generation against the per-group chain ------------------------------
+
+class PerGroupParams:
+    """One group's delta and gamma (or alpha_raw) as tensors of their own."""
+
+    def __init__(self, params, g):
+        self.form = params.form
+        self.delta = Tensor(params.delta.data[g].copy(), requires_grad=params.delta.requires_grad)
+        self.gamma = self.alpha_raw = None
+        if params.gamma is not None:
+            self.gamma = Tensor(params.gamma.data[g].copy(), requires_grad=True)
+        if params.alpha_raw is not None:
+            self.alpha_raw = Tensor(params.alpha_raw.data[g].copy(), requires_grad=True)
+
+    def precision(self):
+        dtype = (self.gamma if self.gamma is not None else self.alpha_raw).dtype
+        if self.form is P.CovarianceForm.GAMMA_GRAMIAN:
+            eps_eye = Tensor(np.eye(2, dtype=dtype) * P.PRECISION_EPS)
+            return T.add(T.matmul(self.gamma, T.transpose2(self.gamma)), eps_eye)
+        if self.form is P.CovarianceForm.GAMMA_RAW:
+            return self.gamma
+        alpha = T.add_scalar(T.softplus(self.alpha_raw), P.PRECISION_EPS)
+        zero = Tensor(np.zeros(1, dtype=dtype))
+        return T.reshape(T.concat([alpha, zero, zero, alpha], axis=0), (2, 2))
+
+
+def per_group_stack(groups, emb):
+    """The per-group chain: a [P | P d] block per group, then a node-major softmax."""
+    blocks = []
+    for grp in groups:
+        p = grp.precision()
+        blocks.append(T.concat([p, T.matmul(p, T.reshape(grp.delta, (2, 1)))], axis=1))
+    blocks = T.concat(blocks, axis=0)
+    s, n = len(groups), emb.window_side ** 2
+    idx = np.array([2, 5, 0, 4, 1])[:, None] + 6 * np.arange(s)[None, :]
+    coeffs = np.repeat(np.array([1.0, 1.0, -0.5, -0.5, -1.0])[:, None], s, axis=1)
+    v = T.mul(T.take(blocks, idx, (5, s)), Tensor(coeffs.astype(blocks.dtype)))
+    logits = T.matmul(Tensor(emb.flat.astype(v.dtype)), v)
+    return T.softmax_rows(logits, (n, n, s), (0, 2, 1))
+
+
+# Forming the logits group-major, (s, 5) @ (5, N^2), sums each vector
+# gradient's N^2 terms in another order than the per-group chain's
+# (N^2, 5) @ (5, s) product did.  The stacks keep every bit; the delta,
+# gamma and alpha_raw gradients move by at most this many units of their
+# dtype's eps times the largest gradient value in their block (21.8 is
+# the most measured, at k = 8, s = 8).
+REORDER_EPS_BOUND = 32
+
+FORMS = [(P.CovarianceForm.GAMMA_GRAMIAN, False), (P.CovarianceForm.GAMMA_GRAMIAN, True),
+         (P.CovarianceForm.GAMMA_RAW, False), (P.CovarianceForm.GAMMA_RAW, True),
+         (P.CovarianceForm.ALPHA_I, True)]
+
+
+@pytest.mark.parametrize("k, s", [(1, 64), (2, 32), (4, 16), (7, 64), (8, 8), (14, 8), (14, 32)])
+@pytest.mark.parametrize("form, frozen", FORMS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_generation_matches_the_per_group_chain(k, s, form, frozen, dtype):
+    rng = np.random.default_rng(k * 100 + s)
+    n = k * k
+    emb = P.gqpe_embedding(P.displacement_grid(k))
+    params = P.GqpeParams(form, delta_frozen=frozen, groups=s, rng=rng, dtype=dtype)
+    if params.alpha_raw is not None:
+        params.alpha_raw.data[:] = rng.uniform(-1.0, 3.0, size=(s, 1))
+    groups = [PerGroupParams(params, g) for g in range(s)]
+    got = P.group_weight_stack(params, emb).weights
+    want = per_group_stack(groups, emb)
+    assert got.shape == want.shape == (n, s, n) and got.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(got.data.view(np.uint8), want.data.view(np.uint8))
+
+    weights = rng.standard_normal((n, s, n))
+    backward(T.weighted_sum(got, weights))
+    backward(T.weighted_sum(want, weights))
+    assert (params.delta.grad is None) == frozen
+    for name, block in params.parameters().items():
+        oracle = np.stack([getattr(grp, name).grad for grp in groups])
+        bound = REORDER_EPS_BOUND * np.finfo(dtype).eps * np.max(np.abs(oracle))
+        assert block.grad.shape == oracle.shape and block.grad.dtype == dtype
+        assert np.max(np.abs(block.grad - oracle)) <= bound, name
+
+
+@pytest.mark.parametrize("form, frozen", FORMS)
+def test_stack_tape_does_not_grow_with_the_group_count(form, frozen):
+    # a per-group loop would record nodes in proportion to s
+    emb = P.gqpe_embedding(P.displacement_grid(3))
+
+    def tape_nodes(s):
+        params = P.GqpeParams(form, delta_frozen=frozen, groups=s, rng=np.random.default_rng(0))
+        stack = P.group_weight_stack(params, emb).weights
+        return sum(node._vjp is not None for node in T._topo_order(stack))
+
+    assert tape_nodes(64) <= tape_nodes(1)
+
+
+@pytest.mark.parametrize("form, frozen", FORMS)
+def test_blocks_draw_group_by_group(form, frozen):
+    # the draws of each group built on its own, delta before gamma, in group order
+    for dtype in (np.float32, np.float64):
+        params = P.GqpeParams(form, delta_frozen=frozen, groups=6, rng=np.random.default_rng(4),
+                              dtype=dtype)
+        rng = np.random.default_rng(4)
+        for g in range(6):
+            delta = np.zeros(2, dtype=dtype)
+            if not frozen:
+                delta = rng.uniform(-0.5, 0.5, size=2).astype(dtype)
+            np.testing.assert_array_equal(params.delta.data[g], delta)
+            if params.gamma is not None:
+                gamma = (np.eye(2) + rng.normal(0.0, 0.1, size=(2, 2))).astype(dtype)
+                np.testing.assert_array_equal(params.gamma.data[g], gamma)
+        if params.alpha_raw is not None:
+            np.testing.assert_array_equal(
+                params.alpha_raw.data, np.full((6, 1), np.log(np.expm1(1.0 - P.PRECISION_EPS)),
+                                               dtype=dtype))
+        assert params.delta.requires_grad == (not frozen)

@@ -84,6 +84,33 @@ def test_matmul_shape_mismatch_names_both_shapes():
     assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_matmul_is_each_product_alone(rng, dtype):
+    # the 2x2 precision algebra of s groups runs as one stacked product
+    for ashape, bshape in (((7, 2, 2), (7, 2, 2)), ((7, 2, 2), (7, 2, 1)), ((3, 4, 5), (3, 5, 6))):
+        a = Tensor(rng.standard_normal(ashape).astype(dtype), requires_grad=True)
+        b = Tensor(rng.standard_normal(bshape).astype(dtype), requires_grad=True)
+        out = T.matmul(a, b)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        ga, gb = out._vjp(g)
+        for i in range(ashape[0]):
+            ai = Tensor(a.data[i].copy(), requires_grad=True)
+            bi = Tensor(b.data[i].copy(), requires_grad=True)
+            one = T.matmul(ai, bi)
+            gai, gbi = one._vjp(g[i].copy())
+            np.testing.assert_array_equal(out.data[i].view(np.uint8), one.data.view(np.uint8))
+            np.testing.assert_array_equal(ga[i].view(np.uint8), gai.view(np.uint8))
+            np.testing.assert_array_equal(gb[i].view(np.uint8), gbi.view(np.uint8))
+
+
+@pytest.mark.parametrize("ashape, bshape", [((2, 2, 2), (3, 2, 2)), ((2, 2, 2), (2, 3, 2)),
+                                            ((2, 2, 2), (2, 2)), ((2, 2), (2, 2, 2)),
+                                            ((1, 2, 2, 2), (1, 2, 2, 2))])
+def test_matmul_rejects_unequal_stacks(ashape, bshape):
+    with pytest.raises(T.ShapeError):
+        T.matmul(t64(np.ones(ashape)), t64(np.ones(bshape)))
+
+
 # -- elementwise ----------------------------------------------------------------
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
@@ -422,6 +449,33 @@ def test_stacked_mix_tokens_matches_group_loop(rng, n, s, c, b):
         np.testing.assert_array_equal(out.data[..., sl], ref.data)
         np.testing.assert_array_equal(wt.grad[:, i], wi.grad)
         np.testing.assert_array_equal(xt.grad[..., sl], xi.grad)
+
+
+def gw_accumulated_from_zero(w, x, g):
+    """The weight gradient as a zero-filled stack every window's product adds onto."""
+    n, s = w.shape[:2]
+    c = x.shape[2] // s
+    gws = np.zeros_like(w)
+    for i in range(s):
+        sl = slice(i * c, (i + 1) * c)
+        for b in range(x.shape[0]):
+            gws[:, i] += g[b, :, sl] @ x[b, :, sl].T
+    return gws
+
+
+# (N, s, c, windows) of MICRO's stages at batch 32 and T's at batch 1
+@pytest.mark.parametrize("n, s, c, b", [(64, 8, 4, 32), (16, 16, 4, 32), (4, 32, 4, 128),
+                                        (1, 64, 4, 512), (196, 8, 24, 16), (196, 32, 24, 1),
+                                        (49, 64, 12, 1)])
+def test_mix_tokens_weight_gradient_matches_accumulation_from_zero(rng, n, s, c, b):
+    # The first window's product is written in place instead of added to
+    # zeros: the values are equal, only a -0.0 product now stays -0.0.
+    w = Tensor(rng.random((n, s, n)).astype(np.float32), requires_grad=True)
+    x = Tensor(rng.standard_normal((b, n, s * c)).astype(np.float32))
+    g = rng.standard_normal((b, n, s * c)).astype(np.float32)
+    gw, gx = T.mix_tokens(w, x)._vjp(g)
+    assert gx is None
+    np.testing.assert_array_equal(gw, gw_accumulated_from_zero(w.data, x.data, g))
 
 
 def test_mix_tokens_rejects_indivisible_groups():
