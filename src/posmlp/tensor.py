@@ -3,12 +3,14 @@
 Values are numpy arrays in row-major order, float32 by default and float64
 for test oracles and gradient checks.  Operations record a computation graph
 (the tape); ``backward`` walks it once in reverse topological order and
-deposits gradients on the ``requires_grad`` leaves.
+deposits gradients on the ``requires_grad`` leaves.  The tape links nodes,
+not tensors, and each backward rule keeps only the arrays it reads, so an
+intermediate result is freed as soon as nothing else refers to it.
 
-Batched matrix products deliberately loop over the leading batch axis so
-that every batch element goes through the byte-identical BLAS call sequence
-it would see alone; this is what makes the window weight-sharing tests exact
-instead of merely close.
+Batched matrix products go through ``np.matmul`` over the leading batch
+axes, which numpy carries out as one BLAS call per matrix, so every batch
+element sees the byte-identical BLAS call it would see alone; this is what
+makes the window weight-sharing tests exact instead of merely close.
 """
 
 import numpy as np
@@ -54,11 +56,11 @@ class Tensor:
 
     ``data`` is always a C-contiguous float32 or float64 ndarray.  Leaves
     created with ``requires_grad=True`` receive a ``grad`` buffer of the same
-    shape when ``backward`` runs.  Tensors created by operations carry their
-    parents and a vector-Jacobian closure; that linked structure is the tape.
+    shape when ``backward`` runs.  A tensor created by an operation that
+    needs a gradient carries a ``_Node``; the nodes are the tape.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_backward_done")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -74,9 +76,26 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._vjp = None
+        self._node = None
         self._backward_done = False
+
+    # -- tape --------------------------------------------------------------
+
+    @property
+    def _parents(self):
+        """The parent links of this tensor's tape node; empty if it has none."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self):
+        """The vector-Jacobian rule of this tensor's tape node, or None."""
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        if self._node is None:
+            raise GradError("only a result recorded on the tape has a vjp to replace")
+        self._node._vjp = vjp
 
     # -- metadata ---------------------------------------------------------
 
@@ -122,24 +141,37 @@ class Tensor:
         return matmul(self, other)
 
 
+class _Node:
+    """One op's place on the tape: links to its operands' places and its vjp.
+
+    A node holds no values of its own, so an op result's ``data`` lives only
+    as long as something other than the tape refers to it; what a backward
+    rule needs it captures itself.  ``_parents`` has one link per operand:
+    the operand's node, the operand itself if it is a leaf that requires a
+    gradient, or None if it needs no gradient.
+    """
+
+    __slots__ = ("_parents", "_vjp")
+
+    def __init__(self, parents, vjp):
+        self._parents = parents
+        self._vjp = vjp
+
+
 def _result(data, parents, vjp, op_name):
-    """Wrap an op result; the graph edge is only kept if a parent needs it.
+    """Wrap an op result; it joins the tape only if an operand needs a gradient.
 
     Op outputs are always freshly computed contiguous arrays, so this skips
     the defensive conversions of the public constructor.
     """
     _validate_finite(op_name, data)
-    needs = False
-    for p in parents:
-        if p.requires_grad:
-            needs = True
-            break
+    links = tuple((p._node or p) if p.requires_grad else None for p in parents)
+    needs = any(link is not None for link in links)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = needs
     out.grad = None
-    out._parents = tuple(parents) if needs else ()
-    out._vjp = vjp if needs else None
+    out._node = _Node(links, vjp) if needs else None
     out._backward_done = False
     return out
 
@@ -185,8 +217,14 @@ def mul(a, b):
     _check_same_shape("mul", a, b)
     _check_same_dtype("mul", a, b)
     _validate_finite("mul", a.data, b.data)
-    ad, bd = a.data, b.data
-    return _result(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")
+    # Each operand's gradient reads only the other operand.
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+
+    def vjp(g):
+        return (None if bd is None else g * bd, None if ad is None else g * ad)
+
+    return _result(a.data * b.data, (a, b), vjp, "mul")
 
 
 def neg(x):
@@ -219,23 +257,29 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} x {b.shape}")
     _validate_finite("matmul", a.data, b.data)
-    ad, bd = a.data, b.data
+    out = a.data @ b.data
+    # Each operand's gradient reads only the other operand.
+    bt = np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+    at = np.swapaxes(a.data, -1, -2) if b.requires_grad else None
 
     def vjp(g):
-        return (g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None,
-                np.swapaxes(ad, -1, -2) @ g if b.requires_grad else None)
+        return (None if bt is None else g @ bt, None if at is None else at @ g)
 
-    return _result(ad @ bd, (a, b), vjp, "matmul")
+    return _result(out, (a, b), vjp, "matmul")
 
 
 def mix_tokens(w, x):
     """Apply token-mixing weights to ``x`` of shape ``(B, N, C)``.
 
     ``w`` is one ``N x N`` matrix or an ``(N, s, N)`` stack whose entry
-    ``w[:, g]`` mixes the g-th of s equal contiguous channel groups.  Every
-    window-group product is its own BLAS call, so each window's result is
-    bitwise identical to processing that window alone, and each group's to
-    mixing that group's channels on their own.
+    ``w[:, g]`` mixes the g-th of s equal contiguous channel groups.  The
+    forward and the input gradient are each one ``np.matmul`` of the
+    stack's ``(s, N, N)`` view with the ``(B, s, N, c)`` view of every
+    window's channel groups, and the weight gradient is one per window;
+    numpy carries each out as one BLAS call per (window, group) on that
+    pair's strided matrices alone.  So each window's result is bitwise
+    identical to processing that window alone, and each group's to mixing
+    that group's channels on their own.
     """
     if w.ndim not in (2, 3) or w.shape[0] != w.shape[-1]:
         raise ShapeError(f"mix_tokens: expected an N x N matrix or (N, s, N) stack, "
@@ -246,38 +290,49 @@ def mix_tokens(w, x):
         raise ShapeError(f"mix_tokens: weights {w.shape} do not fit input {x.shape}")
     _validate_finite("mix_tokens", w.data, x.data)
     xd = x.data
-    c = xd.shape[2] // s
-    groups = [slice(i * c, (i + 1) * c) for i in range(s)]
+    bsz = xd.shape[0]
+    wshape, wdtype = w.shape, w.dtype
+    grouped = (bsz, n, s, xd.shape[2] // s)
+
+    def by_group(a):
+        """(B, N, C) array as the (B, s, N, c) view of its channel groups."""
+        return a.reshape(grouped).transpose(0, 2, 1, 3)
+
+    wg = ws.transpose(1, 0, 2)
     out = np.empty_like(xd)
-    for i, sl in enumerate(groups):
-        wi = ws[:, i]
-        for b in range(xd.shape[0]):
-            np.matmul(wi, xd[b, :, sl], out=out[b, :, sl])
+    np.matmul(wg, by_group(xd), out=by_group(out))
+    # The weight gradient reads x, the input gradient the weights.
+    xg = by_group(xd) if w.requires_grad else None
+    wgt = wg.transpose(0, 2, 1) if x.requires_grad else None
 
     def vjp(g):
         gw = gx = None
-        if w.requires_grad:
-            # The first window's product is written in place; the others add on.
-            gws = np.empty_like(ws)
-            for i, sl in enumerate(groups):
-                acc = gws[:, i]
-                np.matmul(g[0, :, sl], xd[0, :, sl].T, out=acc)
-                for b in range(1, xd.shape[0]):
-                    acc += g[b, :, sl] @ xd[b, :, sl].T
-            gw = gws.reshape(w.shape)
-        if x.requires_grad:
-            gx = np.empty_like(xd)
-            for i, sl in enumerate(groups):
-                wt = ws[:, i].T
-                for b in range(xd.shape[0]):
-                    np.matmul(wt, g[b, :, sl], out=gx[b, :, sl])
+        gg = by_group(g)
+        if xg is not None:
+            # The first window's products are written in place; the others add on.
+            gws = np.empty((n, s, n), dtype=wdtype)
+            acc = gws.transpose(1, 0, 2)
+            np.matmul(gg[0], xg[0].transpose(0, 2, 1), out=acc)
+            for b in range(1, bsz):
+                acc += np.matmul(gg[b], xg[b].transpose(0, 2, 1))
+            gw = gws.reshape(wshape)
+        if wgt is not None:
+            gx = np.empty(xd.shape, dtype=xd.dtype)
+            np.matmul(wgt, gg, out=by_group(gx))
         return gw, gx
 
     return _result(out, (w, x), vjp, "mix_tokens")
 
 
 def linear(x, w, b=None):
-    """Channel projection ``y = x @ w (+ b)`` over the last axis of 2/3-D x."""
+    """Channel projection ``y = x @ w (+ b)`` over the last axis of 2/3-D x.
+
+    A 3-D x goes through one ``np.matmul``, one BLAS call per leading index,
+    and the bias is added in place.  The weight gradient starts from the
+    first index's product and adds the others in order, so a product of
+    exactly -0.0 stays -0.0 where adding it to a zero-filled matrix would
+    give +0.0.
+    """
     if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: cannot apply {w.shape} weight to input {x.shape}")
     _validate_finite("linear", x.data, w.data, None if b is None else b.data)
@@ -286,32 +341,30 @@ def linear(x, w, b=None):
         out = xd @ wd
     else:
         out = np.empty(xd.shape[:2] + (wd.shape[1],), dtype=xd.dtype)
-        for i in range(xd.shape[0]):
-            out[i] = xd[i] @ wd
+        np.matmul(xd, wd, out=out)
     if b is not None:
         if b.shape != (wd.shape[1],):
             raise ShapeError(f"linear: bias shape {b.shape} does not match width {wd.shape[1]}")
-        out = out + b.data
+        out += b.data
+    # The input gradient reads the weight, the weight gradient the input.
+    wt = wd.T if x.requires_grad else None
+    xs = xd if w.requires_grad else None
+    has_bias = b is not None
+    bias_grad = has_bias and b.requires_grad
 
     def vjp(g):
-        gx = gw = None
-        if xd.ndim == 2:
-            if x.requires_grad:
-                gx = g @ wd.T
-            if w.requires_grad:
-                gw = xd.T @ g
-        else:
-            if x.requires_grad:
-                gx = np.empty_like(xd)
-                for i in range(xd.shape[0]):
-                    gx[i] = g[i] @ wd.T
-            if w.requires_grad:
-                gw = np.zeros_like(wd)
-                for i in range(xd.shape[0]):
-                    gw += xd[i].T @ g[i]
-        if b is None:
+        gx = None if wt is None else g @ wt
+        gw = None
+        if xs is not None:
+            if xs.ndim == 2:
+                gw = xs.T @ g
+            else:
+                gw = xs[0].T @ g[0]
+                for i in range(1, xs.shape[0]):
+                    gw += xs[i].T @ g[i]
+        if not has_bias:
             return gx, gw
-        return gx, gw, g.sum(axis=tuple(range(g.ndim - 1))) if b.requires_grad else None
+        return gx, gw, g.sum(axis=tuple(range(g.ndim - 1))) if bias_grad else None
 
     parents = (x, w) if b is None else (x, w, b)
     return _result(out, parents, vjp, "linear")
@@ -372,6 +425,7 @@ def split(x, parts, axis=-1):
     if extent % parts != 0:
         raise ShapeError(f"split: axis extent {extent} not divisible by {parts}")
     step = extent // parts
+    shape = x.shape
     outs = []
     for i in range(parts):
         sl = [slice(None)] * x.ndim
@@ -379,7 +433,7 @@ def split(x, parts, axis=-1):
         sl = tuple(sl)
 
         def vjp(g, _sl=sl):
-            gx = np.zeros(x.shape, dtype=g.dtype)
+            gx = np.zeros(shape, dtype=g.dtype)
             gx[_sl] = g
             return (gx,)
 
@@ -398,7 +452,7 @@ def concat(parts, axis=-1):
 
     def vjp(g):
         grads = []
-        for i in range(len(parts)):
+        for i in range(len(sizes)):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[i], offsets[i + 1])
             grads.append(np.ascontiguousarray(g[tuple(sl)]))
@@ -411,11 +465,12 @@ def take(x, flat_indices, out_shape):
     """Gather ``x.flat[idx]`` into ``out_shape``; duplicates accumulate on backward."""
     idx = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
     data = x.data.reshape(-1)[idx].reshape(out_shape)
+    shape, size = x.shape, x.size
 
     def vjp(g):
-        gx = np.zeros(x.size, dtype=g.dtype)
+        gx = np.zeros(size, dtype=g.dtype)
         np.add.at(gx, idx, g.reshape(-1))
-        return (gx.reshape(x.shape),)
+        return (gx.reshape(shape),)
 
     return _result(data, (x,), vjp, "take")
 
@@ -439,9 +494,10 @@ def permute_flat(x, shape, axes, out_shape):
     """x read as ``shape``, axes permuted by ``axes``, copied out as ``out_shape``."""
     view, inv = _permuted_view("permute_flat", x, shape, axes)
     data = view.copy().reshape(out_shape)
+    view_shape, shape = view.shape, x.shape
 
     def vjp(g):
-        return (g.reshape(view.shape).transpose(inv).copy().reshape(x.shape),)
+        return (g.reshape(view_shape).transpose(inv).copy().reshape(shape),)
 
     return _result(data, (x,), vjp, "permute_flat")
 
@@ -600,16 +656,23 @@ def softmax_rows(x, shape=None, axes=None):
     fi = np.finfo(view.dtype)
     y = np.empty(view.shape, dtype=view.dtype)
     np.subtract(view, view.max(axis=-1, keepdims=True), out=y)
-    y[y < -np.log(fi.eps / fi.tiny)] = -np.inf
+    # Entries below the cut get -max added before the exponential, which
+    # takes them to exactly 0; the others get -0.0 added, which changes no bit.
+    k = np.empty_like(y)
+    np.less(y, -np.log(fi.eps / fi.tiny), out=k)
+    k *= -fi.max
+    y += k
+    del k
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    shape = x.shape
 
     def vjp(g):
         gx = g - (g * y).sum(axis=-1, keepdims=True)
         gx *= y
         if inv is not None:
             gx = np.ascontiguousarray(gx.transpose(inv))
-        return (gx.reshape(x.shape),)
+        return (gx.reshape(shape),)
 
     return _result(y, (x,), vjp, "softmax_rows")
 
@@ -628,22 +691,24 @@ def layer_norm(x, gain, shift, eps=1e-5, groups=1):
         raise ShapeError(f"layer_norm: width {x.shape[-1]} not divisible by {groups} groups")
     _validate_finite("layer_norm", x.data, gain.data, shift.data)
     xd = x.data
-    xg = xd.reshape(xd.shape[:-1] + (groups, xd.shape[-1] // groups))
-    mean = xg.mean(axis=-1, keepdims=True)
-    var = ((xg - mean) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xg - mean) * inv
-    out = xhat.reshape(xd.shape) * gain.data + shift.data
+    shape, gd = xd.shape, gain.data
+    xg = xd.reshape(shape[:-1] + (groups, shape[-1] // groups))
+    # Centred once; the centred values are scaled into xhat in place.
+    xhat = xg - xg.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    out = xhat.reshape(shape) * gd
+    out += shift.data
 
     def vjp(g):
         red = tuple(range(g.ndim - 1))
-        ggain = (g * xhat.reshape(xd.shape)).sum(axis=red)
+        ggain = (g * xhat.reshape(shape)).sum(axis=red)
         gshift = g.sum(axis=red)
-        gx_hat = (g * gain.data).reshape(xhat.shape)
+        gx_hat = (g * gd).reshape(xhat.shape)
         m1 = gx_hat.mean(axis=-1, keepdims=True)
         m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gx_hat - m1 - xhat * m2)
-        return gx.reshape(xd.shape), ggain, gshift
+        return gx.reshape(shape), ggain, gshift
 
     return _result(out.astype(xd.dtype, copy=False), (x, gain, shift), vjp, "layer_norm")
 
@@ -652,9 +717,10 @@ def layer_norm(x, gain, shift, eps=1e-5, groups=1):
 
 def sum_all(x):
     data = np.asarray(x.data.sum(), dtype=x.dtype)
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        return (np.full(x.shape, g, dtype=x.dtype),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _result(data, (x,), vjp, "sum_all")
 
@@ -739,6 +805,11 @@ def _col2im(gcols, h, w, c, k, stride, ho, wo):
     return gimg
 
 
+def _grad_like(t):
+    """``(shape, dtype)`` of t's gradient if t needs one, else None."""
+    return (t.shape, t.dtype) if t.requires_grad else None
+
+
 def conv2d(x, w, b, stride, pad=1):
     """3x3-style convolution on channel-last images.
 
@@ -759,13 +830,15 @@ def conv2d(x, w, b, stride, pad=1):
     for i in range(bsz):
         cols, _, _ = _im2col(_pad_hw(x.data[i], pad), k, stride)
         cols = cols.reshape(ho * wo, k * k * cin)
-        cols_cache.append(cols)
+        if w.requires_grad:
+            cols_cache.append(cols)
         out[i] = (cols @ wmat + b.data).reshape(ho, wo, cout)
+    x_like, w_like, b_like = _grad_like(x), _grad_like(w), _grad_like(b)
 
     def vjp(g):
-        gx = np.empty_like(x.data) if x.requires_grad else None
-        gw = np.zeros_like(wmat) if w.requires_grad else None
-        gb = np.zeros_like(b.data) if b.requires_grad else None
+        gx = None if x_like is None else np.empty(*x_like)
+        gw = None if w_like is None else np.zeros_like(wmat)
+        gb = None if b_like is None else np.zeros(*b_like)
         for i in range(bsz):
             gi = g[i].reshape(ho * wo, cout)
             if gw is not None:
@@ -776,7 +849,7 @@ def conv2d(x, w, b, stride, pad=1):
                 gcols = (gi @ wmat.T).reshape(ho * wo, k * k, cin)
                 gpad = _col2im(gcols, h + 2 * pad, wd_ + 2 * pad, cin, k, stride, ho, wo)
                 gx[i] = gpad[pad:pad + h, pad:pad + wd_, :] if pad else gpad
-        return gx, None if gw is None else gw.reshape(w.shape), gb
+        return gx, None if gw is None else gw.reshape(w_like[0]), gb
 
     return _result(out, (x, w, b), vjp, "conv2d")
 
@@ -801,14 +874,16 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
     cols_cache = []
     for i in range(bsz):
         cols, _, _ = _im2col(_pad_hw(x.data[i], pad), k, stride)  # (P, k*k, C)
-        cols_cache.append(cols)
+        if w.requires_grad:
+            cols_cache.append(cols)
         res = np.einsum("ptc,tcm->pcm", cols, wtaps)
         out[i] = (res.reshape(ho * wo, c * m) + b.data).reshape(ho, wo, c * m)
+    x_like, w_like, b_like = _grad_like(x), _grad_like(w), _grad_like(b)
 
     def vjp(g):
-        gx = np.empty_like(x.data) if x.requires_grad else None
-        gw = np.zeros_like(wtaps) if w.requires_grad else None
-        gb = np.zeros_like(b.data) if b.requires_grad else None
+        gx = None if x_like is None else np.empty(*x_like)
+        gw = None if w_like is None else np.zeros_like(wtaps)
+        gb = None if b_like is None else np.zeros(*b_like)
         for i in range(bsz):
             gi = g[i].reshape(ho * wo, c, m)
             if gw is not None:
@@ -819,7 +894,7 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
                 gcols = np.einsum("pcm,tcm->ptc", gi, wtaps)
                 gpad = _col2im(gcols, h + 2 * pad, wd_ + 2 * pad, c, k, stride, ho, wo)
                 gx[i] = gpad[pad:pad + h, pad:pad + wd_, :] if pad else gpad
-        return gx, None if gw is None else gw.reshape(w.shape), gb
+        return gx, None if gw is None else gw.reshape(w_like[0]), gb
 
     return _result(out, (x, w, b), vjp, "conv2d_depthwise")
 
@@ -827,10 +902,15 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
 # -- backward pass ------------------------------------------------------------
 
 def _topo_order(root):
-    """Iterative post-order over the tape; inputs precede their consumers."""
+    """Iterative post-order over the tape from tensor ``root``; inputs precede consumers.
+
+    The order holds tape nodes and the leaf tensors that require a gradient;
+    both have ``_parents`` and ``_vjp`` (empty and None for a leaf).  A node
+    shared by several consumers appears once.
+    """
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root._node or root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -841,7 +921,7 @@ def _topo_order(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -858,10 +938,10 @@ def backward(loss):
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._backward_done:
         raise GradError("backward already ran for this loss; rebuild the graph first")
-    if not loss._parents:
+    if loss._node is None:
         raise GradError("detached graph: loss has no recorded operations")
     order = _topo_order(loss)
-    grads = {id(loss): np.ones((), dtype=loss.dtype)}
+    grads = {id(loss._node): np.ones((), dtype=loss.dtype)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
@@ -872,7 +952,7 @@ def backward(loss):
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
-            if not p.requires_grad or pg is None:
+            if p is None or pg is None:
                 continue
             key = id(p)
             if key in grads:

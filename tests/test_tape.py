@@ -1,0 +1,162 @@
+"""The tape keeps only what backward rules read.
+
+A taped result links to its operands' tape nodes, not to their tensors, so
+an intermediate's values are freed once nothing but the tape refers to
+them.  The retention tests drop every reference to an intermediate but
+the op's output, check through a weak reference that its array is gone,
+and check that the gradient equals the one computed with it held.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from posmlp import model as M
+from posmlp import positional as P
+from posmlp import tensor as T
+from posmlp.tensor import Tensor, backward
+
+
+# op name -> (input shape, the op applied to an intermediate h)
+def _ops(rng):
+    gain = Tensor(rng.standard_normal(6), requires_grad=True)
+    shift = Tensor(rng.standard_normal(6), requires_grad=True)
+    other = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(4), requires_grad=True)
+    conv_w = Tensor(rng.standard_normal((3, 3, 2, 3)), requires_grad=True)
+    conv_b = Tensor(rng.standard_normal(3), requires_grad=True)
+    dw_w = Tensor(rng.standard_normal((3, 3, 2, 2)), requires_grad=True)
+    dw_b = Tensor(rng.standard_normal(4), requires_grad=True)
+    return {
+        "softmax_rows": ((4, 6), lambda h: T.softmax_rows(h)),
+        "softmax_rows_layout": ((2, 9), lambda h: T.softmax_rows(h, (2, 3, 3), (1, 0, 2))),
+        "split": ((4, 6), lambda h: T.split(h, 3)),
+        "take": ((4, 6), lambda h: T.take(h, [0, 5, 5, 23], (2, 2))),
+        "permute_flat": ((4, 6), lambda h: T.permute_flat(h, (2, 2, 6), (2, 0, 1), (6, 4))),
+        "concat": ((4, 6), lambda h: T.concat([h, other])),
+        "sum_all": ((4, 6), lambda h: T.sum_all(h)),
+        "conv2d": ((1, 4, 4, 2), lambda h: T.conv2d(h, conv_w, conv_b, stride=1)),
+        "conv2d_depthwise": ((1, 4, 4, 2),
+                             lambda h: T.conv2d_depthwise(h, dw_w, dw_b, stride=2)),
+        "layer_norm": ((2, 4, 6), lambda h: T.layer_norm(h, gain, shift, groups=2)),
+        "add_token_bias": ((2, 4, 6), lambda h: T.add_token_bias(h, bias)),
+    }
+
+
+OPS = list(_ops(np.random.default_rng(0)))
+
+
+def _loss(outs, rng):
+    outs = outs if isinstance(outs, list) else [outs]
+    total = None
+    for o in outs:
+        term = T.weighted_sum(o, rng.standard_normal(o.shape))
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def _gradient(name, hold):
+    """x's gradient through ``op(scale(x))``; returns it and a weak ref to scale(x)'s data."""
+    rng = np.random.default_rng(7)
+    shape, op = _ops(rng)[name]
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    h = T.scale(x, 1.5)
+    ref = weakref.ref(h.data)
+    outs = op(h)
+    held = h if hold else None
+    del h
+    gc.collect()
+    alive = ref() is not None
+    backward(_loss(outs, rng))
+    del held
+    return x.grad, alive
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_an_intermediate_read_by_no_rule_is_freed(name):
+    grad, alive = _gradient(name, hold=False)
+    want, _ = _gradient(name, hold=True)
+    assert not alive
+    np.testing.assert_array_equal(grad, want)
+
+
+def _stack_gradients(form, frozen, hold):
+    """Gradients through one stack, and whether its feature logits outlived the build."""
+    params = P.GqpeParams(form, delta_frozen=frozen, groups=4, rng=np.random.default_rng(2))
+    emb = P.gqpe_embedding(P.displacement_grid(3))
+    refs, held = [], []
+    softmax = T.softmax_rows
+
+    def recording(x, *args):
+        refs.append(weakref.ref(x.data))
+        if hold:
+            held.append(x)
+        return softmax(x, *args)
+
+    T.softmax_rows = recording
+    try:
+        stack = P.group_weight_stack(params, emb).weights
+    finally:
+        T.softmax_rows = softmax
+    gc.collect()
+    alive = refs[0]() is not None
+    backward(T.weighted_sum(stack, np.random.default_rng(3).standard_normal(stack.shape)))
+    return [p.grad for p in params.parameters().values()], alive
+
+
+@pytest.mark.parametrize("form", list(P.CovarianceForm))
+def test_a_weight_stack_frees_its_feature_logits(form):
+    frozen = form is P.CovarianceForm.ALPHA_I
+    grads, alive = _stack_gradients(form, frozen, hold=False)
+    want, held_alive = _stack_gradients(form, frozen, hold=True)
+    assert held_alive and not alive
+    for got, ref in zip(grads, want):
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_micro_records_as_many_tape_nodes_as_before(monkeypatch, dtype):
+    # 120 taped results in the forward, one more for the loss, 61 leaves;
+    # the counts the tape recorded when it linked parent tensors.
+    taped = []
+    result = T._result
+
+    def counting(data, parents, vjp, op_name):
+        out = result(data, parents, vjp, op_name)
+        taped.append(bool(out._parents))
+        return out
+
+    monkeypatch.setattr(T, "_result", counting)
+    m = M.build_model(M.variant_config("MICRO"), rng=np.random.default_rng(0), dtype=dtype)
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 32, 32, 3)), dtype=dtype)
+    logits = m.forward(x)
+    assert sum(taped) == len(taped) == 120
+    loss = T.cross_entropy_mean(logits, np.array([0, 3]))
+    order = T._topo_order(loss)
+    assert sum(taped) == sum(node._vjp is not None for node in order) == 121
+    assert sum(node._vjp is None for node in order) == 61
+    backward(loss)
+    assert all(p.grad is not None for p in m.parameters().values())
+
+
+def test_a_leaf_or_untaped_result_has_no_vjp_to_assign():
+    x = Tensor(np.ones(3), requires_grad=True)
+    untaped = T.scale(Tensor(np.ones(3)), 2.0)
+    assert x._vjp is None and untaped._vjp is None
+    assert not x._parents and not untaped._parents
+    for t in (x, untaped):
+        with pytest.raises(T.GradError):
+            t._vjp = lambda g: (g,)
+
+
+def test_an_operand_that_needs_no_gradient_gets_none():
+    a = Tensor(np.ones((2, 2)), requires_grad=True)
+    c = Tensor(np.ones((2, 2)))
+    out = T.matmul(a, c)
+    assert out._parents == (a, None)
+    ga, gc_ = out._vjp(np.ones((2, 2)))
+    assert gc_ is None and ga.shape == (2, 2)
+    backward(T.sum_all(out))
+    assert c.grad is None and a.grad is not None

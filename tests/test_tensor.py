@@ -624,3 +624,106 @@ def test_grad_matches_shape(rng):
 def test_default_dtype_is_float32():
     assert Tensor([1, 2, 3]).dtype == np.float32
     assert Tensor(np.array([1.0, 2.0])).dtype == np.float64  # preserved
+
+
+# -- bitwise oracles: the formulas with full-size temporaries --------------------
+
+# (N, s) of T's four stages at 224^2
+T_STACK_SHAPES = [(196, 8), (196, 16), (196, 32), (49, 64)]
+
+
+def softmax_with_scatter_cut(rows):
+    """Rows below the cut set to -inf by a boolean scatter before the exponential."""
+    fi = np.finfo(rows.dtype)
+    y = rows - rows.max(axis=-1, keepdims=True)
+    y[y < -np.log(fi.eps / fi.tiny)] = -np.inf
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, s", T_STACK_SHAPES)
+def test_softmax_cut_by_arithmetic_select_matches_the_scatter(rng, dtype, n, s):
+    # Logits spread over several cut widths, so every row straddles the cut;
+    # each row's maximum is 0 and two entries lie one spacing either side of it.
+    fi = np.finfo(dtype)
+    cut = dtype(np.log(fi.eps / fi.tiny))
+    flat = (rng.standard_normal((s, n * n)) * cut).astype(dtype)
+    rows = flat.reshape(s, n, n)
+    rows -= rows.max(axis=-1, keepdims=True)
+    rows[:, :, 1] = -np.nextafter(cut, dtype(0))
+    rows[:, :, 2] = -np.nextafter(cut, dtype(np.inf))
+    got = T.softmax_rows(Tensor(flat), (s, n, n), (1, 0, 2)).data
+    want = softmax_with_scatter_cut(np.ascontiguousarray(rows.transpose(1, 0, 2)))
+    assert 0.0 < np.mean(want == 0.0) < 1.0
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def linear_with_temporaries(x, w, b, g):
+    """Output and gradients of a 3-D linear one leading index at a time."""
+    out = np.empty(x.shape[:2] + (w.shape[1],), dtype=x.dtype)
+    for i in range(x.shape[0]):
+        out[i] = x[i] @ w
+    out = out + b
+    gx = np.empty_like(x)
+    gw = np.zeros_like(w)
+    for i in range(x.shape[0]):
+        gx[i] = g[i] @ w.T
+        gw += x[i].T @ g[i]
+    return out, gx, gw, g.sum(axis=(0, 1))
+
+
+# (windows, N, d_in, d_out) of T's projections at 224^2
+T_LINEAR_SHAPES = [(16, 196, 96, 384), (16, 196, 192, 96), (4, 196, 192, 768),
+                   (1, 196, 384, 1536), (1, 196, 768, 384), (1, 49, 768, 1536)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, n, din, dout", T_LINEAR_SHAPES)
+def test_linear_matches_the_formula_with_temporaries(rng, dtype, b, n, din, dout):
+    x = rng.standard_normal((b, n, din)).astype(dtype)
+    w = (rng.standard_normal((din, dout)) * 0.02).astype(dtype)
+    bias = rng.standard_normal(dout).astype(dtype)
+    g = rng.standard_normal((b, n, dout)).astype(dtype)
+    out = T.linear(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                   Tensor(bias, requires_grad=True))
+    got = (out.data,) + tuple(out._vjp(g))
+    for a, want in zip(got, linear_with_temporaries(x, w, bias, g)):
+        np.testing.assert_array_equal(a.view(np.uint8), want.view(np.uint8))
+
+
+def layer_norm_with_temporaries(x, gain, shift, g, eps=1e-5, groups=1):
+    """Output and gradients of layer_norm with the input centred twice."""
+    xg = x.reshape(x.shape[:-1] + (groups, x.shape[-1] // groups))
+    mean = xg.mean(axis=-1, keepdims=True)
+    var = ((xg - mean) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xg - mean) * inv
+    out = xhat.reshape(x.shape) * gain + shift
+    red = tuple(range(g.ndim - 1))
+    gx_hat = (g * gain).reshape(xhat.shape)
+    m1 = gx_hat.mean(axis=-1, keepdims=True)
+    m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+    gx = inv * (gx_hat - m1 - xhat * m2)
+    return out, gx.reshape(x.shape), (g * xhat.reshape(x.shape)).sum(axis=red), g.sum(axis=red)
+
+
+# (windows, N, d, groups): T's block norms at 224^2, and a grouped pre-norm
+T_NORM_SHAPES = [(16, 196, 96, 1), (4, 196, 192, 1), (1, 196, 384, 1), (1, 49, 768, 1),
+                 (1, 196, 768, 32)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, n, d, groups", T_NORM_SHAPES)
+def test_layer_norm_matches_the_formula_with_temporaries(rng, dtype, b, n, d, groups):
+    x = (rng.standard_normal((b, n, d)) * 3.0 + 1.0).astype(dtype)
+    gain = (rng.standard_normal(d) * 0.1 + 1.0).astype(dtype)
+    shift = (rng.standard_normal(d) * 0.1).astype(dtype)
+    g = rng.standard_normal((b, n, d)).astype(dtype)
+    out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True),
+                       Tensor(shift, requires_grad=True), groups=groups)
+    got = (out.data,) + tuple(out._vjp(g))
+    for a, want in zip(got, layer_norm_with_temporaries(x, gain, shift, g, groups=groups)):
+        assert a.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(a.view(np.uint8), want.view(np.uint8))
