@@ -183,18 +183,19 @@ class GatingUnit:
         built last is returned again while each of them is the same object
         with the same ``requires_grad``, dtype and bytes.  In-place
         edits (an optimizer step, ``p.data[:] = ...``) and replaced tensors
-        both force a rebuild.  A returned stack keeps its tape, so gradients
-        through it reach the parameters as if it were built afresh.  The
-        entry is one ``(key, stack)`` pair, read once and replaced in one
-        assignment, so concurrent forwards never pair a key with another
-        key's stack.
+        both force a rebuild, and so does a backward pass through the stack,
+        which consumes its tape.  A returned stack keeps its tape, so
+        gradients through it reach the parameters as if it were built
+        afresh.  The entry is one ``(key, stack)`` pair, read once and
+        replaced in one assignment, so concurrent forwards never pair a key
+        with another key's stack.
         """
         tensors = self._positional_tensors()
         # Lists of tensors compare by identity: Tensor defines no __eq__.
         key = (tensors, [t.requires_grad for t in tensors], [t.data.dtype for t in tensors],
                b"".join([t.data.tobytes() for t in tensors]))
         entry = self._stack_entry
-        if entry is not None and entry[0] == key:
+        if entry is not None and entry[0] == key and not entry[1].weights.consumed:
             return entry[1]
         stack = self._build_mixing_stack()
         self._stack_entry = (key, stack)

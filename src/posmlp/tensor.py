@@ -5,7 +5,10 @@ for test oracles and gradient checks.  Operations record a computation graph
 (the tape); ``backward`` walks it once in reverse topological order and
 deposits gradients on the ``requires_grad`` leaves.  The tape links nodes,
 not tensors, and each backward rule keeps only the arrays it reads, so an
-intermediate result is freed as soon as nothing else refers to it.
+intermediate result is freed as soon as nothing else refers to it.  The
+walk consumes the tape: each node drops its rule, and with it the arrays
+the rule read, as soon as the rule has fired, so a graph is differentiated
+once.
 
 Batched matrix products go through ``np.matmul`` over the leading batch
 axes, which numpy carries out as one BLAS call per matrix, so every batch
@@ -14,8 +17,6 @@ makes the window weight-sharing tests exact instead of merely close.
 """
 
 import numpy as np
-from scipy.special import erf as _erf
-from scipy.special import expit as _expit
 
 DEFAULT_DTYPE = np.float32
 
@@ -60,7 +61,7 @@ class Tensor:
     needs a gradient carries a ``_Node``; the nodes are the tape.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -77,7 +78,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._node = None
-        self._backward_done = False
 
     # -- tape --------------------------------------------------------------
 
@@ -96,6 +96,11 @@ class Tensor:
         if self._node is None:
             raise GradError("only a result recorded on the tape has a vjp to replace")
         self._node._vjp = vjp
+
+    @property
+    def consumed(self):
+        """True once a backward pass has run through this tensor's tape node."""
+        return self._node is not None and self._node._vjp is _consumed
 
     # -- metadata ---------------------------------------------------------
 
@@ -158,6 +163,11 @@ class _Node:
         self._vjp = vjp
 
 
+def _consumed(g=None):
+    """The rule of a node whose backward has run; its captured arrays are gone."""
+    raise GradError("backward already ran through this graph; rebuild it first")
+
+
 def _result(data, parents, vjp, op_name):
     """Wrap an op result; it joins the tape only if an operand needs a gradient.
 
@@ -172,7 +182,6 @@ def _result(data, parents, vjp, op_name):
     out.requires_grad = needs
     out.grad = None
     out._node = _Node(links, vjp) if needs else None
-    out._backward_done = False
     return out
 
 
@@ -525,8 +534,10 @@ def _chunks(n):
 
 def _gelu_scipy(x, phi, out, t, s):
     """phi = Phi(x) from SciPy's erf, out = x * phi; t and s are unused."""
+    from scipy.special import erf
+
     np.multiply(x, _INV_SQRT2, out=phi)
-    _erf(phi, out=phi)
+    erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     np.multiply(x, phi, out=out)
@@ -625,7 +636,9 @@ def softplus(x):
     out = np.log1p(np.exp(-np.abs(xd))) + np.maximum(xd, 0.0)
 
     def vjp(g):
-        return (g * _expit(xd),)
+        from scipy.special import expit
+
+        return (g * expit(xd),)
 
     return _result(out.astype(xd.dtype, copy=False), (x,), vjp, "softplus")
 
@@ -930,28 +943,37 @@ def backward(loss):
     """Run reverse-mode differentiation from a scalar loss.
 
     Populates ``grad`` on every ``requires_grad`` leaf reachable from the
-    loss.  Each tape node's rule fires exactly once.  Calling backward twice
-    on the same loss, on a non-scalar, or on a tensor with no recorded
-    operations is an error.
+    loss.  Each tape node's rule fires exactly once and is then consumed:
+    the node drops its rule and its parent links, and each incoming
+    gradient is dropped once it has been passed on, so the arrays of the
+    graph are freed as the pass moves toward the inputs.  Calling backward
+    on a non-scalar, on a tensor with no recorded operations, or through
+    any node an earlier backward consumed is an error, raised before any
+    gradient is deposited.
     """
     if loss.ndim != 0:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._backward_done:
-        raise GradError("backward already ran for this loss; rebuild the graph first")
     if loss._node is None:
         raise GradError("detached graph: loss has no recorded operations")
     order = _topo_order(loss)
+    if any(node._vjp is _consumed for node in order):
+        _consumed()
     grads = {id(loss._node): np.ones((), dtype=loss.dtype)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
+        vjp = node._vjp
+        if vjp is None:
+            # requires-grad leaf: deposit.
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        parents = node._parents
+        node._vjp, node._parents = _consumed, ()
         if g is None:
             continue
-        if node._vjp is None:
-            # requires-grad leaf: deposit.
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node._parents, parent_grads):
+        parent_grads = vjp(g)
+        del g, vjp
+        for p, pg in zip(parents, parent_grads):
             if p is None or pg is None:
                 continue
             key = id(p)
@@ -959,4 +981,4 @@ def backward(loss):
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-    loss._backward_done = True
+        parent_grads = pg = None

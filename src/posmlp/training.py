@@ -73,6 +73,11 @@ class AdamW:
     temporary is made.  Per element the operations and their order are
     those of the textbook form: ``m/bc1 / (sqrt(v/bc2) + eps)``, plus
     ``wd * p`` where decay applies, then ``p -= lr * update``.
+
+    A step consumes the gradients it applies: each parameter's ``grad`` is
+    None after its update, so the memory is free before the next forward
+    and a second step with no new backward moves nothing.  Read gradients
+    between ``backward`` and ``step``.
     """
 
     def __init__(self, params, config):
@@ -109,6 +114,7 @@ class AdamW:
                              lr, bc1, bc2, decay)
             if not data.flags.c_contiguous:
                 data[...] = pf.reshape(data.shape)
+            p.grad = None
 
 
 def _adamw_chunk(p, m, v, g, a, b, lr, bc1, bc2, decay):
@@ -263,6 +269,8 @@ def train_loop(model, dataset, config, out_dir=None):
             losses.append(float(loss.data))
             hits += int((logits.data.argmax(axis=1) == labels).sum())
             seen += labels.shape[0]
+            # Nothing of this step may be alive during the next forward.
+            del logits, loss
         history.append({"epoch": epoch, "split": "train",
                         "loss": sum(losses) / len(losses),
                         "accuracy": hits / seen})

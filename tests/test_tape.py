@@ -1,10 +1,12 @@
-"""The tape keeps only what backward rules read.
+"""The tape keeps only what backward rules read, and only until they fire.
 
 A taped result links to its operands' tape nodes, not to their tensors, so
 an intermediate's values are freed once nothing but the tape refers to
 them.  The retention tests drop every reference to an intermediate but
 the op's output, check through a weak reference that its array is gone,
-and check that the gradient equals the one computed with it held.
+and check that the gradient equals the one computed with it held.  A
+backward pass consumes the nodes it runs through, so what the rules read
+is freed during the pass and a second pass through them is an error.
 """
 
 import gc
@@ -16,6 +18,7 @@ import pytest
 from posmlp import model as M
 from posmlp import positional as P
 from posmlp import tensor as T
+from posmlp import training as TR
 from posmlp.tensor import Tensor, backward
 
 
@@ -160,3 +163,62 @@ def test_an_operand_that_needs_no_gradient_gets_none():
     assert gc_ is None and ga.shape == (2, 2)
     backward(T.sum_all(out))
     assert c.grad is None and a.grad is not None
+
+
+def test_a_second_backward_through_a_consumed_graph_raises(rng):
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    h = T.gelu(T.scale(x, 2.0))
+    w = rng.standard_normal((3, 4))
+    backward(T.weighted_sum(h, w))
+    first = x.grad.copy()
+    assert h.consumed and not x.consumed
+    with pytest.raises(T.GradError):
+        h._vjp(np.ones((3, 4)))
+    # A fresh loss over the consumed part raises before depositing anything.
+    with pytest.raises(T.GradError):
+        backward(T.add(T.weighted_sum(h, w), T.weighted_sum(T.scale(x, 3.0), w)))
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def _closure(t, name):
+    """The array ``name`` that t's backward rule captured."""
+    vjp = t._node._vjp
+    return vjp.__closure__[vjp.__code__.co_freevars.index(name)].cell_contents
+
+
+def test_a_training_step_frees_its_graph_and_its_gradients(monkeypatch):
+    # What backward rules captured is freed as each rule fires, while the
+    # loss is still held; the optimizer step then drops every gradient.
+    refs = {}
+    gelu, layer_norm, mix_tokens = T.gelu, T.layer_norm, T.mix_tokens
+
+    def recording_gelu(x):
+        out = gelu(x)
+        refs.setdefault("gelu phi", weakref.ref(_closure(out, "phif")))
+        return out
+
+    def recording_layer_norm(*args, **kwargs):
+        out = layer_norm(*args, **kwargs)
+        refs.setdefault("layer_norm xhat", weakref.ref(_closure(out, "xhat")))
+        return out
+
+    def recording_mix_tokens(w, x):
+        refs.setdefault("mixing input", weakref.ref(x.data))
+        return mix_tokens(w, x)
+
+    monkeypatch.setattr(T, "gelu", recording_gelu)
+    monkeypatch.setattr(T, "layer_norm", recording_layer_norm)
+    monkeypatch.setattr(T, "mix_tokens", recording_mix_tokens)
+    m = M.build_model(M.variant_config("MICRO"), rng=np.random.default_rng(0))
+    opt = TR.AdamW(m.parameters(), TR.TrainConfig(seed=0))
+    x = Tensor(np.random.default_rng(1).standard_normal((4, 32, 32, 3)))
+    logits = m.forward(x)
+    loss = T.cross_entropy_mean(logits, np.array([0, 1, 2, 3]))
+    assert len(refs) == 3 and all(ref() is not None for ref in refs.values())
+    m.zero_grad()
+    backward(loss)
+    assert [name for name, ref in refs.items() if ref() is not None] == []
+    assert all(p.grad is not None for p in m.parameters().values())
+    opt.step(1e-3)
+    assert [k for k, p in m.parameters().items() if p.grad is not None] == []
+    assert loss.consumed and logits.consumed

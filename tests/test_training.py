@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -165,6 +170,20 @@ def test_parameter_without_gradient_is_left_untouched(rng):
     assert np.any(b.data != b_before)
 
 
+def test_a_second_step_after_one_backward_moves_nothing(rng):
+    m = micro(dtype=np.float64, seed=2)
+    opt = TR.AdamW(m.parameters(), TR.TrainConfig(seed=0))
+    x = Tensor(rng.standard_normal((2, 32, 32, 3)))
+    backward(T.cross_entropy_mean(m.forward(x), np.array([0, 3])))
+    opt.step(1e-2)
+    assert all(p.grad is None for p in m.parameters().values())
+    once = {k: p.data.tobytes() for k, p in m.parameters().items()}
+    moments = {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in opt.params}
+    opt.step(1e-2)
+    assert {k: p.data.tobytes() for k, p in m.parameters().items()} == once
+    assert {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in opt.params} == moments
+
+
 def test_shape_mismatch_rejected():
     p = Tensor(np.zeros(3), requires_grad=True)
     p.grad = np.zeros(4)
@@ -243,6 +262,67 @@ def test_lr_zero_leaves_parameters_bit_identical():
     TR.train_loop(m, tiny_dataset(), cfg)
     for k, p in m.parameters().items():
         np.testing.assert_array_equal(p.data, before[k])
+
+
+def test_lr_zero_steps_see_the_gradients_of_a_fresh_model(monkeypatch):
+    # Parameters that do not move leave every mixing stack's cache key as it
+    # was, so each step must rebuild the stacks whose tape the last backward
+    # consumed; the gradients, read before each step, are a fresh model's.
+    seen = []
+    step = TR.AdamW.step
+
+    def recording_step(self, lr):
+        seen.append({k: p.grad.copy() for k, p in self.params.items() if p.grad is not None})
+        step(self, lr)
+
+    monkeypatch.setattr(TR.AdamW, "step", recording_step)
+    m = micro(seed=7)
+    before = {k: p.data.tobytes() for k, p in m.parameters().items()}
+    ds = tiny_dataset()
+    cfg = TR.TrainConfig(epochs=1, batch_size=22, lr_init=0.0, lr_min=0.0, seed=3)
+    TR.train_loop(m, ds, cfg)
+    assert {k: p.data.tobytes() for k, p in m.parameters().items()} == before
+    plan = TR._batch_plan(len(ds), cfg.batch_size, cfg.epochs, cfg.seed)[0]
+    assert len(seen) == len(plan) == 3
+    for idx, grads in zip(plan, seen):
+        fresh = micro(seed=7)
+        backward(T.cross_entropy_mean(fresh.forward(Tensor(ds.images[idx])), ds.labels[idx]))
+        want = {k: p.grad for k, p in fresh.parameters().items() if p.grad is not None}
+        assert grads.keys() == want.keys()
+        for k, g in want.items():
+            assert grads[k].tobytes() == g.tobytes(), k
+
+
+def test_train_loop_drops_each_step_before_the_next_forward():
+    m = micro(seed=1)
+    forward = m.forward
+    last, alive = [], []
+
+    def watched_forward(x):
+        alive.append(bool(last) and last[-1]() is not None)
+        out = forward(x)
+        last.append(weakref.ref(out.data))
+        return out
+
+    m.forward = watched_forward
+    TR.train_loop(m, tiny_dataset(), TR.TrainConfig(epochs=1, batch_size=16, seed=0))
+    assert len(alive) == 4 and not any(alive)
+
+
+def test_a_scipy_free_step_does_not_import_scipy():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import posmlp.training as TR, posmlp.model as M, posmlp.complexity\n"
+            "m = M.build_model(M.variant_config('MICRO'), rng=np.random.default_rng(0))\n"
+            "ds = TR.SyntheticDataset(per_class=2)\n"
+            "TR.train_loop(m, ds, TR.TrainConfig(epochs=1, batch_size=8))\n"
+            "print('scipy.special' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_rerun_same_seed_identical_metrics_csv():
