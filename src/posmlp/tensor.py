@@ -13,8 +13,14 @@ once.
 Batched matrix products go through ``np.matmul`` over the leading batch
 axes, which numpy carries out as one BLAS call per matrix, so every batch
 element sees the byte-identical BLAS call it would see alone; this is what
-makes the window weight-sharing tests exact instead of merely close.
+makes the window weight-sharing tests exact instead of merely close.  The
+convolutions follow the same rule: each convolves the whole batch in one
+op, with one BLAS call per image, and sums its weight and bias gradients
+per image, then over the images in image order, as a loop over the images
+would.
 """
+
+import numbers
 
 import numpy as np
 
@@ -789,33 +795,46 @@ def cross_entropy_mean(logits, labels):
 
 # -- convolutions ------------------------------------------------------------
 
-def _pad_hw(img, pad):
-    if pad == 0:
-        return img
-    return np.pad(img, ((pad, pad), (pad, pad), (0, 0)))
+def _conv_shape(op, x, w, stride, pad):
+    """Check a convolution's input, kernel, stride and pad; return (k, ho, wo)."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]:
+        raise ShapeError(f"{op}: weight {w.shape} does not fit input {x.shape}")
+    if not isinstance(stride, numbers.Integral) or not isinstance(pad, numbers.Integral) \
+            or stride < 1 or pad < 0:
+        raise ShapeError(f"{op}: stride {stride} or pad {pad} for input {x.shape} and "
+                         f"weight {w.shape} is not an integer in range (stride >= 1, pad >= 0)")
+    k = w.shape[0]
+    hp, wp = x.shape[1] + 2 * pad, x.shape[2] + 2 * pad
+    if w.shape[1] != k or k > min(hp, wp):
+        raise ShapeError(f"{op}: kernel {w.shape[:2]} is not square or does not fit "
+                         f"input {x.shape} padded to {hp}x{wp}")
+    return k, (hp - k) // stride + 1, (wp - k) // stride + 1
 
 
-def _im2col(img, k, stride):
-    """(H, W, C) -> (H'*W', k*k, C) patch tensor via tap slicing."""
-    h, w, c = img.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    cols = np.empty((ho, wo, k * k, c), dtype=img.dtype)
+def _im2col(x, k, stride, pad, ho, wo):
+    """(B, H, W, C) -> (B, ho*wo, k*k, C) patches of the zero-padded batch."""
+    bsz, h, w, c = x.shape
+    if pad:
+        xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        xp[:, pad:pad + h, pad:pad + w] = x
+        x = xp
+    cols = np.empty((bsz, ho, wo, k * k, c), dtype=x.dtype)
     for di in range(k):
         for dj in range(k):
-            cols[:, :, di * k + dj, :] = img[di:di + stride * ho:stride,
-                                             dj:dj + stride * wo:stride, :]
-    return cols.reshape(ho * wo, k * k, c), ho, wo
+            cols[:, :, :, di * k + dj] = x[:, di:di + stride * ho:stride,
+                                           dj:dj + stride * wo:stride]
+    return cols.reshape(bsz, ho * wo, k * k, c)
 
 
-def _col2im(gcols, h, w, c, k, stride, ho, wo):
-    """Scatter patch gradients back onto a (H, W, C) grid."""
-    gimg = np.zeros((h, w, c), dtype=gcols.dtype)
-    gc = gcols.reshape(ho, wo, k * k, c)
+def _col2im(gcols, shape, k, stride, pad, ho, wo):
+    """Scatter (B, ho*wo, k*k, C) patch gradients back onto (B, H, W, C) images."""
+    bsz, h, w, c = shape
+    gpad = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c), dtype=gcols.dtype)
+    gc = gcols.reshape(bsz, ho, wo, k * k, c)
     for di in range(k):
         for dj in range(k):
-            gimg[di:di + stride * ho:stride, dj:dj + stride * wo:stride, :] += gc[:, :, di * k + dj, :]
-    return gimg
+            gpad[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride] += gc[:, :, :, di * k + dj]
+    return gpad[:, pad:pad + h, pad:pad + w].copy() if pad else gpad
 
 
 def _grad_like(t):
@@ -824,47 +843,40 @@ def _grad_like(t):
 
 
 def conv2d(x, w, b, stride, pad=1):
-    """3x3-style convolution on channel-last images.
+    """Square-kernel convolution on channel-last images.
 
-    x: (B, H, W, Cin); w: (k, k, Cin, Cout); b: (Cout,).  Images are processed
-    one at a time (batch independence is exact).
+    x: (B, H, W, Cin); w: (k, k, Cin, Cout); b: (Cout,).  The whole batch is
+    convolved in one op: its patches are cut once and contracted with the
+    weight by one ``np.matmul``, one BLAS call per image, so batch
+    independence is exact.  The weight and bias gradients are summed per
+    image, then over the images in image order.
     """
-    if x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]:
-        raise ShapeError(f"conv2d: weight {w.shape} does not fit input {x.shape}")
-    _validate_finite("conv2d", x.data, w.data, b.data)
-    k = w.shape[0]
-    bsz, h, wd_, cin = x.shape
+    k, ho, wo = _conv_shape("conv2d", x, w, stride, pad)
+    bsz, _, _, cin = x.shape
     cout = w.shape[3]
+    if b.shape != (cout,):
+        raise ShapeError(f"conv2d: bias {b.shape} is not ({cout},)")
+    _validate_finite("conv2d", x.data, w.data, b.data)
     wmat = w.data.reshape(k * k * cin, cout)
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd_ + 2 * pad - k) // stride + 1
-    out = np.empty((bsz, ho, wo, cout), dtype=x.dtype)
-    cols_cache = []
-    for i in range(bsz):
-        cols, _, _ = _im2col(_pad_hw(x.data[i], pad), k, stride)
-        cols = cols.reshape(ho * wo, k * k * cin)
-        if w.requires_grad:
-            cols_cache.append(cols)
-        out[i] = (cols @ wmat + b.data).reshape(ho, wo, cout)
+    cols = _im2col(x.data, k, stride, pad, ho, wo).reshape(bsz, ho * wo, k * k * cin)
+    out = np.matmul(cols, wmat)
+    out += b.data
+    if not w.requires_grad:
+        cols = None
     x_like, w_like, b_like = _grad_like(x), _grad_like(w), _grad_like(b)
 
     def vjp(g):
-        gx = None if x_like is None else np.empty(*x_like)
-        gw = None if w_like is None else np.zeros_like(wmat)
-        gb = None if b_like is None else np.zeros(*b_like)
-        for i in range(bsz):
-            gi = g[i].reshape(ho * wo, cout)
-            if gw is not None:
-                gw += cols_cache[i].T @ gi
-            if gb is not None:
-                gb += gi.sum(axis=0)
-            if gx is not None:
-                gcols = (gi @ wmat.T).reshape(ho * wo, k * k, cin)
-                gpad = _col2im(gcols, h + 2 * pad, wd_ + 2 * pad, cin, k, stride, ho, wo)
-                gx[i] = gpad[pad:pad + h, pad:pad + wd_, :] if pad else gpad
-        return gx, None if gw is None else gw.reshape(w_like[0]), gb
+        g = g.reshape(bsz, ho * wo, cout)
+        gx = gw = gb = None
+        if w_like is not None:
+            gw = np.matmul(cols.transpose(0, 2, 1), g).sum(axis=0).reshape(w_like[0])
+        if b_like is not None:
+            gb = g.sum(axis=1).sum(axis=0)
+        if x_like is not None:
+            gx = _col2im(np.matmul(g, wmat.T), x_like[0], k, stride, pad, ho, wo)
+        return gx, gw, gb
 
-    return _result(out, (x, w, b), vjp, "conv2d")
+    return _result(out.reshape(bsz, ho, wo, cout), (x, w, b), vjp, "conv2d")
 
 
 def conv2d_depthwise(x, w, b, stride, pad=1):
@@ -872,42 +884,34 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
 
     x: (B, H, W, C); w: (k, k, C, M); b: (C*M,).  Output channel ``c*M + m``
     is produced from input channel ``c`` alone; M=2 realizes the stride-2
-    patch-merging doubling.
+    patch-merging doubling.  As in ``conv2d``, the whole batch is convolved
+    in one op (one ``einsum``), and the weight and bias gradients are summed
+    per image, then over the images in image order.
     """
-    if x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]:
-        raise ShapeError(f"conv2d_depthwise: weight {w.shape} does not fit input {x.shape}")
-    _validate_finite("conv2d_depthwise", x.data, w.data, b.data)
-    k = w.shape[0]
-    bsz, h, wd_, c = x.shape
+    k, ho, wo = _conv_shape("conv2d_depthwise", x, w, stride, pad)
+    bsz, _, _, c = x.shape
     m = w.shape[3]
+    if b.shape != (c * m,):
+        raise ShapeError(f"conv2d_depthwise: bias {b.shape} is not ({c * m},)")
+    _validate_finite("conv2d_depthwise", x.data, w.data, b.data)
     wtaps = w.data.reshape(k * k, c, m)
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd_ + 2 * pad - k) // stride + 1
-    out = np.empty((bsz, ho, wo, c * m), dtype=x.dtype)
-    cols_cache = []
-    for i in range(bsz):
-        cols, _, _ = _im2col(_pad_hw(x.data[i], pad), k, stride)  # (P, k*k, C)
-        if w.requires_grad:
-            cols_cache.append(cols)
-        res = np.einsum("ptc,tcm->pcm", cols, wtaps)
-        out[i] = (res.reshape(ho * wo, c * m) + b.data).reshape(ho, wo, c * m)
+    cols = _im2col(x.data, k, stride, pad, ho, wo)
+    out = np.einsum("bptc,tcm->bpcm", cols, wtaps).reshape(bsz, ho, wo, c * m)
+    out += b.data
+    if not w.requires_grad:
+        cols = None
     x_like, w_like, b_like = _grad_like(x), _grad_like(w), _grad_like(b)
 
     def vjp(g):
-        gx = None if x_like is None else np.empty(*x_like)
-        gw = None if w_like is None else np.zeros_like(wtaps)
-        gb = None if b_like is None else np.zeros(*b_like)
-        for i in range(bsz):
-            gi = g[i].reshape(ho * wo, c, m)
-            if gw is not None:
-                gw += np.einsum("ptc,pcm->tcm", cols_cache[i], gi)
-            if gb is not None:
-                gb += gi.reshape(ho * wo, c * m).sum(axis=0)
-            if gx is not None:
-                gcols = np.einsum("pcm,tcm->ptc", gi, wtaps)
-                gpad = _col2im(gcols, h + 2 * pad, wd_ + 2 * pad, c, k, stride, ho, wo)
-                gx[i] = gpad[pad:pad + h, pad:pad + wd_, :] if pad else gpad
-        return gx, None if gw is None else gw.reshape(w_like[0]), gb
+        g = g.reshape(bsz, ho * wo, c, m)
+        gx = gw = gb = None
+        if w_like is not None:
+            gw = np.einsum("bptc,bpcm->btcm", cols, g).sum(axis=0).reshape(w_like[0])
+        if b_like is not None:
+            gb = g.reshape(bsz, ho * wo, c * m).sum(axis=1).sum(axis=0)
+        if x_like is not None:
+            gx = _col2im(np.einsum("bpcm,tcm->bptc", g, wtaps), x_like[0], k, stride, pad, ho, wo)
+        return gx, gw, gb
 
     return _result(out, (x, w, b), vjp, "conv2d_depthwise")
 

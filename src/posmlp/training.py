@@ -76,8 +76,9 @@ class AdamW:
 
     A step consumes the gradients it applies: each parameter's ``grad`` is
     None after its update, so the memory is free before the next forward
-    and a second step with no new backward moves nothing.  Read gradients
-    between ``backward`` and ``step``.
+    and a second step with no new backward moves nothing; it does not count
+    as a step either, so the later bias corrections are unchanged.  Read
+    gradients between ``backward`` and ``step``.
     """
 
     def __init__(self, params, config):
@@ -89,6 +90,8 @@ class AdamW:
         self.decays = {k: not excluded_from_decay(k) for k in self.params}
 
     def step(self, lr):
+        if all(p.grad is None for p in self.params.values()):
+            return
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t

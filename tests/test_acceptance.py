@@ -31,6 +31,11 @@ def fresh(variant="MICRO", dtype=np.float32, seed=0, **overrides):
     return M.build_model(cfg, rng=np.random.default_rng(seed), dtype=dtype)
 
 
+def structure(variant, **overrides):
+    """A model with every parameter zero, for tests that only count parameters."""
+    return M.build_model(M.variant_config(variant, **overrides), rng=P.ZeroDraws())
+
+
 def gaussian_oracle_weights(grid, delta, prec):
     """Vectorized reference: softmax of the explicit quadratic logits."""
     d = np.stack([grid.dx, grid.dy], axis=-1).astype(np.float64) - delta
@@ -43,7 +48,7 @@ def gaussian_oracle_weights(grid, delta, prec):
 def test_criterion_01_parameter_reproduction():
     totals = {}
     for variant, (lo, hi) in PARAM_RANGES.items():
-        model = M.build_model(M.variant_config(variant), rng=np.random.default_rng(0))
+        model = structure(variant)
         _, total = C.count_params(model)
         totals[variant] = total
         assert lo <= total <= hi, f"{variant}: {total} outside [{lo}, {hi}]"
@@ -67,14 +72,14 @@ def test_criterion_03_closed_form_reconciliation():
     residual_rows = []
     for variant in ("T", "S", "B", "MICRO"):
         for kind in (G.GatingKind.SGU, G.GatingKind.GGQPE):
-            model = fresh(variant, gating_kind=kind)
+            model = structure(variant, gating_kind=kind)
             for entry in C.reconcile_blocks(model):
                 assert entry["residual"] == 0, (variant, kind, entry)
                 checked += 1
             del model
         # lookup form: formula surplus must be exactly 3 per group at every
         # stage (bias built in to mirror the closed form's accounting)
-        model = fresh(variant, gating_kind=G.GatingKind.GLRPE, use_bias=True)
+        model = structure(variant, gating_kind=G.GatingKind.GLRPE, use_bias=True)
         for entry in C.reconcile_blocks(model):
             assert entry["residual"] == 3 * entry["groups"], (variant, entry)
             residual_rows.append((variant, entry["stage"], entry["groups"],

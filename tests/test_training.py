@@ -184,6 +184,26 @@ def test_a_second_step_after_one_backward_moves_nothing(rng):
     assert {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in opt.params} == moments
 
 
+def test_a_step_with_no_gradient_is_not_counted(rng):
+    x = Tensor(rng.standard_normal((2, 32, 32, 3)).astype(np.float32))
+    labels = np.array([0, 3])
+    runs = []
+    for extra_step in (False, True):
+        m = micro(seed=2)
+        opt = TR.AdamW(m.parameters(), TR.TrainConfig(seed=0))
+        backward(T.cross_entropy_mean(m.forward(x), labels))
+        opt.step(1e-2)
+        if extra_step:
+            opt.step(1e-2)
+            assert opt.step_count == 1
+        backward(T.cross_entropy_mean(m.forward(x), labels))
+        opt.step(1e-2)
+        assert opt.step_count == 2
+        runs.append(({k: p.data.tobytes() for k, p in m.parameters().items()},
+                     {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in opt.params}))
+    assert runs[1] == runs[0]
+
+
 def test_shape_mismatch_rejected():
     p = Tensor(np.zeros(3), requires_grad=True)
     p.grad = np.zeros(4)
