@@ -56,8 +56,9 @@ class DisplacementGrid:
         return np.stack([self.dx, self.dy], axis=-1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def displacement_grid(window_side):
+    """The shared displacement grid of a k x k window; a bounded cache."""
     return DisplacementGrid(window_side)
 
 

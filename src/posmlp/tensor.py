@@ -18,6 +18,12 @@ convolutions follow the same rule: each convolves the whole batch in one
 op, with one BLAS call per image, and sums its weight and bias gradients
 per image, then over the images in image order, as a loop over the images
 would.
+
+Every op checks its own operands' shapes before it computes, and forms its
+result through ``_result``, which enforces the rest of the operand
+contract for all ops at once: the operands share the result's float dtype
+(a float32 op never silently runs in float64), and in checked mode
+(``set_checked``) the operands and the result are finite.
 """
 
 import numbers
@@ -126,9 +132,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -177,10 +180,18 @@ def _consumed(g=None):
 def _result(data, parents, vjp, op_name):
     """Wrap an op result; it joins the tape only if an operand needs a gradient.
 
+    Every op forms its result here, so this is the one place the operand
+    contract is enforced: every operand has the result's dtype, else
+    ``ShapeError`` (numpy promotes a result computed from mixed dtypes, so
+    a mixed operand never matches it), and in checked mode the result and
+    every operand are finite, else ``FloatingPointError`` naming the op.
     Op outputs are always freshly computed contiguous arrays, so this skips
     the defensive conversions of the public constructor.
     """
-    _validate_finite(op_name, data)
+    for p in parents:
+        if p.dtype != data.dtype:
+            raise ShapeError(f"{op_name}: dtype mismatch {p.dtype} vs {data.dtype}")
+    _validate_finite(op_name, data, *(p.data for p in parents))
     links = tuple((p._node or p) if p.requires_grad else None for p in parents)
     needs = any(link is not None for link in links)
     out = Tensor.__new__(Tensor)
@@ -191,47 +202,26 @@ def _result(data, parents, vjp, op_name):
     return out
 
 
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x), dtype=dtype)
-
-
 def _check_same_shape(op, a, b):
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def _check_same_dtype(op, a, b):
-    if a.dtype != b.dtype:
-        raise ShapeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
-
-
 # -- elementwise ops -------------------------------------------------------
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check_same_shape("add", a, b)
-    _check_same_dtype("add", a, b)
-    _validate_finite("add", a.data, b.data)
     return _result(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check_same_shape("sub", a, b)
-    _check_same_dtype("sub", a, b)
-    _validate_finite("sub", a.data, b.data)
     return _result(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def mul(a, b):
     """Hadamard product."""
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check_same_shape("mul", a, b)
-    _check_same_dtype("mul", a, b)
-    _validate_finite("mul", a.data, b.data)
     # Each operand's gradient reads only the other operand.
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
@@ -265,13 +255,11 @@ def matmul(a, b):
     Stacked operands ``(s, m, k)`` and ``(s, k, n)`` give ``(s, m, n)``;
     each product is the one its pair of matrices gives alone.
     """
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     if a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul expects 2-D operands or equal stacks of them, "
                          f"got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} x {b.shape}")
-    _validate_finite("matmul", a.data, b.data)
     out = a.data @ b.data
     # Each operand's gradient reads only the other operand.
     bt = np.swapaxes(b.data, -1, -2) if a.requires_grad else None
@@ -303,7 +291,6 @@ def mix_tokens(w, x):
     n, s = ws.shape[:2]
     if x.ndim != 3 or x.shape[1] != n or x.shape[2] % s != 0:
         raise ShapeError(f"mix_tokens: weights {w.shape} do not fit input {x.shape}")
-    _validate_finite("mix_tokens", w.data, x.data)
     xd = x.data
     bsz = xd.shape[0]
     wshape, wdtype = w.shape, w.dtype
@@ -350,7 +337,6 @@ def linear(x, w, b=None):
     """
     if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: cannot apply {w.shape} weight to input {x.shape}")
-    _validate_finite("linear", x.data, w.data, None if b is None else b.data)
     xd, wd = x.data, w.data
     if x.ndim == 2:
         out = xd @ wd
@@ -389,7 +375,6 @@ def add_map(x, m):
     """Add a shared ``(N, C)`` map to every batch element of ``(B, N, C)`` x."""
     if x.ndim != 3 or m.ndim != 2 or x.shape[1:] != m.shape:
         raise ShapeError(f"add_map: map {m.shape} does not fit input {x.shape}")
-    _validate_finite("add_map", x.data, m.data)
     out = x.data + m.data[None]
 
     def vjp(g):
@@ -402,7 +387,6 @@ def add_token_bias(x, b):
     """Add a per-token-position bias ``b`` of length N to ``(B, N, C)`` x."""
     if x.ndim != 3 or b.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_token_bias: {b.shape} does not fit input {x.shape}")
-    _validate_finite("add_token_bias", x.data, b.data)
     out = x.data + b.data[None, :, None]
 
     def vjp(g):
@@ -507,6 +491,8 @@ def _permuted_view(op, x, shape, axes):
 
 def permute_flat(x, shape, axes, out_shape):
     """x read as ``shape``, axes permuted by ``axes``, copied out as ``out_shape``."""
+    if axes is None:
+        raise ShapeError("permute_flat: axes are required; reshape is the op for a pure reshape")
     view, inv = _permuted_view("permute_flat", x, shape, axes)
     data = view.copy().reshape(out_shape)
     view_shape, shape = view.shape, x.shape
@@ -600,7 +586,6 @@ def gelu(x):
     depends on its input's value alone.  Both work in place over chunks
     that stay in cache; the forward keeps only Phi(x) for the backward pass.
     """
-    _validate_finite("gelu", x.data)
     xd = x.data
     xf = xd.reshape(-1)
     n = xf.size
@@ -637,7 +622,6 @@ def gelu(x):
 
 
 def softplus(x):
-    _validate_finite("softplus", x.data)
     xd = x.data
     out = np.log1p(np.exp(-np.abs(xd))) + np.maximum(xd, 0.0)
 
@@ -671,7 +655,6 @@ def softmax_rows(x, shape=None, axes=None):
     view, inv = _permuted_view("softmax_rows", x, shape, axes)
     if view.ndim < 2:
         raise ShapeError(f"softmax_rows expects a matrix or a stack of rows, got {view.shape}")
-    _validate_finite("softmax_rows", x.data)
     fi = np.finfo(view.dtype)
     y = np.empty(view.shape, dtype=view.dtype)
     np.subtract(view, view.max(axis=-1, keepdims=True), out=y)
@@ -708,7 +691,6 @@ def layer_norm(x, gain, shift, eps=1e-5, groups=1):
         raise ShapeError(f"layer_norm: affine {gain.shape}/{shift.shape} does not fit {x.shape}")
     if x.shape[-1] % groups != 0:
         raise ShapeError(f"layer_norm: width {x.shape[-1]} not divisible by {groups} groups")
-    _validate_finite("layer_norm", x.data, gain.data, shift.data)
     xd = x.data
     shape, gd = xd.shape, gain.data
     xg = xd.reshape(shape[:-1] + (groups, shape[-1] // groups))
@@ -760,7 +742,7 @@ def mean_tokens(x):
 def weighted_sum(x, weights):
     """Scalar contraction ``sum(x * w)`` with a constant weight array."""
     w = np.asarray(weights, dtype=x.dtype)
-    _check_same_shape("weighted_sum", x, Tensor(w))
+    _check_same_shape("weighted_sum", x, w)
     data = np.asarray((x.data * w).sum(), dtype=x.dtype)
 
     def vjp(g):
@@ -778,7 +760,6 @@ def cross_entropy_mean(logits, labels):
         raise ShapeError("cross_entropy_mean: label count does not match batch")
     if lab.min() < 0 or lab.max() >= logits.shape[1]:
         raise ValueError("cross_entropy_mean: label out of range")
-    _validate_finite("cross_entropy_mean", logits.data)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1))
     nll = logsumexp - z[np.arange(lab.shape[0]), lab]
@@ -856,7 +837,6 @@ def conv2d(x, w, b, stride, pad=1):
     cout = w.shape[3]
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias {b.shape} is not ({cout},)")
-    _validate_finite("conv2d", x.data, w.data, b.data)
     wmat = w.data.reshape(k * k * cin, cout)
     cols = _im2col(x.data, k, stride, pad, ho, wo).reshape(bsz, ho * wo, k * k * cin)
     out = np.matmul(cols, wmat)
@@ -893,7 +873,6 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
     m = w.shape[3]
     if b.shape != (c * m,):
         raise ShapeError(f"conv2d_depthwise: bias {b.shape} is not ({c * m},)")
-    _validate_finite("conv2d_depthwise", x.data, w.data, b.data)
     wtaps = w.data.reshape(k * k, c, m)
     cols = _im2col(x.data, k, stride, pad, ho, wo)
     out = np.einsum("bptc,tcm->bpcm", cols, wtaps).reshape(bsz, ho, wo, c * m)

@@ -226,6 +226,12 @@ def test_micro_forward_finite_logits(rng):
     assert np.all(np.isfinite(logits.data))
 
 
+def test_float32_model_refuses_float64_images(rng):
+    x = Tensor(rng.standard_normal((2, 32, 32, 3)))
+    with pytest.raises(T.ShapeError, match="dtype mismatch"):
+        micro().forward(x)
+
+
 def test_micro_exact_parameter_count():
     m = micro()
     _, total = count_params(m)

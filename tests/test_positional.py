@@ -55,6 +55,11 @@ def test_grid_k14_exhaustive_properties():
     assert len(distinct) == (2 * k - 1) ** 2 == 729
 
 
+def test_grid_and_embedding_caches_are_bounded():
+    assert P.displacement_grid.cache_info().maxsize is not None
+    assert P.gqpe_embedding.cache_info().maxsize is not None
+
+
 def test_grid_rejects_k0():
     with pytest.raises(ValueError):
         P.DisplacementGrid(0)

@@ -211,7 +211,7 @@ def test_a_training_step_frees_its_graph_and_its_gradients(monkeypatch):
     monkeypatch.setattr(T, "mix_tokens", recording_mix_tokens)
     m = M.build_model(M.variant_config("MICRO"), rng=np.random.default_rng(0))
     opt = TR.AdamW(m.parameters(), TR.TrainConfig(seed=0))
-    x = Tensor(np.random.default_rng(1).standard_normal((4, 32, 32, 3)))
+    x = Tensor(np.random.default_rng(1).standard_normal((4, 32, 32, 3)), dtype=np.float32)
     logits = m.forward(x)
     loss = T.cross_entropy_mean(logits, np.array([0, 1, 2, 3]))
     assert len(refs) == 3 and all(ref() is not None for ref in refs.values())

@@ -113,13 +113,39 @@ def test_matmul_rejects_unequal_stacks(ashape, bshape):
 
 # -- elementwise ----------------------------------------------------------------
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
-def test_elementwise_ops_reject_a_dtype_mismatch(op):
-    a = Tensor(np.ones(3, dtype=np.float32))
-    b = Tensor(np.ones(3, dtype=np.float64))
-    for x, y in ((a, b), (b, a)):
-        with pytest.raises(T.ShapeError, match="dtype mismatch"):
-            op(x, y)
+def ones(shape, dtype):
+    return Tensor(np.ones(shape, dtype=dtype))
+
+
+# Every op kind with two or more tensor operands, applied with one operand
+# (the second, or the one the case names) of dtype ``o`` and the others of ``d``.
+DTYPE_CASES = {
+    "add": lambda d, o: T.add(ones(3, d), ones(3, o)),
+    "sub": lambda d, o: T.sub(ones(3, d), ones(3, o)),
+    "mul": lambda d, o: T.mul(ones(3, d), ones(3, o)),
+    "matmul": lambda d, o: T.matmul(ones((2, 3), d), ones((3, 4), o)),
+    "linear weight": lambda d, o: T.linear(ones((2, 3), d), ones((3, 4), o)),
+    "linear bias": lambda d, o: T.linear(ones((2, 3), d), ones((3, 4), d), ones(4, o)),
+    "mix_tokens": lambda d, o: T.mix_tokens(ones((4, 2, 4), d), ones((2, 4, 6), o)),
+    "layer_norm": lambda d, o: T.layer_norm(ones((2, 3), d), ones(3, o), ones(3, d)),
+    "add_map": lambda d, o: T.add_map(ones((2, 4, 3), d), ones((4, 3), o)),
+    "add_token_bias": lambda d, o: T.add_token_bias(ones((2, 4, 3), d), ones(4, o)),
+    "conv2d": lambda d, o: T.conv2d(ones((2, 4, 4, 2), d), ones((3, 3, 2, 5), o),
+                                    ones(5, d), 1),
+    "conv2d_depthwise": lambda d, o: T.conv2d_depthwise(
+        ones((2, 4, 4, 2), d), ones((3, 3, 2, 2), o), ones(4, d), 2),
+    "concat": lambda d, o: T.concat([ones((2, 3), d), ones((2, 1), o)]),
+}
+
+
+@pytest.mark.parametrize("case", DTYPE_CASES)
+def test_ops_reject_a_dtype_mismatch(case):
+    op = DTYPE_CASES[case]
+    f32, f64 = np.float32, np.float64
+    assert op(f32, f32).dtype == f32 and op(f64, f64).dtype == f64
+    for d, o in ((f32, f64), (f64, f32)):
+        with pytest.raises(T.ShapeError, match=f"{case.split()[0]}: dtype mismatch"):
+            op(d, o)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -543,6 +569,9 @@ def test_permute_flat_rejects_a_bad_permutation_or_shape():
         T.permute_flat(x, (2, 2, 2), (0, 1), (8,))
     with pytest.raises(T.ShapeError):
         T.permute_flat(x, (3, 3), (1, 0), (9,))
+    # axes=None would be a pure reshape, which is reshape's job.
+    with pytest.raises(T.ShapeError, match="axes are required"):
+        T.permute_flat(x, (2, 4), None, (8,))
 
 
 def test_softmax_flushes_subnormals_to_zero():
@@ -613,6 +642,15 @@ def test_checked_mode_rejects_nonfinite_input():
     bad[1] = np.inf
     with pytest.raises(FloatingPointError):
         T.add(Tensor(bad), Tensor(np.ones(3)))
+
+
+def test_checked_mode_rejects_an_operand_made_nonfinite_in_place():
+    # The result gathers only the finite half, so only a check of the
+    # operand itself catches the NaN written after the tensor was constructed.
+    x = Tensor(np.zeros(4))
+    x.data[3] = np.nan
+    with pytest.raises(FloatingPointError, match="take"):
+        T.take(x, [0, 1], (2,))
 
 
 def test_grad_matches_shape(rng):
