@@ -237,10 +237,12 @@ def _dataset(resolved):
 
 def cmd_describe(resolved):
     from .complexity import count_params, estimate_flops
+    from .model import build_model
+    from .positional import ZeroDraws
 
-    model = _build(resolved)
-    cfg = model.config
-    per_path, total = count_params(model)
+    # Only counts are read: ZeroDraws builds the structure without random draws.
+    cfg = _model_config(resolved)
+    per_path, total = count_params(build_model(cfg, rng=ZeroDraws()))
     print(f"variant {cfg.variant}  input {cfg.image_side}^2  classes {cfg.num_classes}")
     print(f"gating {cfg.gating_kind.value}  combine {cfg.combine.value}  "
           f"form {cfg.covariance_form.value}")
@@ -259,10 +261,11 @@ def cmd_describe(resolved):
 
 def cmd_cost(resolved):
     from .complexity import analytic_params, count_params, estimate_flops
+    from .model import build_model
+    from .positional import ZeroDraws
 
-    model = _build(resolved)
-    cfg = model.config
-    per_path, total = count_params(model)
+    cfg = _model_config(resolved)
+    per_path, total = count_params(build_model(cfg, rng=ZeroDraws()))
     flops = estimate_flops(cfg)
     stages = []
     for i, st in enumerate(cfg.stages):
@@ -332,7 +335,7 @@ def cmd_gradcheck(resolved):
             if kind is not GatingKind.GGQPE:
                 frozen_opts = [False]
             for frozen in frozen_opts:
-                groups = 2 if kind in (GatingKind.GLRPE, GatingKind.GGQPE) else 1
+                groups = 2 if kind.grouped else 1
                 cfg = GatingConfig(kind=kind, window_side=3, groups=groups,
                                    covariance_form=form, delta_frozen=frozen,
                                    use_bias=True)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 from .gating import GatingKind
-from .model import PosMlpModel
 
 
 @dataclass
@@ -142,14 +141,13 @@ def reconcile_blocks(model):
 
 # -- flop estimation --------------------------------------------------------------
 
-def estimate_flops(model_or_config, image_side=None, batch=1):
-    """MAC-based compute estimate for a full forward pass.
+def estimate_flops(cfg, image_side=None, batch=1):
+    """MAC-based compute estimate for a full forward pass of a ``ModelConfig``.
 
     Walks the configured architecture (the estimate is a pure function of
     shapes); returns a report with per-stage and per-component terms.  The
     total is exactly ``batch`` times the single-image figure.
     """
-    cfg = model_or_config.config if isinstance(model_or_config, PosMlpModel) else model_or_config
     side = image_side or cfg.image_side
     if side % 4:
         raise ValueError(f"image side {side} must be divisible by 4")

@@ -20,8 +20,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .positional import (CovarianceForm, GqpeParams, LrpeTable, WeightStack,
-                         displacement_grid, gqpe_embedding, group_weight_stack,
-                         lrpe_weight_matrix, lrpe_weight_stack, trunc_normal)
+                         check_frozen_delta, displacement_grid, gqpe_embedding,
+                         group_weight_stack, lrpe_weight_matrix, lrpe_weight_stack,
+                         trunc_normal)
 
 
 class GatingKind(Enum):
@@ -31,14 +32,16 @@ class GatingKind(Enum):
     GLRPE = "glrpe"
     GGQPE = "ggqpe"
 
+    @property
+    def grouped(self):
+        """True for the kinds with one positional generator per channel group."""
+        return self in (GatingKind.GLRPE, GatingKind.GGQPE)
+
 
 class Combine(Enum):
     GATE = "gate"
     ADD = "add"
     CONCAT = "concat"
-
-
-_LRPE_FAMILY = (GatingKind.SGU, GatingKind.LRPE_M, GatingKind.LRPE)
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,9 @@ class GatingConfig:
             raise ValueError("window_side must be >= 1")
         if self.groups < 1:
             raise ValueError("groups must be >= 1")
-        if self.kind in _LRPE_FAMILY and self.groups != 1:
-            raise ValueError(f"{self.kind.name} admits exactly one group")
-        if self.kind in _LRPE_FAMILY:
+        if not self.kind.grouped:
+            if self.groups != 1:
+                raise ValueError(f"{self.kind.name} admits exactly one group")
             if self.pre_norm_on_x1 is False:
                 raise ValueError(f"{self.kind.name} always normalizes the mixed half")
             object.__setattr__(self, "pre_norm_on_x1", True)
@@ -81,6 +84,8 @@ class GatingConfig:
                 object.__setattr__(self, "pre_norm_on_x1", True)
         elif self.pre_norm_on_x1 is None:
             object.__setattr__(self, "pre_norm_on_x1", False)
+        if self.kind is GatingKind.GGQPE:
+            check_frozen_delta(self.covariance_form, self.delta_frozen)
         if self.use_bias is None:
             default_bias = self.kind in (GatingKind.SGU, GatingKind.GGQPE)
             object.__setattr__(self, "use_bias", default_bias)
@@ -89,12 +94,19 @@ class GatingConfig:
     def n_tokens(self):
         return self.window_side ** 2
 
+    def mixed_width(self, width):
+        """Channel count of the mixed half; refuses a width that cannot be split or grouped."""
+        if self.split_channels and width % 2:
+            raise ValueError(f"channel width {width} must be even to split")
+        x1 = width // 2 if self.split_channels else width
+        if x1 % self.groups:
+            raise ValueError(f"mixed width {x1} not divisible by {self.groups} groups")
+        return x1
+
     def output_width(self, width):
         """Output channel count for an input of ``width`` channels."""
-        x1 = width if not self.split_channels else width // 2
-        if self.combine is Combine.CONCAT:
-            return 2 * x1
-        return x1
+        x1 = self.mixed_width(width)
+        return 2 * x1 if self.combine is Combine.CONCAT else x1
 
 
 class GatingUnit:
@@ -113,16 +125,7 @@ class GatingUnit:
         self.width = int(width)
         k = config.window_side
         n = config.n_tokens
-        if config.split_channels:
-            if self.width % 2 != 0:
-                raise ValueError(f"channel width {width} must be even to split")
-            x1_width = self.width // 2
-        else:
-            x1_width = self.width
-        if x1_width % config.groups != 0:
-            raise ValueError(
-                f"mixed width {x1_width} not divisible by {config.groups} groups")
-        self.x1_width = x1_width
+        x1_width = config.mixed_width(self.width)
         self.grid = displacement_grid(k)
         self.emb = gqpe_embedding(self.grid) if config.kind is GatingKind.GGQPE else None
 

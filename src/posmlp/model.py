@@ -87,21 +87,17 @@ class ModelConfig:
             if side % st.window_side != 0:
                 raise ValueError(
                     f"stage {i}: feature side {side} not divisible by window {st.window_side}")
+            if i < 3 and side % 2 != 0:
+                raise ValueError(f"stage {i}: feature side {side} is odd; the merge halves it")
             if prev_dim is not None and st.dim != 2 * prev_dim:
                 raise ValueError(f"stage {i}: dim {st.dim} must double the previous stage")
-            groups = st.groups if self.gating_kind in (GatingKind.GLRPE, GatingKind.GGQPE) else 1
-            mixed = st.dim * st.expansion
-            if self.split_channels:
-                mixed //= 2
-            if mixed % groups != 0:
-                raise ValueError(
-                    f"stage {i}: mixed width {mixed} not divisible by {groups} groups")
+            self.stage_gating_config(i).mixed_width(st.dim * st.expansion)
             prev_dim = st.dim
             side //= 2
 
     def stage_gating_config(self, stage):
         st = self.stages[stage]
-        groups = st.groups if self.gating_kind in (GatingKind.GLRPE, GatingKind.GGQPE) else 1
+        groups = st.groups if self.gating_kind.grouped else 1
         return GatingConfig(kind=self.gating_kind, window_side=st.window_side,
                             groups=groups, combine=self.combine,
                             pre_norm_on_x1=self.pre_norm_on_x1,
@@ -138,15 +134,15 @@ _VARIANTS = {
 _GROUPS = (8, 16, 32, 64)
 _EXPANSIONS = (4, 4, 4, 2)
 
-# Window sides per stage.  224 is the published training resolution; the
-# 384 preset reproduces the published fine-tune compute budget (the first
-# two stages scale up with the feature map, the deep third stage keeps four
-# windows to bound its quadratic mixing cost).  MICRO uses the largest
-# windows its 8x8 post-stem grid admits.
+# Window sides per stage.  The reference windows are those of the published
+# training resolution, 224 (MICRO: the largest windows its 8x8 post-stem
+# grid admits); other resolutions take the largest divisor of each feature
+# side up to them.  The 384 preset reproduces the published fine-tune
+# compute budget instead (the first two stages scale up with the feature
+# map, the deep third stage keeps four windows to bound its quadratic
+# mixing cost).
 _WINDOW_PRESETS = {
-    ("T", 224): (14, 14, 14, 7), ("S", 224): (14, 14, 14, 7), ("B", 224): (14, 14, 14, 7),
     ("T", 384): (24, 24, 12, 12), ("S", 384): (24, 24, 12, 12), ("B", 384): (24, 24, 12, 12),
-    ("MICRO", 32): (8, 4, 2, 1),
 }
 _REFERENCE_WINDOWS = {"T": (14, 14, 14, 7), "S": (14, 14, 14, 7), "B": (14, 14, 14, 7),
                       "MICRO": (8, 4, 2, 1)}
@@ -357,7 +353,7 @@ class PosMlpModel:
         for p in self.parameters().values():
             p.zero_grad()
 
-    def forward(self, images, return_stage_shapes=False):
+    def forward(self, images):
         cfg = self.config
         if images.ndim != 4 or images.shape[3] != 3:
             raise T.ShapeError(f"expected (B, H, W, 3) images, got {images.shape}")
@@ -370,7 +366,6 @@ class PosMlpModel:
             flat = T.reshape(x, (b, h * w, c))
             flat = T.add_map(flat, self.ape)
             x = T.reshape(flat, (b, h, w, c))
-        shapes = []
         for i, blocks in enumerate(self.stages):
             k = cfg.stages[i].window_side
             b, h, w, d = x.shape
@@ -378,17 +373,13 @@ class PosMlpModel:
             for blk in blocks:
                 tokens = blk.forward(tokens)
             x = window_reverse(tokens, k, h, w)
-            shapes.append(x.shape)
             if i < 3:
                 x = self.merges[i].forward(x)
         b, h, w, d = x.shape
         tokens = T.reshape(x, (b, h * w, d))
         tokens = T.layer_norm(tokens, self.final_gain, self.final_shift)
         pooled = T.mean_tokens(tokens)
-        logits = T.linear(pooled, self.head_w, self.head_b)
-        if return_stage_shapes:
-            return logits, shapes
-        return logits
+        return T.linear(pooled, self.head_w, self.head_b)
 
 
 def build_model(config, rng=None, dtype=np.float32):

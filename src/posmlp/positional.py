@@ -32,6 +32,12 @@ class CovarianceForm(Enum):
     GAMMA_GRAMIAN = "gramian"  # Gamma @ Gamma^T + eps*I (positive definite)
 
 
+def check_frozen_delta(form, delta_frozen):
+    """Refuse a learnable center under ALPHA_I, whose only learnable value is the scalar."""
+    if form is CovarianceForm.ALPHA_I and not delta_frozen:
+        raise ValueError("ALPHA_I admits only the scalar as learnable; freeze delta")
+
+
 class DisplacementGrid:
     """All pairwise displacements ``p_j - p_i`` of a k x k raster window.
 
@@ -50,10 +56,6 @@ class DisplacementGrid:
         py = pos % k
         self.dx = px[None, :] - px[:, None]
         self.dy = py[None, :] - py[:, None]
-
-    def displacements(self):
-        """(N, N, 2) integer array of (dx, dy) pairs."""
-        return np.stack([self.dx, self.dy], axis=-1)
 
 
 @lru_cache(maxsize=16)
@@ -159,10 +161,10 @@ class GqpeEmbedding:
 
 
 @lru_cache(maxsize=16)
-def gqpe_embedding(grid, dtype=np.float64):
-    """The shared, read-only embedding of a displacement grid."""
-    dx = grid.dx.astype(dtype)
-    dy = grid.dy.astype(dtype)
+def gqpe_embedding(grid):
+    """The shared, read-only float64 embedding of a displacement grid."""
+    dx = grid.dx.astype(np.float64)
+    dy = grid.dy.astype(np.float64)
     table = np.stack([dx, dy, dx * dx, dy * dy, dx * dy], axis=-1)
     table.flags.writeable = False
     return GqpeEmbedding(grid.window_side, table)
@@ -185,8 +187,7 @@ class GqpeParams:
                  rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.form = CovarianceForm(form)
-        if self.form is CovarianceForm.ALPHA_I and not delta_frozen:
-            raise ValueError("ALPHA_I admits only the scalar as learnable; freeze delta")
+        check_frozen_delta(self.form, delta_frozen)
         s = int(groups)
         if s < 1:
             raise ValueError(f"the quadratic prior needs at least one group, got {groups}")
@@ -270,10 +271,7 @@ def gqpe_vectors(params):
     """
     p = params.precision()
     s = len(params)
-    delta = params.delta
-    if delta.dtype != p.dtype:
-        delta = Tensor(delta.data.astype(p.dtype), requires_grad=False)
-    blocks = T.concat([p, T.matmul(p, T.reshape(delta, (s, 2, 1)))], axis=2)
+    blocks = T.concat([p, T.matmul(p, T.reshape(params.delta, (s, 2, 1)))], axis=2)
     idx = _VECTOR_OFFSETS[None, :] + 6 * np.arange(s)[:, None]
     coeffs = np.broadcast_to(_VECTOR_COEFFS.astype(blocks.dtype), (s, 5))
     return T.mul(T.take(blocks, idx, (s, 5)), Tensor(coeffs))

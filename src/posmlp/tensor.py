@@ -44,10 +44,6 @@ def set_checked(flag):
     _checked = bool(flag)
 
 
-def checked():
-    return _checked
-
-
 class ShapeError(ValueError):
     """Raised when operand shapes do not satisfy an operation's contract."""
 
@@ -137,22 +133,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
-
-    # Operator sugar for the common arithmetic.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -326,8 +306,8 @@ def mix_tokens(w, x):
     return _result(out, (w, x), vjp, "mix_tokens")
 
 
-def linear(x, w, b=None):
-    """Channel projection ``y = x @ w (+ b)`` over the last axis of 2/3-D x.
+def linear(x, w, b):
+    """Channel projection ``y = x @ w + b`` over the last axis of 2/3-D x.
 
     A 3-D x goes through one ``np.matmul``, one BLAS call per leading index,
     and the bias is added in place.  The weight gradient starts from the
@@ -337,21 +317,19 @@ def linear(x, w, b=None):
     """
     if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: cannot apply {w.shape} weight to input {x.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias shape {b.shape} does not match width {w.shape[1]}")
     xd, wd = x.data, w.data
     if x.ndim == 2:
         out = xd @ wd
     else:
         out = np.empty(xd.shape[:2] + (wd.shape[1],), dtype=xd.dtype)
         np.matmul(xd, wd, out=out)
-    if b is not None:
-        if b.shape != (wd.shape[1],):
-            raise ShapeError(f"linear: bias shape {b.shape} does not match width {wd.shape[1]}")
-        out += b.data
+    out += b.data
     # The input gradient reads the weight, the weight gradient the input.
     wt = wd.T if x.requires_grad else None
     xs = xd if w.requires_grad else None
-    has_bias = b is not None
-    bias_grad = has_bias and b.requires_grad
+    bias_grad = b.requires_grad
 
     def vjp(g):
         gx = None if wt is None else g @ wt
@@ -363,12 +341,9 @@ def linear(x, w, b=None):
                 gw = xs[0].T @ g[0]
                 for i in range(1, xs.shape[0]):
                     gw += xs[i].T @ g[i]
-        if not has_bias:
-            return gx, gw
         return gx, gw, g.sum(axis=tuple(range(g.ndim - 1))) if bias_grad else None
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _result(out, parents, vjp, "linear")
+    return _result(out, (x, w, b), vjp, "linear")
 
 
 def add_map(x, m):
@@ -463,6 +438,8 @@ def concat(parts, axis=-1):
 def take(x, flat_indices, out_shape):
     """Gather ``x.flat[idx]`` into ``out_shape``; duplicates accumulate on backward."""
     idx = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
+    if np.prod(out_shape) != idx.size:
+        raise ShapeError(f"take: {idx.size} indices do not fill {tuple(out_shape)}")
     data = x.data.reshape(-1)[idx].reshape(out_shape)
     shape, size = x.shape, x.size
 

@@ -61,8 +61,7 @@ def excluded_from_decay(path):
     if path.endswith(".bias") or path == "ape":
         return True
     leaf = path.rsplit(".", 1)[-1]
-    return leaf in ("gain", "shift", "delta", "gamma", "alpha_raw", "values") \
-        or path.endswith("unit.bias")
+    return leaf in ("gain", "shift", "delta", "gamma", "alpha_raw", "values")
 
 
 class AdamW:
@@ -157,22 +156,20 @@ class ArrayDataset:
 
 
 class SyntheticDataset(ArrayDataset):
-    """Quadrant-blob classification images.
+    """Quadrant-blob classification images: four classes, one per quadrant.
 
     Every class shares the same blob shape and intensity statistics; only
     the quadrant the blob lands in differs, so spatial mixing is the only
     discriminating signal.  Deterministic given the seed.
     """
 
-    def __init__(self, n_classes=4, image_side=32, per_class=64, seed=0, noise=0.1):
-        if n_classes != 4:
-            raise ValueError("the quadrant layout defines four classes")
+    def __init__(self, image_side=32, per_class=64, seed=0, noise=0.1):
         rng = np.random.default_rng(seed)
-        n = n_classes * per_class
+        n = 4 * per_class
         side = image_side
         half = side // 2
         images = rng.normal(0.0, noise, size=(n, side, side, 3)).astype(np.float32)
-        labels = np.repeat(np.arange(n_classes), per_class).astype(np.int64)
+        labels = np.repeat(np.arange(4), per_class).astype(np.int64)
         yy, xx = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
         sigma = side / 12.0
         for i in range(n):
@@ -183,7 +180,7 @@ class SyntheticDataset(ArrayDataset):
             bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma ** 2))
             images[i] += 1.5 * bump[..., None].astype(np.float32)
         order = rng.permutation(n)
-        super().__init__(images[order], labels[order], n_classes)
+        super().__init__(images[order], labels[order], 4)
         self.image_side = image_side
         self.seed = seed
 

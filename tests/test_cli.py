@@ -277,6 +277,9 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     ([], {"gating": 3}),
     ([], {"use_ape": "no"}),
     ([], {"use_bias": 1}),
+    (["--gating", "lrpe", "--no-pre-norm-on-x1"], None),
+    (["--form", "alpha_i"], None),
+    (["--image-side", "36"], None),
 ])
 def test_bad_model_setting_exits_2_and_writes_nothing(tmp_path, capsys, flags, config):
     out = tmp_path / "out"

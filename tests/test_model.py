@@ -218,6 +218,12 @@ def test_config_validation_happens_at_build_time():
         M.variant_config("MICRO", windows=(8, 8, 8, 4))  # 8 does not divide the 4x4 map
 
 
+def test_config_refuses_an_odd_feature_side_before_a_merge():
+    # 36 pixels give feature sides 9, 4, 2, 1: the first merge cannot halve 9.
+    with pytest.raises(ValueError, match="odd"):
+        M.variant_config("MICRO", image_side=36)
+
+
 def test_micro_forward_finite_logits(rng):
     m = micro()
     x = Tensor(rng.standard_normal((2, 32, 32, 3)).astype(np.float32))
@@ -287,11 +293,21 @@ def test_tiny_has_one_parameter_block_per_kind_per_unit():
     assert sum(".gqpe." in name for name in params) == 2 * 24
 
 
-def test_stage_shapes_match_published_table_for_tiny():
+def test_stage_shapes_match_published_table_for_tiny(monkeypatch):
     cfg = M.variant_config("T")
     m = M.build_model(cfg, rng=np.random.default_rng(0), dtype=np.float32)
     x = Tensor(np.random.default_rng(1).standard_normal((1, 224, 224, 3)).astype(np.float32))
-    logits, shapes = m.forward(x, return_stage_shapes=True)
+    shapes = []
+    real_reverse = M.window_reverse
+
+    def recording_reverse(*args):
+        out = real_reverse(*args)
+        shapes.append(out.shape)
+        return out
+
+    # Each stage ends by reversing its windows into the stage's feature map.
+    monkeypatch.setattr(M, "window_reverse", recording_reverse)
+    logits = m.forward(x)
     assert shapes == [(1, 56, 56, 96), (1, 28, 28, 192), (1, 14, 14, 384), (1, 7, 7, 768)]
     assert logits.shape == (1, 1000)
 

@@ -124,7 +124,7 @@ DTYPE_CASES = {
     "sub": lambda d, o: T.sub(ones(3, d), ones(3, o)),
     "mul": lambda d, o: T.mul(ones(3, d), ones(3, o)),
     "matmul": lambda d, o: T.matmul(ones((2, 3), d), ones((3, 4), o)),
-    "linear weight": lambda d, o: T.linear(ones((2, 3), d), ones((3, 4), o)),
+    "linear weight": lambda d, o: T.linear(ones((2, 3), d), ones((3, 4), o), ones(4, d)),
     "linear bias": lambda d, o: T.linear(ones((2, 3), d), ones((3, 4), d), ones(4, o)),
     "mix_tokens": lambda d, o: T.mix_tokens(ones((4, 2, 4), d), ones((2, 4, 6), o)),
     "layer_norm": lambda d, o: T.layer_norm(ones((2, 3), d), ones(3, o), ones(3, d)),
@@ -624,6 +624,11 @@ def test_split_concat_roundtrip_property(parts, rows, axis, seed):
 def test_split_rejects_uneven():
     with pytest.raises(T.ShapeError):
         T.split(t64(np.ones((2, 5))), 2, axis=-1)
+
+
+def test_take_rejects_an_out_shape_its_indices_do_not_fill():
+    with pytest.raises(T.ShapeError, match="take"):
+        T.take(Tensor(np.ones(3)), [0, 1], (3,))
 
 
 def test_reshape_is_rowmajor_copy(rng):
