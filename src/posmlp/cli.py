@@ -4,8 +4,10 @@ One process per command; subcommands cover model inspection (describe,
 cost), verification (gradcheck), analysis exports (attn, bias,
 nonlocality), training and evaluation, and checkpoint round-trips (save,
 load).  Settings come from an optional JSON config file with flag
-overrides winning; every command echoes the fully resolved configuration
-into its output directory.
+overrides winning.  The file's keys are the flags' dest names, each holding
+the type its flag parses to; every command echoes the fully resolved
+configuration into its output directory, and that echo is itself a valid
+config file.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 I/O error.
 """
@@ -14,16 +16,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
+import numpy as np
 
-def _apply_thread_cap():
-    """POSMLP_THREADS caps numpy's internal pools; must run before numpy loads."""
-    cap = os.environ.get("POSMLP_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+from . import tensor as T
+from .analysis import export_attention_maps, export_bias_maps, model_non_locality
+from .complexity import analytic_params, count_params, estimate_flops, reconcile_blocks
+from .gating import GatingConfig, GatingKind, GatingUnit
+from .gradcheck import category_groups, gradcheck, gradcheck_directional
+from .model import (CheckpointError, build_model, load_checkpoint, save_checkpoint,
+                    variant_config)
+from .positional import CovarianceForm, ZeroDraws
+from .tensor import Tensor
+from .training import (SyntheticDataset, TrainConfig, evaluate, ingest_cifar_binary,
+                       train_loop)
 
 
 class ConfigError(Exception):
@@ -31,10 +38,8 @@ class ConfigError(Exception):
 
 
 _BOOL_KEYS = ("use_ape", "delta_frozen", "use_bias", "pre_norm_on_x1", "split_channels")
-_MODEL_KEYS = ("variant", "image_side", "num_classes", "windows", "gating", "combine",
-               "form") + _BOOL_KEYS
-_TRAIN_KEYS = ("dataset", "data_path", "epochs", "batch_size", "lr_init", "lr_min",
-               "weight_decay", "per_class", "seed")
+_LIST_KEYS = ("windows", "layers", "groups")  # a config file may also give integer lists
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def _add_model_flags(p):
@@ -50,7 +55,7 @@ def _add_model_flags(p):
         flag = key.replace("_", "-")
         p.add_argument(f"--{flag}", dest=key, action=argparse.BooleanOptionalAction)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", default="posmlp_out", help="output directory")
+    p.add_argument("--out", help="output directory (default posmlp_out)")
 
 
 def _add_train_flags(p):
@@ -86,7 +91,7 @@ def build_parser():
         if "train" in extra:
             _add_train_flags(p)
         if "query" in extra:
-            p.add_argument("--query", type=int, default=0, help="query token index")
+            p.add_argument("--query", type=int, help="query token index (default 0)")
             p.add_argument("--layers", help="flat block indices, comma separated")
             p.add_argument("--groups", help="group indices, comma separated")
         if "checkpoint" in extra:
@@ -94,102 +99,88 @@ def build_parser():
     return parser
 
 
-def _resolve(args):
+def _config_types(parser):
+    """Every command's flag dests, each mapped to the type its flag parses to."""
+    types = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                types.update(_config_types(sub))
+        elif action.option_strings and action.dest not in ("help", "config"):
+            types[action.dest] = bool if action.nargs == 0 else action.type or str
+    return types
+
+
+def _has_type(val, want):
+    """Whether a JSON value has a flag's type: an int counts as a number, a bool as no int."""
+    if want is float:
+        return isinstance(val, (int, float)) and not isinstance(val, bool)
+    return isinstance(val, want) and (want is bool or not isinstance(val, bool))
+
+
+def _read_config(path, types):
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read config file: {err}")
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config file is not valid JSON: {err}")
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(file_cfg) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in file_cfg.items():
+        if key in _LIST_KEYS and isinstance(val, list):
+            ok = all(_has_type(v, int) for v in val)
+        else:
+            ok = _has_type(val, types[key])
+        if not ok:
+            also = " or a list of integers" if key in _LIST_KEYS else ""
+            raise ConfigError(f"{key} must be {_TYPE_NAMES[types[key]]}{also}, got {val!r}")
+    return file_cfg
+
+
+def _resolve(args, types):
     """defaults <- config file <- explicit flags; returns one flat dict."""
-    resolved = {"variant": "MICRO", "seed": 0, "dataset": "synthetic",
-                "epochs": 30, "batch_size": 32, "lr_init": 3e-3, "lr_min": 1e-5,
-                "weight_decay": 0.05, "per_class": 64}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except OSError as err:
-            raise ConfigError(f"cannot read config file: {err}")
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}")
-        unknown = set(file_cfg) - set(_MODEL_KEYS) - set(_TRAIN_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
-    for key in _MODEL_KEYS + _TRAIN_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            resolved[key] = val
-    for key in ("query", "layers", "groups", "checkpoint", "out"):
-        if getattr(args, key, None) is not None:
-            resolved[key] = getattr(args, key)
+    resolved = {"variant": "MICRO", "dataset": "synthetic", "per_class": 64,
+                "out": "posmlp_out", **{f.name: f.default for f in fields(TrainConfig)}}
+    if "query" in args:
+        resolved["query"] = 0
+    if args.config:
+        resolved.update(_read_config(args.config, types))
+    resolved.update({k: v for k, v in vars(args).items() if k in types and v is not None})
     return resolved
 
 
+def _int_list(key, val):
+    """A comma-separated flag value as integers; a config file's list passes through."""
+    if not isinstance(val, str):
+        return val
+    try:
+        return [int(v) for v in val.split(",")]
+    except ValueError:
+        raise ConfigError(f"{key} must be comma-separated integers, got {val!r}")
+
+
 def _model_config(resolved):
-    from .model import variant_config
-
-    kw = {}
-    if resolved.get("gating"):
-        kw["gating_kind"] = resolved["gating"]
-    if resolved.get("combine"):
-        kw["combine"] = resolved["combine"]
-    if resolved.get("form"):
-        kw["covariance_form"] = resolved["form"]
-    for key in _BOOL_KEYS:
-        if resolved.get(key) is not None:
-            kw[key] = resolved[key]
-    windows = resolved.get("windows")
-    if isinstance(windows, str):
-        windows = tuple(int(w) for w in windows.split(","))
-    try:
-        return variant_config(resolved["variant"],
-                              image_side=resolved.get("image_side"),
-                              num_classes=resolved.get("num_classes"),
-                              windows=windows, **kw)
-    except (ValueError, KeyError) as err:
-        raise ConfigError(str(err))
-
-
-def _train_config(resolved):
-    from .training import TrainConfig
-
-    try:
-        return TrainConfig(epochs=resolved["epochs"], batch_size=resolved["batch_size"],
-                           lr_init=resolved["lr_init"], lr_min=resolved["lr_min"],
-                           weight_decay=resolved["weight_decay"], seed=resolved["seed"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err))
-
-
-def _is_int(val):
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _check_model_types(resolved):
-    """Each model key holds the type its flag gives it; only ``variant`` may not be None."""
-    for key in _MODEL_KEYS:
-        val = resolved.get(key)
-        if val is None and key != "variant":
-            continue
-        if key in ("image_side", "num_classes"):
-            ok, want = _is_int(val), "an integer"
-        elif key == "windows":
-            ok = isinstance(val, str) or (isinstance(val, list) and all(map(_is_int, val)))
-            want = "a comma-separated string or a list of integers"
-        elif key in _BOOL_KEYS:
-            ok, want = isinstance(val, bool), "true or false"
-        else:
-            ok, want = isinstance(val, str), "a string"
-        if not ok:
-            raise ConfigError(f"{key} must be {want}, got {val!r}")
+    fields_of = {"gating": "gating_kind", "combine": "combine", "form": "covariance_form",
+                 **{key: key for key in _BOOL_KEYS}}
+    kw = {field: resolved[key] for key, field in fields_of.items() if key in resolved}
+    return variant_config(resolved["variant"], image_side=resolved.get("image_side"),
+                          num_classes=resolved.get("num_classes"),
+                          windows=_int_list("windows", resolved.get("windows")), **kw)
 
 
 def _validate(resolved):
-    """Reject a configuration that cannot run, before anything is written."""
-    for key in ("epochs", "batch_size", "per_class", "seed"):
-        val = resolved[key]
-        if not _is_int(val) or val < 0:
-            raise ConfigError(f"{key} must be a nonnegative integer, got {val!r}")
-    _check_model_types(resolved)
-    _model_config(resolved)
-    _train_config(resolved)
-    kind = resolved.get("dataset", "synthetic")
+    """Build the model and training configs; refuse settings that cannot run.
+
+    Runs before anything is written.
+    """
+    cfg = _model_config(resolved)
+    train = TrainConfig(**{f.name: resolved[f.name] for f in fields(TrainConfig)})
+    kind = resolved["dataset"]
     if kind not in ("synthetic", "cifar"):
         raise ConfigError(f"unknown dataset {kind!r} (synthetic or cifar)")
     if kind == "synthetic" and resolved["per_class"] < 1:
@@ -197,6 +188,7 @@ def _validate(resolved):
                           "(0 gives an empty dataset)")
     if kind == "cifar" and not resolved.get("data_path"):
         raise ConfigError("dataset 'cifar' needs --data-path")
+    return cfg, train
 
 
 def _echo_config(resolved, out_dir):
@@ -206,79 +198,72 @@ def _echo_config(resolved, out_dir):
         fh.write("\n")
 
 
-def _build(resolved, dtype=None):
-    import numpy as np
-    from .model import build_model
-
-    cfg = _model_config(resolved)
-    rng = np.random.default_rng(resolved["seed"])
-    return build_model(cfg, rng=rng, dtype=dtype or np.float32)
+def _build(cfg, seed, dtype=np.float32):
+    return build_model(cfg, rng=np.random.default_rng(seed), dtype=dtype)
 
 
-def _load_or_build(resolved, dtype=None):
-    from .model import load_checkpoint
-
+def _load_or_build(resolved, cfg, seed):
     path = resolved.get("checkpoint")
     if path:
         return load_checkpoint(path)
-    return _build(resolved, dtype=dtype)
+    return _build(cfg, seed)
 
 
 def _dataset(resolved):
-    from .training import SyntheticDataset, ingest_cifar_binary
-
-    if resolved.get("dataset", "synthetic") == "synthetic":
+    if resolved["dataset"] == "synthetic":
         return SyntheticDataset(per_class=resolved["per_class"], seed=resolved["seed"])
     return ingest_cifar_binary(resolved["data_path"].split(","))
+
+
+def _count(cfg):
+    """A structure-only build of ``cfg``, its parameter total and each stage's count."""
+    model = build_model(cfg, rng=ZeroDraws())  # no random draws: only counts are read
+    per_path, total = count_params(model)
+    stage_params = [sum(v for k, v in per_path.items() if k.startswith(f"stages.{i}."))
+                    for i in range(len(cfg.stages))]
+    return model, total, stage_params
 
 
 # -- commands -----------------------------------------------------------------------
 
 
-def cmd_describe(resolved):
-    from .complexity import count_params, estimate_flops
-    from .model import build_model
-    from .positional import ZeroDraws
-
-    # Only counts are read: ZeroDraws builds the structure without random draws.
-    cfg = _model_config(resolved)
-    per_path, total = count_params(build_model(cfg, rng=ZeroDraws()))
+def cmd_describe(resolved, cfg, train):
+    _, total, stage_params = _count(cfg)
     print(f"variant {cfg.variant}  input {cfg.image_side}^2  classes {cfg.num_classes}")
     print(f"gating {cfg.gating_kind.value}  combine {cfg.combine.value}  "
           f"form {cfg.covariance_form.value}")
     sides = cfg.feature_sides()
     for i, st in enumerate(cfg.stages):
-        stage_params = sum(v for k, v in per_path.items() if k.startswith(f"stages.{i}."))
         groups = cfg.stage_gating_config(i).groups
         print(f"stage {i + 1}: {sides[i]}x{sides[i]} map  dim {st.dim}  depth {st.depth}  "
               f"window {st.window_side}  groups {groups}  expansion {st.expansion}  "
-              f"params {stage_params}")
+              f"params {stage_params[i]}")
     flops = estimate_flops(cfg)
     print(f"total params {total} ({total / 1e6:.1f}M)")
     print(f"forward MACs at {cfg.image_side}^2: {flops['total'] / 1e9:.2f}G")
     return 0
 
 
-def cmd_cost(resolved):
-    from .complexity import analytic_params, count_params, estimate_flops
-    from .model import build_model
-    from .positional import ZeroDraws
-
-    cfg = _model_config(resolved)
-    per_path, total = count_params(build_model(cfg, rng=ZeroDraws()))
+def cmd_cost(resolved, cfg, train):
+    model, total, stage_params = _count(cfg)
+    blocks = reconcile_blocks(model)
     flops = estimate_flops(cfg)
     stages = []
     for i, st in enumerate(cfg.stages):
-        n = st.window_side ** 2
         gating = cfg.stage_gating_config(i)
-        ap = analytic_params(cfg.gating_kind, st.dim, st.expansion, n, gating.groups)
-        stage_params = sum(v for k, v in per_path.items() if k.startswith(f"stages.{i}."))
+        ap = analytic_params(cfg.gating_kind, st.dim, st.expansion, st.window_side ** 2,
+                             gating.groups)
+        rows = [b for b in blocks if b["stage"] == i]
         fl = flops["stages"][i]
         stages.append({
-            "stage": i, "params": stage_params, "flops": fl["flops"],
+            "stage": i, "params": stage_params[i], "flops": fl["flops"],
             "breakdown": {
-                "params": {**ap.breakdown,
-                           "norm": stage_params - st.depth * ap.total},
+                # stage totals that sum to its params: the closed-form terms, the
+                # norm affines they exclude, and the counted units minus the closed
+                # forms (a lookup table's 3 per group, a bias the unit lacks)
+                "params": {**{k: st.depth * v for k, v in ap.breakdown.items()},
+                           "norm": stage_params[i] - sum(b["counted"] for b in rows),
+                           "closed_form_correction": -sum(b["residual"] for b in rows)},
                 "flops": fl["breakdown"],
             },
         })
@@ -303,15 +288,7 @@ def cmd_cost(resolved):
     return 0
 
 
-def cmd_gradcheck(resolved):
-    import numpy as np
-    from . import tensor as T
-    from .gating import GatingConfig, GatingKind, GatingUnit
-    from .gradcheck import category_groups, gradcheck, gradcheck_directional
-    from .positional import CovarianceForm
-    from .tensor import Tensor
-    from .training import SyntheticDataset
-
+def cmd_gradcheck(resolved, cfg, train):
     failures = 0
 
     def report(label, res):
@@ -324,22 +301,21 @@ def cmd_gradcheck(resolved):
     kinds = [GatingKind(resolved["gating"])] if resolved.get("gating") else list(GatingKind)
     forms = [CovarianceForm(resolved["form"])] if resolved.get("form") else \
         [CovarianceForm.GAMMA_GRAMIAN, CovarianceForm.GAMMA_RAW, CovarianceForm.ALPHA_I]
-    rng = np.random.default_rng(resolved["seed"])
+    rng = np.random.default_rng(train.seed)
 
     for kind in kinds:
-        kind_forms = forms if kind is GatingKind.GGQPE else [CovarianceForm.GAMMA_GRAMIAN]
-        for form in kind_forms:
-            frozen_opts = [False, True]
-            if form is CovarianceForm.ALPHA_I:
-                frozen_opts = [True]
-            if kind is not GatingKind.GGQPE:
-                frozen_opts = [False]
-            for frozen in frozen_opts:
-                groups = 2 if kind.grouped else 1
-                cfg = GatingConfig(kind=kind, window_side=3, groups=groups,
-                                   covariance_form=form, delta_frozen=frozen,
-                                   use_bias=True)
-                unit = GatingUnit(cfg, 8, rng=np.random.default_rng(17), dtype=np.float64)
+        quadratic = kind is GatingKind.GGQPE  # the only kind with a form and a centre
+        for form in forms if quadratic else [CovarianceForm.GAMMA_GRAMIAN]:
+            for frozen in (False, True) if quadratic else (False,):
+                try:
+                    unit_cfg = GatingConfig(kind=kind, window_side=3,
+                                            groups=2 if kind.grouped else 1,
+                                            covariance_form=form, delta_frozen=frozen,
+                                            use_bias=True)
+                except ValueError:  # a combination the unit refuses
+                    continue
+                unit = GatingUnit(unit_cfg, 8, rng=np.random.default_rng(17),
+                                  dtype=np.float64)
                 x = Tensor(rng.standard_normal((2, 9, 8)))
                 w = rng.standard_normal((2, 9, 4))
 
@@ -350,9 +326,9 @@ def cmd_gradcheck(resolved):
                 report(f"unit kind={kind.value} form={form.value} frozen_delta={frozen}", res)
 
     for kind in kinds:
-        model = _build({**resolved, "gating": kind.value, "variant": "MICRO"},
-                       dtype=np.float64)
-        ds = SyntheticDataset(per_class=2, seed=resolved["seed"])
+        micro = _model_config({**resolved, "gating": kind.value, "variant": "MICRO"})
+        model = _build(micro, train.seed, dtype=np.float64)
+        ds = SyntheticDataset(per_class=2, seed=train.seed)
         x = Tensor(ds.images[:1].astype(np.float64))
         w = rng.standard_normal((1, model.config.num_classes))
 
@@ -367,18 +343,13 @@ def cmd_gradcheck(resolved):
     return 0 if failures == 0 else 1
 
 
-def cmd_attn(resolved):
-    from .analysis import export_attention_maps
-
-    model = _load_or_build(resolved)
-    layers = resolved.get("layers")
-    groups = resolved.get("groups")
-    layers = [int(v) for v in layers.split(",")] if isinstance(layers, str) else layers
-    groups = [int(v) for v in groups.split(",")] if isinstance(groups, str) else groups
+def cmd_attn(resolved, cfg, train):
+    model = _load_or_build(resolved, cfg, train.seed)
     try:
-        files = export_attention_maps(model, int(resolved.get("query", 0)),
+        files = export_attention_maps(model, resolved["query"],
                                       os.path.join(resolved["out"], "attn"),
-                                      layers=layers, groups=groups)
+                                      layers=_int_list("layers", resolved.get("layers")),
+                                      groups=_int_list("groups", resolved.get("groups")))
     except IndexError as err:  # a selection out of range, raised before any write
         raise ConfigError(str(err))
     for f in files:
@@ -386,10 +357,8 @@ def cmd_attn(resolved):
     return 0
 
 
-def cmd_bias(resolved):
-    from .analysis import export_bias_maps
-
-    model = _load_or_build(resolved)
+def cmd_bias(resolved, cfg, train):
+    model = _load_or_build(resolved, cfg, train.seed)
     files = export_bias_maps(model, os.path.join(resolved["out"], "bias"))
     if not files:
         print("no layers carry a position bias; nothing exported")
@@ -398,10 +367,8 @@ def cmd_bias(resolved):
     return 0
 
 
-def cmd_nonlocality(resolved):
-    from .analysis import model_non_locality
-
-    model = _load_or_build(resolved)
+def cmd_nonlocality(resolved, cfg, train):
+    model = _load_or_build(resolved, cfg, train.seed)
     entries = model_non_locality(model)
     payload = [{"layer": e.layer, "value": e.value,
                 "included_groups": e.included_groups,
@@ -418,15 +385,10 @@ def cmd_nonlocality(resolved):
     return 0
 
 
-def cmd_train(resolved):
-    from .model import save_checkpoint
-    from .training import train_loop
-
-    model = _build(resolved)
-    ds = _dataset(resolved)
-    cfg = _train_config(resolved)
+def cmd_train(resolved, cfg, train):
+    model = _build(cfg, train.seed)
     out = resolved["out"]
-    history = train_loop(model, ds, cfg, out_dir=out)
+    history = train_loop(model, _dataset(resolved), train, out_dir=out)
     save_checkpoint(model, os.path.join(out, "model.pmlp"))
     last = history[-1]
     print(f"final epoch {last['epoch']}: loss {last['loss']:.4f} "
@@ -434,31 +396,23 @@ def cmd_train(resolved):
     return 0
 
 
-def cmd_eval(resolved):
-    from .training import evaluate
-
-    model = _load_or_build(resolved)
-    ds = _dataset(resolved)
-    out = evaluate(model, ds, batch_size=resolved["batch_size"])
+def cmd_eval(resolved, cfg, train):
+    model = _load_or_build(resolved, cfg, train.seed)
+    out = evaluate(model, _dataset(resolved), batch_size=train.batch_size)
     print(f"top-1 accuracy {out['accuracy']:.4f}  loss {out['loss']:.4f}")
     return 0
 
 
-def cmd_save(resolved):
-    from .model import save_checkpoint
-
+def cmd_save(resolved, cfg, train):
     path = resolved.get("checkpoint") or os.path.join(resolved["out"], "model.pmlp")
-    model = _build(resolved)
+    model = _build(cfg, train.seed)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     save_checkpoint(model, path)
     print(path)
     return 0
 
 
-def cmd_load(resolved):
-    from .complexity import count_params
-    from .model import load_checkpoint
-
+def cmd_load(resolved, cfg, train):
     path = resolved.get("checkpoint")
     if not path:
         raise ConfigError("load needs --checkpoint")
@@ -484,31 +438,19 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolved = _resolve(args)
-        _validate(resolved)
+        resolved = _resolve(args, _config_types(parser))
+        cfg, train = _validate(resolved)
         _echo_config(resolved, resolved["out"])
-        code = _COMMANDS[args.command](resolved)
-    except ConfigError as err:
+        code = _COMMANDS[args.command](resolved, cfg, train)
+    except (ConfigError, ValueError, KeyError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         code = 2
-    except OSError as err:
+    except (OSError, CheckpointError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         code = 3
-    except Exception as err:  # noqa: BLE001 - map module errors to exit codes
-        from .model import CheckpointError
-
-        if isinstance(err, CheckpointError):
-            print(f"i/o error: {err}", file=sys.stderr)
-            code = 3
-        elif isinstance(err, (ValueError, KeyError)):
-            print(f"configuration error: {err}", file=sys.stderr)
-            code = 2
-        else:
-            raise
     return code
 
 

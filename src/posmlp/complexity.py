@@ -141,29 +141,21 @@ def reconcile_blocks(model):
 
 # -- flop estimation --------------------------------------------------------------
 
-def estimate_flops(cfg, image_side=None, batch=1):
+def estimate_flops(cfg, batch=1):
     """MAC-based compute estimate for a full forward pass of a ``ModelConfig``.
 
     Walks the configured architecture (the estimate is a pure function of
     shapes); returns a report with per-stage and per-component terms.  The
     total is exactly ``batch`` times the single-image figure.
     """
-    side = image_side or cfg.image_side
-    if side % 4:
-        raise ValueError(f"image side {side} must be divisible by 4")
     c = cfg.stages[0].dim
-    half = side // 2
-    quarter = side // 4
+    half = cfg.image_side // 2
+    sides = cfg.feature_sides()
     stem = (9 * 3 * (c // 2) * half * half
             + 9 * (c // 2) * (c // 2) * half * half
-            + 9 * (c // 2) * c * quarter * quarter)
+            + 9 * (c // 2) * c * sides[0] * sides[0])
     stages = []
-    merges = []
-    fside = quarter
-    for i, st in enumerate(cfg.stages):
-        if fside % st.window_side:
-            raise ValueError(
-                f"stage {i}: window {st.window_side} does not divide feature side {fside}")
+    for i, (st, fside) in enumerate(zip(cfg.stages, sides)):
         n = st.window_side ** 2
         tokens = fside * fside
         windows = tokens // n
@@ -175,14 +167,12 @@ def estimate_flops(cfg, image_side=None, batch=1):
             "flops": stage_total,
             "breakdown": {k: st.depth * windows * v for k, v in per_window.breakdown.items()},
         })
-        if i < 3:
-            out_side = fside // 2
-            merges.append(9 * (2 * st.dim) * out_side * out_side)
-            fside = out_side
+    merges = [9 * (2 * st.dim) * out_side * out_side
+              for st, out_side in zip(cfg.stages, sides[1:])]
     head = cfg.stages[3].dim * cfg.num_classes
     per_image = stem + sum(s["flops"] for s in stages) + sum(merges) + head
     return {
-        "image_side": side,
+        "image_side": cfg.image_side,
         "batch": batch,
         "stem": batch * stem,
         "stages": [{**s, "flops": batch * s["flops"],

@@ -69,6 +69,12 @@ class GatingConfig:
         object.__setattr__(self, "kind", GatingKind(self.kind))
         object.__setattr__(self, "combine", Combine(self.combine))
         object.__setattr__(self, "covariance_form", CovarianceForm(self.covariance_form))
+        for name, tri_state in (("split_channels", False), ("delta_frozen", False),
+                                ("use_bias", True), ("pre_norm_on_x1", True)):
+            val = getattr(self, name)
+            if not (isinstance(val, bool) or (tri_state and val is None)):
+                or_none = ", or None for the kind's default" if tri_state else ""
+                raise ValueError(f"{name} must be true or false{or_none}, got {val!r}")
         if self.window_side < 1:
             raise ValueError("window_side must be >= 1")
         if self.groups < 1:

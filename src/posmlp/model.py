@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -68,6 +69,10 @@ class ModelConfig:
     split_channels: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.variant, str):
+            raise ValueError(f"variant must be a string, got {self.variant!r}")
+        if not isinstance(self.use_ape, bool):
+            raise ValueError(f"use_ape must be true or false, got {self.use_ape!r}")
         object.__setattr__(self, "gating_kind", GatingKind(self.gating_kind))
         object.__setattr__(self, "combine", Combine(self.combine))
         object.__setattr__(self, "covariance_form", CovarianceForm(self.covariance_form))
@@ -166,17 +171,20 @@ def default_windows(variant, image_side):
 
 def variant_config(variant, image_side=None, num_classes=None, windows=None, **overrides):
     """Build a ModelConfig for one of the named variants."""
-    variant = variant.upper()
-    if variant not in _VARIANTS:
+    if not isinstance(variant, str) or variant.upper() not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; valid: {sorted(_VARIANTS)}")
+    variant = variant.upper()
     spec = _VARIANTS[variant]
     if image_side is None:
         image_side = 32 if variant == "MICRO" else 224
+    _check_positive_int("image_side", image_side)
     if num_classes is None:
         num_classes = 4 if variant == "MICRO" else 1000
-    windows = default_windows(variant, image_side) if windows is None else tuple(windows)
-    if len(windows) != 4:
-        raise ValueError(f"windows needs one side per stage (four), got {windows}")
+    if windows is None:
+        windows = default_windows(variant, image_side)
+    if isinstance(windows, str) or not isinstance(windows, Sequence) or len(windows) != 4:
+        raise ValueError(f"windows must be a sequence of four integers, one window side "
+                         f"per stage, got {windows!r}")
     c = spec["base_dim"]
     stages = tuple(
         StageConfig(depth=spec["depths"][i], dim=c * 2 ** i, window_side=windows[i],

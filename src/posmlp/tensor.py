@@ -396,8 +396,8 @@ def split(x, parts, axis=-1):
     """
     axis = axis % x.ndim
     extent = x.shape[axis]
-    if extent % parts != 0:
-        raise ShapeError(f"split: axis extent {extent} not divisible by {parts}")
+    if parts < 1 or extent % parts != 0:
+        raise ShapeError(f"split: axis extent {extent} not divisible into {parts} parts")
     step = extent // parts
     shape = x.shape
     outs = []
@@ -420,6 +420,8 @@ def concat(parts, axis=-1):
     if not parts:
         raise ShapeError("concat: empty input list")
     axis = axis % parts[0].ndim
+    if len({(p.ndim, p.shape[:axis] + p.shape[axis + 1:]) for p in parts}) != 1:
+        raise ShapeError(f"concat: parts {[p.shape for p in parts]} differ off axis {axis}")
     sizes = [p.shape[axis] for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + sizes)
@@ -440,6 +442,8 @@ def take(x, flat_indices, out_shape):
     idx = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
     if np.prod(out_shape) != idx.size:
         raise ShapeError(f"take: {idx.size} indices do not fill {tuple(out_shape)}")
+    if idx.size and not 0 <= idx.min() <= idx.max() < x.size:
+        raise ShapeError(f"take: an index lies outside the {x.size} elements of {x.shape}")
     data = x.data.reshape(-1)[idx].reshape(out_shape)
     shape, size = x.shape, x.size
 
@@ -471,6 +475,9 @@ def permute_flat(x, shape, axes, out_shape):
     if axes is None:
         raise ShapeError("permute_flat: axes are required; reshape is the op for a pure reshape")
     view, inv = _permuted_view("permute_flat", x, shape, axes)
+    if np.prod(out_shape) != x.size:
+        raise ShapeError(f"permute_flat: {tuple(out_shape)} does not hold the {x.size} "
+                         f"elements of {x.shape}")
     data = view.copy().reshape(out_shape)
     view_shape, shape = view.shape, x.shape
 

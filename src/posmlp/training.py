@@ -37,6 +37,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {val!r}")
         for name in ("lr_init", "lr_min", "weight_decay"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Real) \
@@ -44,8 +48,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a finite nonnegative number, got {val!r}")
         if self.lr_init < self.lr_min:
             raise ValueError("initial learning rate must be >= the minimum")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be positive")
 
 
 def cosine_lr(cfg, epoch):

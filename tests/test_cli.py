@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +50,9 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path, capsys):
     ([], '{"lr_init": "0.1"}', "lr_init"),
     ([], '{"lr_min": true}', "lr_min"),
     (["--per-class", "0"], None, "per_class"),
+    ([], '{"data_path": 5}', "data_path"),
+    ([], '{"epochs": 2.5}', "epochs"),
+    ([], '{"seed": -1}', "seed"),
 ])
 def test_bad_training_setting_exits_2_and_writes_nothing(tmp_path, capsys, flags, config, key):
     out = tmp_path / "out"
@@ -280,6 +285,11 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     (["--gating", "lrpe", "--no-pre-norm-on-x1"], None),
     (["--form", "alpha_i"], None),
     (["--image-side", "36"], None),
+    ([], {"out": 5}),
+    ([], {"layers": 5}),
+    ([], {"checkpoint": 5}),
+    ([], {"windows": "8,x,2,1"}),
+    ([], [1, 2]),
 ])
 def test_bad_model_setting_exits_2_and_writes_nothing(tmp_path, capsys, flags, config):
     out = tmp_path / "out"
@@ -324,8 +334,54 @@ def test_reproducible_outputs(tmp_path, capsys):
         (tmp_path / "c2" / "cost.json").read_bytes()
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("POSMLP_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+@pytest.mark.parametrize("argv", [
+    ["describe", "--variant", "T", "--windows", "14,14,14,7", "--no-use-bias"],
+    ["cost", "--gating", "glrpe", "--seed", "4"],
+    ["attn", "--query", "2", "--layers", "0", "--groups", "0,1"],
+    ["train", "--epochs", "1", "--batch-size", "16", "--per-class", "4", "--lr-init", "1e-3"],
+    ["eval", "--per-class", "2", "--num-classes", "4"],
+])
+def test_resolved_config_is_a_valid_config(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, first, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    echoed = (out / "resolved_config.json").read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(echoed)
+    code, again, _ = run(capsys, argv[0], "--config", str(cfg))
+    assert code == 0 and again == first
+    assert (out / "resolved_config.json").read_bytes() == echoed
+
+
+@pytest.mark.parametrize("gating", ["sgu", "lrpe_m", "lrpe", "glrpe", "ggqpe"])
+def test_cost_norm_is_the_counted_norm_affines(tmp_path, capsys, gating):
+    from posmlp.complexity import count_params
+    from posmlp.model import build_model, variant_config
+    from posmlp.positional import ZeroDraws
+
+    code, _, _ = run(capsys, "cost", "--gating", gating, "--out", str(tmp_path))
+    assert code == 0
+    report = json.loads((tmp_path / "cost.json").read_text())
+    per_path, _ = count_params(build_model(variant_config("MICRO", gating_kind=gating),
+                                           rng=ZeroDraws()))
+    for st in report["stages"]:
+        params = st["breakdown"]["params"]
+        norm = sum(v for k, v in per_path.items()
+                   if k.startswith(f"stages.{st['stage']}.") and ".norm." in k)
+        assert params["norm"] == norm
+        assert sum(params.values()) == st["params"]
+
+
+def test_entry_point_in_a_fresh_process(tmp_path):
+    # in-process tests import every module before main runs; a new process
+    # catches an import-order fault in the package or the CLI module
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    (tmp_path / "bad.json").write_text('{"data_path": 5}')
+    for extra, want in [([], 0), (["--config", "bad.json"], 2)]:
+        proc = subprocess.run([sys.executable, "-m", "posmlp.cli", "describe",
+                               "--variant", "MICRO", *extra],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == want, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr

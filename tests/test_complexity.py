@@ -202,11 +202,6 @@ def test_estimate_flops_tiny_384_within_published_envelope():
     assert abs(total / 17.7e9 - 1.0) < 0.10
 
 
-def test_estimate_flops_uses_config_side():
-    cfg = M.variant_config("T")
-    assert C.estimate_flops(cfg, image_side=224)["total"] == C.estimate_flops(cfg)["total"]
-
-
 def test_count_params_micro_matches_manual_sum():
     m = M.build_model(M.variant_config("MICRO"), rng=np.random.default_rng(0))
     per_path, total = C.count_params(m)

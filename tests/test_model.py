@@ -213,6 +213,21 @@ def test_variant_config_rejects_unknown():
     assert "MICRO" in str(err.value) and "T" in str(err.value)
 
 
+@pytest.mark.parametrize("args, kw, field", [
+    (("MICRO",), dict(use_ape="no"), "use_ape"),
+    (("MICRO",), dict(use_bias=1), "use_bias"),
+    (("MICRO",), dict(pre_norm_on_x1="yes"), "pre_norm_on_x1"),
+    (("MICRO",), dict(split_channels=None), "split_channels"),
+    (("MICRO",), dict(image_side="224"), "image_side"),
+    (("MICRO",), dict(num_classes=4.0), "num_classes"),
+    (("MICRO",), dict(windows=14), "windows"),
+    ((5,), {}, "variant"),
+])
+def test_variant_config_refuses_a_mistyped_setting(args, kw, field):
+    with pytest.raises(ValueError, match=field):
+        M.variant_config(*args, **kw)
+
+
 def test_config_validation_happens_at_build_time():
     with pytest.raises(ValueError):
         M.variant_config("MICRO", windows=(8, 8, 8, 4))  # 8 does not divide the 4x4 map

@@ -569,6 +569,8 @@ def test_permute_flat_rejects_a_bad_permutation_or_shape():
         T.permute_flat(x, (2, 2, 2), (0, 1), (8,))
     with pytest.raises(T.ShapeError):
         T.permute_flat(x, (3, 3), (1, 0), (9,))
+    with pytest.raises(T.ShapeError, match="permute_flat"):
+        T.permute_flat(x, (4, 2), (1, 0), (9,))  # out_shape the elements do not fill
     # axes=None would be a pure reshape, which is reshape's job.
     with pytest.raises(T.ShapeError, match="axes are required"):
         T.permute_flat(x, (2, 4), None, (8,))
@@ -624,11 +626,25 @@ def test_split_concat_roundtrip_property(parts, rows, axis, seed):
 def test_split_rejects_uneven():
     with pytest.raises(T.ShapeError):
         T.split(t64(np.ones((2, 5))), 2, axis=-1)
+    with pytest.raises(T.ShapeError, match="split"):
+        T.split(t64(np.ones((2, 5))), 0)
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 3)), ((2, 3), (2, 3, 1)), ((2, 3), (2,))])
+def test_concat_rejects_parts_that_differ_off_axis(shapes):
+    with pytest.raises(T.ShapeError, match="concat"):
+        T.concat([t64(np.ones(s)) for s in shapes], axis=1)
 
 
 def test_take_rejects_an_out_shape_its_indices_do_not_fill():
     with pytest.raises(T.ShapeError, match="take"):
         T.take(Tensor(np.ones(3)), [0, 1], (3,))
+
+
+@pytest.mark.parametrize("idx", [[0, 5], [0, 3], [-1, 0]])
+def test_take_rejects_an_index_outside_x(idx):
+    with pytest.raises(T.ShapeError, match="take"):
+        T.take(Tensor(np.ones(3)), idx, (2,))
 
 
 def test_reshape_is_rowmajor_copy(rng):

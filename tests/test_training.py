@@ -40,6 +40,20 @@ def test_train_config_validation():
         TR.TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(epochs=2.5), "epochs"), (dict(epochs=True), "epochs"),
+    (dict(batch_size="32"), "batch_size"), (dict(seed=-1), "seed"), (dict(seed=1.0), "seed"),
+])
+def test_train_config_refuses_a_mistyped_count(kw, field):
+    with pytest.raises(ValueError, match=field):
+        TR.TrainConfig(**kw)
+
+
+def test_train_config_accepts_numpy_integers():
+    cfg = TR.TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3))
+    assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 8, 3)
+
+
 def test_cosine_schedule_endpoints():
     cfg = TR.TrainConfig(epochs=10, lr_init=1e-3, lr_min=1e-5)
     assert TR.cosine_lr(cfg, 0) == pytest.approx(1e-3)
