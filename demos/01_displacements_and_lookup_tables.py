@@ -22,7 +22,7 @@ print(f"\ndictionary size: {(2 * k - 1) ** 2}, distinct indices used: "
       f"{len(np.unique(idx))}")
 
 table = LrpeTable(k, group_count=1, rng=np.random.default_rng(0), dtype=np.float64)
-w = lrpe_weight_matrix(table, grid).data
+w = lrpe_weight_matrix(table).data
 print("\nlookup mixing matrix (first 4 rows):")
 print(np.round(w[:4], 3))
 

@@ -9,17 +9,15 @@ learnable 5-vector and fixed polynomial displacement features.
 import numpy as np
 
 from posmlp.positional import (CovarianceForm, GqpeParams, PRECISION_EPS,
-                               displacement_grid, gqpe_embedding, gqpe_vector,
-                               gqpe_weight_matrix)
+                               displacement_grid, gqpe_vectors, group_weight_stack)
 
 k = 7
 grid = displacement_grid(k)
-emb = gqpe_embedding(grid)
 center_query = (k // 2) * k + k // 2
 
 
 def show(label, params):
-    w = gqpe_weight_matrix(params, emb).data
+    w = group_weight_stack(params, grid).matrix(0)
     row = w[center_query].reshape(k, k)
     print(f"\n{label}")
     print("attention of the central query over its window:")
@@ -44,10 +42,10 @@ shifted.delta.data[:] = [2.0, -1.0]
 show("unit precision, center shifted by (2, -1)", shifted)
 
 # the 5-vector times the feature row reproduces the explicit quadratic
-v = gqpe_vector(shifted).data
+v = gqpe_vectors(shifted).data[0]
 d = np.array([2.0, -1.0])
 prec = shifted.effective_precision_numpy()[0]
-dots = emb.flat @ v
+dots = grid.features(np.float64).data.T @ v
 explicit = np.einsum("ijk,kl,ijl->ij",
                      np.stack([grid.dx, grid.dy], -1) - d, prec,
                      np.stack([grid.dx, grid.dy], -1) - d) * -0.5

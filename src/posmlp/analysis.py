@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gating import GatingKind
-from .positional import GqpeParams, group_weight_stack, lrpe_weight_stack
+from .positional import GqpeParams
 
 DEFAULT_EXCLUSION = 1e-3
 
@@ -39,31 +39,31 @@ class NonLocalityEntry:
     excluded_groups: int
 
 
-def non_locality(params, layer="layer", exclusion=DEFAULT_EXCLUSION):
+def non_locality(params, layer="layer"):
     """Mean sqrt(lambda1 * lambda2) of the group precisions of one layer.
 
     ``params`` is the layer's ``GqpeParams``.  Groups whose smallest
-    eigenvalue falls below ``exclusion`` are skipped and counted.  Smaller
-    values mean flatter attention, i.e. more non-local mixing; scaling
-    every precision by c scales the score by c.
+    eigenvalue falls below ``DEFAULT_EXCLUSION`` are skipped and counted.
+    Smaller values mean flatter attention, i.e. more non-local mixing;
+    scaling every precision by c scales the score by c.
     """
     if not isinstance(params, GqpeParams):
         raise TypeError("non_locality expects quadratic-prior parameters (GqpeParams)")
     lo, hi = symmetric_eigvals_2x2(params.effective_precision_numpy())
-    kept = ~(lo < exclusion)
+    kept = ~(lo < DEFAULT_EXCLUSION)
     vals = np.sqrt(lo[kept] * hi[kept]).tolist()
     value = None if not vals else sum(vals) / len(vals)
     return NonLocalityEntry(layer, value, len(vals), int(lo.size - len(vals)))
 
 
-def model_non_locality(model, exclusion=DEFAULT_EXCLUSION):
+def model_non_locality(model):
     """Per-layer non-locality entries over all quadratic-prior blocks."""
     if model.config.gating_kind is not GatingKind.GGQPE:
         raise ValueError("non-locality is defined for the quadratic gating kind")
     out = []
     for i, blocks in enumerate(model.stages):
         for j, blk in enumerate(blocks):
-            out.append(non_locality(blk.unit.gqpe, f"stage{i}_block{j}", exclusion))
+            out.append(non_locality(blk.unit.gqpe, f"stage{i}_block{j}"))
     return out
 
 
@@ -124,17 +124,6 @@ def read_map_pgm(path):
 
 # -- attention and bias exports -------------------------------------------------------
 
-def _positional_matrix(unit):
-    kind = unit.config.kind
-    if kind is GatingKind.GGQPE:
-        stack = group_weight_stack(unit.gqpe, unit.emb)
-    elif kind in (GatingKind.LRPE, GatingKind.GLRPE, GatingKind.LRPE_M):
-        stack = lrpe_weight_stack(unit.lrpe, unit.grid)
-    else:
-        raise ValueError(f"{kind.name} has no positional matrix to export")
-    return [stack.matrix(g) for g in range(len(stack))]
-
-
 def _check_selection(unit, query_index, groups):
     n, s = unit.config.n_tokens, unit.config.groups
     if not 0 <= query_index < n:
@@ -145,15 +134,19 @@ def _check_selection(unit, query_index, groups):
 
 
 def export_unit_attention_maps(unit, query_index, out_dir, layer="unit", groups=None):
-    """Write one query row of each group's positional matrix as CSV + PGM."""
+    """Write one query row of each group's mixing matrix as CSV + PGM.
+
+    The rows are those of ``unit.mixing_stack()``, the matrices the unit
+    mixes with: dense plus lookup for LRPE_M, the dense matrix for SGU.
+    """
     k = unit.config.window_side
     _check_selection(unit, query_index, groups)
-    mats = _positional_matrix(unit)
-    groups = range(len(mats)) if groups is None else groups
+    stack = unit.mixing_stack()
+    groups = range(len(stack)) if groups is None else groups
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for g in groups:
-        row = mats[g][query_index].reshape(k, k)
+        row = stack.matrix(g)[query_index].reshape(k, k)
         base = os.path.join(out_dir, f"{layer}_{g}_{query_index}")
         write_map_csv(base + ".csv", row)
         write_map_pgm(base + ".pgm", row)
@@ -162,11 +155,10 @@ def export_unit_attention_maps(unit, query_index, out_dir, layer="unit", groups=
 
 
 def export_attention_maps(model, query_index, out_dir, layers=None, groups=None):
-    """Export positional-matrix rows for selected blocks of a model.
+    """Export mixing-matrix rows for selected blocks of a model.
 
     ``layers`` selects flat block indices (stage-major); the default is all
-    blocks that carry positional matrices.  Every selection is checked
-    before the first map is written.
+    blocks.  Every selection is checked before the first map is written.
     """
     flat = [(f"stage{i}_block{j}", blk.unit)
             for i, blocks in enumerate(model.stages)

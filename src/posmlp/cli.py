@@ -5,9 +5,9 @@ cost), verification (gradcheck), analysis exports (attn, bias,
 nonlocality), training and evaluation, and checkpoint round-trips (save,
 load).  Settings come from an optional JSON config file with flag
 overrides winning.  The file's keys are the flags' dest names, each holding
-the type its flag parses to; every command echoes the fully resolved
-configuration into its output directory, and that echo is itself a valid
-config file.
+the type its flag parses to; every command that returns echoes the fully
+resolved configuration into its output directory, and that echo is itself
+a valid config file.  A command that raises writes no echo.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 I/O error.
 """
@@ -302,6 +302,9 @@ def cmd_gradcheck(resolved, cfg, train):
     forms = [CovarianceForm(resolved["form"])] if resolved.get("form") else \
         [CovarianceForm.GAMMA_GRAMIAN, CovarianceForm.GAMMA_RAW, CovarianceForm.ALPHA_I]
     rng = np.random.default_rng(train.seed)
+    # every MICRO config first, so a setting MICRO refuses fails before any check
+    micros = [_model_config({**resolved, "gating": kind.value, "variant": "MICRO"})
+              for kind in kinds]
 
     for kind in kinds:
         quadratic = kind is GatingKind.GGQPE  # the only kind with a form and a centre
@@ -325,8 +328,7 @@ def cmd_gradcheck(resolved, cfg, train):
                 res = gradcheck(fn, unit.parameters())
                 report(f"unit kind={kind.value} form={form.value} frozen_delta={frozen}", res)
 
-    for kind in kinds:
-        micro = _model_config({**resolved, "gating": kind.value, "variant": "MICRO"})
+    for kind, micro in zip(kinds, micros):
         model = _build(micro, train.seed, dtype=np.float64)
         ds = SyntheticDataset(per_class=2, seed=train.seed)
         x = Tensor(ds.images[:1].astype(np.float64))
@@ -443,8 +445,8 @@ def main(argv=None):
     try:
         resolved = _resolve(args, _config_types(parser))
         cfg, train = _validate(resolved)
-        _echo_config(resolved, resolved["out"])
         code = _COMMANDS[args.command](resolved, cfg, train)
+        _echo_config(resolved, resolved["out"])
     except (ConfigError, ValueError, KeyError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         code = 2

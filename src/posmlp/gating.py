@@ -20,9 +20,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .positional import (CovarianceForm, GqpeParams, LrpeTable, WeightStack,
-                         check_frozen_delta, displacement_grid, gqpe_embedding,
-                         group_weight_stack, lrpe_weight_matrix, lrpe_weight_stack,
-                         trunc_normal)
+                         check_frozen_delta, displacement_grid, group_weight_stack,
+                         lrpe_weight_matrix, lrpe_weight_stack, trunc_normal)
 
 
 class GatingKind(Enum):
@@ -133,7 +132,6 @@ class GatingUnit:
         n = config.n_tokens
         x1_width = config.mixed_width(self.width)
         self.grid = displacement_grid(k)
-        self.emb = gqpe_embedding(self.grid) if config.kind is GatingKind.GGQPE else None
 
         self.token_fc_weight = None
         if config.kind in (GatingKind.SGU, GatingKind.LRPE_M):
@@ -213,12 +211,12 @@ class GatingUnit:
     def _build_mixing_stack(self):
         cfg = self.config
         if cfg.kind is GatingKind.GGQPE:
-            return group_weight_stack(self.gqpe, self.emb)
+            return group_weight_stack(self.gqpe, self.grid)
         if cfg.kind in (GatingKind.LRPE, GatingKind.GLRPE):
-            return lrpe_weight_stack(self.lrpe, self.grid)
+            return lrpe_weight_stack(self.lrpe)
         w = self.token_fc_weight
         if cfg.kind is GatingKind.LRPE_M:
-            w = T.add(w, lrpe_weight_matrix(self.lrpe, self.grid, 0))
+            w = T.add(w, lrpe_weight_matrix(self.lrpe))
         n = cfg.n_tokens
         return WeightStack(T.reshape(w, (n, 1, n)))
 

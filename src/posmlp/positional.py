@@ -12,7 +12,6 @@ Both keep the defining property that matrix entries depend on token pairs
 only through their displacement.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -43,6 +42,8 @@ class DisplacementGrid:
 
     Token i sits at ``(i // k, i % k)``; components therefore lie in
     ``[-k+1, k-1]`` and the table is antisymmetric with a zero diagonal.
+    The grid also owns the quadratic generator's polynomial features of
+    these displacements.
     """
 
     def __init__(self, window_side):
@@ -56,6 +57,20 @@ class DisplacementGrid:
         py = pos % k
         self.dx = px[None, :] - px[:, None]
         self.dy = py[None, :] - py[:, None]
+        self._features = {}
+
+    def features(self, dtype):
+        """The constant ``(5, N^2)`` tensor of [dx, dy, dx^2, dy^2, dx*dy] per pair.
+
+        Column ``i * N + j`` holds pair (i, j); each dtype's tensor is built once.
+        """
+        dtype = np.dtype(dtype)
+        if dtype not in self._features:
+            dx = self.dx.reshape(-1).astype(np.float64)
+            dy = self.dy.reshape(-1).astype(np.float64)
+            self._features[dtype] = Tensor(np.stack([dx, dy, dx * dx, dy * dy, dx * dy]),
+                                           dtype=dtype)
+        return self._features[dtype]
 
 
 @lru_cache(maxsize=16)
@@ -77,14 +92,14 @@ def lrpe_index_map(grid):
 class LrpeTable:
     """Learnable displacement dictionary; one row of (2k-1)^2 scalars per group."""
 
-    def __init__(self, window_side, group_count=1, rng=None, dtype=np.float32, std=0.02):
+    def __init__(self, window_side, group_count=1, rng=None, dtype=np.float32):
         if group_count < 1:
             raise ValueError("group_count must be >= 1")
         self.window_side = int(window_side)
         self.group_count = int(group_count)
         n_entries = (2 * self.window_side - 1) ** 2
         rng = rng or np.random.default_rng(0)
-        self.values = Tensor(trunc_normal(rng, (self.group_count, n_entries), std, dtype),
+        self.values = Tensor(trunc_normal(rng, (self.group_count, n_entries), 0.02, dtype),
                              requires_grad=True)
 
     @property
@@ -114,60 +129,27 @@ class WeightStack:
         return self.weights.data[:, group]
 
 
-def _lrpe_indices(table, grid, groups):
-    """``(N, len(groups), N)`` flat indices of the groups' entries in ``table.values``."""
-    if table.window_side != grid.window_side:
-        raise ValueError(
-            f"table window {table.window_side} does not match grid {grid.window_side}")
-    offsets = table.entries_per_group * np.asarray(groups)
+def _lrpe_indices(table):
+    """``(N, s, N)`` flat indices of every group's entries in ``table.values``."""
+    offsets = table.entries_per_group * np.arange(table.group_count)
+    grid = displacement_grid(table.window_side)
     return lrpe_index_map(grid)[:, None, :] + offsets[None, :, None]
 
 
-def lrpe_weight_stack(table, grid):
+def lrpe_weight_stack(table):
     """Look every group's displacement table up into one weight stack."""
-    n, s = grid.n_tokens, table.group_count
-    return WeightStack(T.take(table.values, _lrpe_indices(table, grid, range(s)), (n, s, n)))
+    idx = _lrpe_indices(table)
+    return WeightStack(T.take(table.values, idx, idx.shape))
 
 
-def lrpe_weight_matrix(table, grid, group=0):
-    """Look one group's displacement table up into an ``N x N`` mixing matrix.
+def lrpe_weight_matrix(table):
+    """Look a one-group table up into an ``N x N`` mixing matrix.
 
     No softmax is applied; the lookup value is used directly as the weight.
+    ``take`` refuses a table of more groups, whose indices overfill the matrix.
     """
-    if not 0 <= group < table.group_count:
-        raise IndexError(f"group {group} out of range for {table.group_count} tables")
-    n = grid.n_tokens
-    return T.take(table.values, _lrpe_indices(table, grid, [group]), (n, n))
-
-
-@dataclass
-class GqpeEmbedding:
-    """Fixed polynomial features [dx, dy, dx^2, dy^2, dx*dy] per displacement."""
-
-    window_side: int
-    table: np.ndarray  # (N, N, 5)
-    _features: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def flat(self):
-        return self.table.reshape(-1, 5)
-
-    def features(self, dtype):
-        """The ``(5, N^2)`` transposed feature matrix as a constant tensor, cast once per dtype."""
-        dtype = np.dtype(dtype)
-        if dtype not in self._features:
-            self._features[dtype] = Tensor(self.flat.T.astype(dtype))
-        return self._features[dtype]
-
-
-@lru_cache(maxsize=16)
-def gqpe_embedding(grid):
-    """The shared, read-only float64 embedding of a displacement grid."""
-    dx = grid.dx.astype(np.float64)
-    dy = grid.dy.astype(np.float64)
-    table = np.stack([dx, dy, dx * dx, dy * dy, dx * dy], axis=-1)
-    table.flags.writeable = False
-    return GqpeEmbedding(grid.window_side, table)
+    n = table.window_side ** 2
+    return T.take(table.values, _lrpe_indices(table), (n, n))
 
 
 class GqpeParams:
@@ -277,34 +259,16 @@ def gqpe_vectors(params):
     return T.mul(T.take(blocks, idx, (s, 5)), Tensor(coeffs))
 
 
-def _one_group(params, what):
-    if len(params) != 1:
-        raise ValueError(f"{what} takes one group, got {len(params)}")
-
-
-def gqpe_vector(params):
-    """The 5-vector of a one-group ``GqpeParams``."""
-    _one_group(params, "gqpe_vector")
-    return T.reshape(gqpe_vectors(params), (5,))
-
-
-def _feature_logits(params, emb):
-    """``(s, N^2)`` logits: row g holds group g's logit of pair (i, j) at ``i * N + j``."""
-    v = gqpe_vectors(params)
-    return T.matmul(v, emb.features(v.dtype))
-
-
-def gqpe_logits(params, emb):
-    """Pre-softmax ``N x N`` logits of a one-group ``GqpeParams``.
+def gqpe_logits(params, grid):
+    """``(s, N^2)`` logits: row g holds group g's logit of pair (i, j) at ``i * N + j``.
 
     Equal displacements give equal entries.
     """
-    _one_group(params, "gqpe_logits")
-    n = emb.window_side ** 2
-    return T.reshape(_feature_logits(params, emb), (n, n))
+    v = gqpe_vectors(params)
+    return T.matmul(v, grid.features(v.dtype))
 
 
-def group_weight_stack(params, emb):
+def group_weight_stack(params, grid):
     """Every group's row-stochastic matrix as one ``WeightStack``.
 
     All groups share the displacement features: one product forms the
@@ -312,15 +276,8 @@ def group_weight_stack(params, emb):
     reading contiguous rows of the ``(s, N, N)`` view and writing the
     ``(N, s, N)`` stack directly.  The op count does not depend on s.
     """
-    n, s = emb.window_side ** 2, len(params)
-    return WeightStack(T.softmax_rows(_feature_logits(params, emb), (s, n, n), (1, 0, 2)))
-
-
-def gqpe_weight_matrix(params, emb):
-    """Row-stochastic mixing matrix of a one-group ``GqpeParams``; the s = 1 stack."""
-    _one_group(params, "gqpe_weight_matrix")
-    n = emb.window_side ** 2
-    return T.reshape(group_weight_stack(params, emb).weights, (n, n))
+    n, s = grid.n_tokens, len(params)
+    return WeightStack(T.softmax_rows(gqpe_logits(params, grid), (s, n, n), (1, 0, 2)))
 
 
 class ZeroDraws:

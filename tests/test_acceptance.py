@@ -99,10 +99,9 @@ def test_criterion_04_quadratic_oracle_equivalence():
     worst = 0.0
     for k in (3, 7, 14):
         grid = P.displacement_grid(k)
-        emb = P.gqpe_embedding(grid)
         for _ in range(40):
             g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng, dtype=np.float64)
-            got = P.gqpe_weight_matrix(g, emb).data
+            got = P.group_weight_stack(g, grid).matrix(0)
             want = gaussian_oracle_weights(grid, g.delta.data[0],
                                            g.effective_precision_numpy()[0])
             worst = max(worst, float(np.max(np.abs(got - want))))
@@ -154,7 +153,7 @@ def test_criterion_05_degeneracy_lattice():
         # grouped quadratic unit at one group == plain quadratic weight matrix
         ugq = G.GatingUnit(G.GatingConfig(G.GatingKind.GGQPE, 3, groups=1),
                            8, rng=np.random.default_rng(trial), dtype=np.float64)
-        w = P.gqpe_weight_matrix(ugq.gqpe, ugq.emb).data
+        w = P.group_weight_stack(ugq.gqpe, ugq.grid).matrix(0)
         x1, x2 = x8.data[..., :4], x8.data[..., 4:]
         want = np.stack([(w @ x1[b] + ugq.bias.data[:, None]) * x2[b] for b in range(2)])
         worst = max(worst, max_diff(ugq.forward(x8).data, want))
@@ -214,11 +213,10 @@ def test_criterion_07_structural_invariants():
     # displacement-equality classes share values exactly, pre-softmax
     k = 7
     grid = P.displacement_grid(k)
-    emb = P.gqpe_embedding(grid)
     g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng, dtype=np.float64)
-    logits = P.gqpe_logits(g, emb).data
+    logits = P.gqpe_logits(g, grid).data[0].reshape(49, 49)
     tab = P.LrpeTable(k, 1, rng=rng, dtype=np.float64)
-    lrpe = P.lrpe_weight_matrix(tab, grid).data
+    lrpe = P.lrpe_weight_matrix(tab).data
     key = grid.dx * (2 * k) + grid.dy
     for mat in (logits, lrpe):
         for val in np.unique(key):
@@ -227,7 +225,7 @@ def test_criterion_07_structural_invariants():
 
     # quadratic-prior rows are stochastic
     groups = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, groups=8, rng=rng, dtype=np.float64)
-    stack = P.group_weight_stack(groups, P.gqpe_embedding(P.displacement_grid(14)))
+    stack = P.group_weight_stack(groups, P.displacement_grid(14))
     for g in range(len(stack)):
         np.testing.assert_allclose(stack.matrix(g).sum(axis=1), np.ones(196), atol=1e-6)
 
@@ -242,7 +240,7 @@ def test_criterion_07_structural_invariants():
     for dx, dy in [(0, 0), (1, 0), (0, -1), (2, 1), (-1, -2)]:
         gg = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, rng=rng, dtype=np.float64)
         gg.delta.data[:] = [dx, dy]
-        wmat = P.gqpe_weight_matrix(gg, emb).data
+        wmat = P.group_weight_stack(gg, grid).matrix(0)
         for i in range(49):
             xi, yi = divmod(i, k)
             if 0 <= xi + dx < k and 0 <= yi + dy < k:

@@ -147,8 +147,8 @@ def test_attention_export_roundtrip_and_determinism(tmp_path):
     for a, b in zip(f1, f2):
         assert open(a, "rb").read() == open(b, "rb").read()
     csv = [f for f in f1 if f.endswith(".csv")][0]
-    from posmlp.positional import gqpe_weight_matrix
-    w = gqpe_weight_matrix(u.gqpe, u.emb).data
+    from posmlp.positional import group_weight_stack
+    w = group_weight_stack(u.gqpe, u.grid).matrix(0)
     back = A.read_map_csv(csv).reshape(-1)
     assert np.max(np.abs(back - w[10])) < 1e-6
 
@@ -168,12 +168,25 @@ def test_attention_export_rejects_bad_query(tmp_path):
         A.export_unit_attention_maps(sharp_unit(), 49, tmp_path)
 
 
-def test_attention_export_rejects_dense_unit(tmp_path):
+@pytest.mark.parametrize("kind", list(GatingKind))
+def test_attention_export_writes_the_rows_the_unit_mixes_with(tmp_path, monkeypatch, kind):
+    # dense plus lookup for LRPE_M, the dense matrix for SGU; after a forward
+    # the export reads the stack that forward cached and builds none
     from posmlp.gating import GatingConfig, GatingUnit
-    u = GatingUnit(GatingConfig(kind=GatingKind.SGU, window_side=2), 4,
-                   rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        A.export_unit_attention_maps(u, 0, tmp_path)
+    from posmlp.tensor import Tensor
+    cfg = GatingConfig(kind=kind, window_side=3, groups=2 if kind.grouped else 1)
+    u = GatingUnit(cfg, 8, rng=np.random.default_rng(0), dtype=np.float64)
+    u.forward(Tensor(np.random.default_rng(1).standard_normal((2, 9, 8))))
+    stack = u.mixing_stack()
+    monkeypatch.setattr(u, "_build_mixing_stack", lambda: pytest.fail("stack rebuilt"))
+    query = 4
+    files = A.export_unit_attention_maps(u, query, tmp_path)
+    assert u.mixing_stack() is stack
+    csvs = [f for f in files if f.endswith(".csv")]
+    assert len(csvs) == len(stack) == cfg.groups
+    for g, path in enumerate(csvs):
+        row = A.read_map_csv(path).reshape(-1)
+        np.testing.assert_allclose(row, stack.matrix(g)[query], rtol=0, atol=1e-6)
 
 
 def test_model_attention_export(tmp_path):

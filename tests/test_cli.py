@@ -208,6 +208,25 @@ def test_save_then_load(tmp_path, capsys):
 def test_load_without_checkpoint_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "load", "--out", str(tmp_path))
     assert code == 2
+    assert not list(tmp_path.iterdir())  # not even resolved_config.json
+
+
+def test_nonlocality_of_a_lookup_kind_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "nonlocality", "--gating", "lrpe", "--out", str(out))
+    assert code == 2
+    assert err.startswith("configuration error:") and "quadratic" in err
+    assert not out.exists()
+
+
+def test_gradcheck_with_windows_micro_refuses_checks_nothing(tmp_path, capsys):
+    # the model checks run at MICRO sizes, which T's windows do not fit
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "gradcheck", "--variant", "T", "--windows", "14,14,14,7",
+                            "--out", str(out))
+    assert code == 2
+    assert stdout == "" and err.startswith("configuration error:")
+    assert not out.exists()
 
 
 def test_load_missing_file_is_io_error(tmp_path, capsys):
@@ -314,6 +333,7 @@ def test_attn_bad_selection_exits_2_before_any_map(tmp_path, capsys, flags):
     assert code == 2
     assert err.startswith("configuration error:") and len(err.splitlines()) == 1
     assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.pgm"))
+    assert not list(tmp_path.iterdir())  # not even resolved_config.json
 
 
 def test_reproducible_outputs(tmp_path, capsys):

@@ -49,7 +49,7 @@ def group_matrices(u):
                            dtype=u.gqpe.dtype)
         for name, block in u.gqpe.parameters().items():
             getattr(one, name).data[:] = block.data[g]
-        mats.append(P.gqpe_weight_matrix(one, u.emb).data)
+        mats.append(P.group_weight_stack(one, u.grid).matrix(0))
     return mats
 
 
@@ -156,7 +156,7 @@ def test_glrpe_s1_equals_lrpe(rng):
 def test_ggqpe_s1_equals_single_group(rng):
     ug = unit(G.GatingKind.GGQPE, k=3, width=6, groups=1, seed=3)
     x = tin(rng, 2, 9, 6)
-    w = P.gqpe_weight_matrix(ug.gqpe, ug.emb).data
+    w = P.group_weight_stack(ug.gqpe, ug.grid).matrix(0)
     x1, x2 = x.data[..., :3], x.data[..., 3:]
     want = np.stack([(w @ x1[b] + ug.bias.data[:, None]) * x2[b] for b in range(2)])
     np.testing.assert_allclose(ug.forward(x).data, want, atol=1e-12)
@@ -180,8 +180,8 @@ def test_glrpe_matches_group_oracle(rng):
     u = unit(G.GatingKind.GLRPE, k=3, width=8, groups=2, use_bias=False, seed=11)
     u.lrpe.values.data[:] = rng.standard_normal(u.lrpe.values.shape)
     x = tin(rng, 2, 9, 8)
-    grid = P.displacement_grid(3)
-    mats = [P.lrpe_weight_matrix(u.lrpe, grid, g).data for g in range(2)]
+    stack = P.lrpe_weight_stack(u.lrpe)
+    mats = [stack.matrix(g) for g in range(2)]
     want = grouped_oracle(x.data, mats, None, u.norm_gain.data, u.norm_shift.data, True)
     assert np.max(np.abs(u.forward(x).data - want)) < 1e-10
 

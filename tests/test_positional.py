@@ -57,7 +57,6 @@ def test_grid_k14_exhaustive_properties():
 
 def test_grid_and_embedding_caches_are_bounded():
     assert P.displacement_grid.cache_info().maxsize is not None
-    assert P.gqpe_embedding.cache_info().maxsize is not None
 
 
 def test_grid_rejects_k0():
@@ -127,7 +126,7 @@ def test_lrpe_zero_table_gives_zero_matrix():
     g = P.displacement_grid(3)
     tab = P.LrpeTable(3, 1, dtype=np.float64)
     tab.values.data[:] = 0.0
-    w = P.lrpe_weight_matrix(tab, g)
+    w = P.lrpe_weight_matrix(tab)
     np.testing.assert_array_equal(w.data, np.zeros((9, 9)))
 
 
@@ -138,7 +137,7 @@ def test_lrpe_onehot_center_is_scaled_identity():
     tab.values.data[:] = 0.0
     center = (0 + k - 1) * (2 * k - 1) + (0 + k - 1)
     tab.values.data[0, center] = 3.0
-    w = P.lrpe_weight_matrix(tab, g)
+    w = P.lrpe_weight_matrix(tab)
     np.testing.assert_array_equal(w.data, 3.0 * np.eye(9))
 
 
@@ -146,7 +145,7 @@ def test_lrpe_equal_displacements_equal_entries(rng):
     k = 3
     g = P.displacement_grid(k)
     tab = P.LrpeTable(k, 1, rng=rng, dtype=np.float64)
-    w = P.lrpe_weight_matrix(tab, g).data
+    w = P.lrpe_weight_matrix(tab).data
     for i in range(9):
         for j in range(9):
             for a in range(9):
@@ -155,24 +154,11 @@ def test_lrpe_equal_displacements_equal_entries(rng):
                         assert w[i, j] == w[a, b]
 
 
-def test_lrpe_group_out_of_range(rng):
-    tab = P.LrpeTable(3, 2, rng=rng)
-    with pytest.raises(IndexError):
-        P.lrpe_weight_matrix(tab, P.displacement_grid(3), group=2)
-
-
-def test_lrpe_window_mismatch(rng):
-    tab = P.LrpeTable(3, 1, rng=rng)
-    with pytest.raises(ValueError):
-        P.lrpe_weight_matrix(tab, P.displacement_grid(4))
-
-
 # -- gqpe embedding and vector ---------------------------------------------------
 
 def test_embedding_rows():
     g = P.displacement_grid(4)
-    emb = P.gqpe_embedding(g)
-    flat = emb.flat
+    flat = g.features(np.float64).data.T
     idx0 = np.flatnonzero((g.dx.ravel() == 0) & (g.dy.ravel() == 0))[0]
     np.testing.assert_array_equal(flat[idx0], [0, 0, 0, 0, 0])
     idx12 = np.flatnonzero((g.dx.ravel() == 1) & (g.dy.ravel() == 2))[0]
@@ -184,7 +170,7 @@ def test_embedding_rows():
 def test_vector_identity_precision_zero_delta():
     g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True, dtype=np.float64)
     g.gamma.data[:] = np.eye(2)
-    v = P.gqpe_vector(g).data
+    v = P.gqpe_vectors(g).data[0]
     eps = P.PRECISION_EPS
     np.testing.assert_allclose(v, [0, 0, -0.5 * (1 + eps), -0.5 * (1 + eps), 0],
                                atol=1e-12)
@@ -194,7 +180,7 @@ def test_vector_unit_shift():
     g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, dtype=np.float64)
     g.gamma.data[:] = np.eye(2)
     g.delta.data[:] = [1.0, 0.0]
-    v = P.gqpe_vector(g).data
+    v = P.gqpe_vectors(g).data[0]
     eps = P.PRECISION_EPS
     np.testing.assert_allclose(
         v, [1 + eps, 0, -0.5 * (1 + eps), -0.5 * (1 + eps), 0], atol=1e-12)
@@ -204,14 +190,13 @@ def test_vector_dot_equals_quadratic_up_to_constant(rng):
     """v . r_d differs from the explicit quadratic by exactly 0.5 d^T P d."""
     k = 5
     grid = P.displacement_grid(k)
-    emb = P.gqpe_embedding(grid)
     for _ in range(10):
         g = make_gramian(rng)
-        v = P.gqpe_vector(g).data
+        v = P.gqpe_vectors(g).data[0]
         prec = g.effective_precision_numpy()[0]
         delta = g.delta.data[0].astype(np.float64)
         offset = 0.5 * delta @ prec @ delta
-        dots = emb.flat @ v
+        dots = grid.features(np.float64).data.T @ v
         quad = gaussian_logits_oracle(grid, delta, prec).reshape(-1)
         np.testing.assert_allclose(dots - quad, offset, atol=1e-10)
 
@@ -226,8 +211,8 @@ def alpha_params(alpha, dtype=np.float64):
 
 def test_sharp_isotropic_concentrates_on_query():
     k = 7
-    w = P.gqpe_weight_matrix(alpha_params(50.0), P.gqpe_embedding(P.displacement_grid(k)))
-    diag = np.diag(w.data)
+    w = P.group_weight_stack(alpha_params(50.0), P.displacement_grid(k)).matrix(0)
+    diag = np.diag(w)
     assert (diag > 0.99).all()
 
 
@@ -235,17 +220,16 @@ def test_flat_precision_limit_is_uniform():
     k = 7
     g = P.GqpeParams(P.CovarianceForm.ALPHA_I, delta_frozen=True, dtype=np.float64)
     g.alpha_raw.data[:] = -40.0  # softplus -> 0, precision -> eps
-    w = P.gqpe_weight_matrix(g, P.gqpe_embedding(P.displacement_grid(k)))
-    np.testing.assert_allclose(w.data, np.full((49, 49), 1 / 49), atol=1e-3)
+    w = P.group_weight_stack(g, P.displacement_grid(k)).matrix(0)
+    np.testing.assert_allclose(w, np.full((49, 49), 1 / 49), atol=1e-3)
 
 
 @pytest.mark.parametrize("k", [3, 7])
 def test_softmax_equivalence_oracle(rng, k):
     grid = P.displacement_grid(k)
-    emb = P.gqpe_embedding(grid)
     for _ in range(20):
         g = make_gramian(rng)
-        got = P.gqpe_weight_matrix(g, emb).data
+        got = P.group_weight_stack(g, grid).matrix(0)
         want = softmax_oracle(
             gaussian_logits_oracle(grid, g.delta.data[0], g.effective_precision_numpy()[0]))
         assert np.max(np.abs(got - want)) < 1e-9
@@ -255,10 +239,9 @@ def test_raw_form_quadratic_part_uses_mirrored_upper_entry(rng):
     # the quadratic logit entries consume (0,0), (1,1), (0,1) of the raw
     # factor; with a frozen center the (1,0) entry is ignored entirely
     grid = P.displacement_grid(4)
-    emb = P.gqpe_embedding(grid)
     g = P.GqpeParams(P.CovarianceForm.GAMMA_RAW, delta_frozen=True, rng=rng, dtype=np.float64)
     g.gamma.data[:] = [[1.5, 0.7], [-2.0, 0.9]]  # deliberately asymmetric
-    got = P.gqpe_weight_matrix(g, emb).data
+    got = P.group_weight_stack(g, grid).matrix(0)
     want = softmax_oracle(
         gaussian_logits_oracle(grid, np.zeros(2), g.effective_precision_numpy()[0]))
     assert np.max(np.abs(got - want)) < 1e-9
@@ -272,7 +255,7 @@ def test_raw_form_linear_term_follows_full_matrix(rng):
     g = P.GqpeParams(P.CovarianceForm.GAMMA_RAW, rng=rng, dtype=np.float64)
     g.gamma.data[:] = [[1.5, 0.7], [-2.0, 0.9]]
     g.delta.data[:] = [1.0, -0.5]
-    v = P.gqpe_vector(g).data
+    v = P.gqpe_vectors(g).data[0]
     pd = g.gamma.data[0] @ g.delta.data[0]
     np.testing.assert_allclose(v[:2], pd, atol=1e-12)
     assert v[1] != pytest.approx(g.effective_precision_numpy()[0, 1] @ g.delta.data[0])
@@ -281,9 +264,8 @@ def test_raw_form_linear_term_follows_full_matrix(rng):
 def test_row_shift_invariance(rng):
     k = 4
     grid = P.displacement_grid(k)
-    emb = P.gqpe_embedding(grid)
     g = make_gramian(rng)
-    logits = P.gqpe_logits(g, emb).data
+    logits = P.gqpe_logits(g, grid).data[0].reshape(16, 16)
     base = softmax_oracle(logits)
     shifted = logits.copy()
     shifted[3] += 17.25
@@ -293,9 +275,8 @@ def test_row_shift_invariance(rng):
 def test_logits_toeplitz_by_displacement(rng):
     k = 3
     grid = P.displacement_grid(k)
-    emb = P.gqpe_embedding(grid)
     g = make_gramian(rng)
-    logits = P.gqpe_logits(g, emb).data
+    logits = P.gqpe_logits(g, grid).data[0].reshape(9, 9)
     for i in range(9):
         for j in range(9):
             for a in range(9):
@@ -311,11 +292,10 @@ def g_eq(grid, i, j, a, b):
 def test_argmax_at_on_grid_delta(rng):
     k = 7
     grid = P.displacement_grid(k)
-    emb = P.gqpe_embedding(grid)
     for dx, dy in [(0, 0), (1, 1), (-2, 0), (2, -1)]:
         g = make_gramian(rng)
         g.delta.data[:] = [dx, dy]
-        w = P.gqpe_weight_matrix(g, emb).data
+        w = P.group_weight_stack(g, grid).matrix(0)
         for i in range(grid.n_tokens):
             xi, yi = divmod(i, k)
             xj, yj = xi + dx, yi + dy
@@ -325,24 +305,22 @@ def test_argmax_at_on_grid_delta(rng):
 
 def test_group_stack_degenerate_and_shared(rng):
     grid = P.displacement_grid(3)
-    emb = P.gqpe_embedding(grid)
     g = make_gramian(rng)
-    single = P.gqpe_weight_matrix(g, emb).data
-    stack = P.group_weight_stack(g, emb)
+    single = P.group_weight_stack(g, grid).matrix(0)
+    stack = P.group_weight_stack(g, grid)
     assert len(stack) == 1 and stack.weights.shape == (9, 1, 9)
     np.testing.assert_array_equal(stack.matrix(0), single)
     g2 = make_gramian(rng, groups=2)
     g2.delta.data[:] = g.delta.data
     g2.gamma.data[:] = g.gamma.data
-    two = P.group_weight_stack(g2, emb)
+    two = P.group_weight_stack(g2, grid)
     assert len(two) == 2 and two.weights.shape == (9, 2, 9)
     np.testing.assert_array_equal(two.matrix(0), two.matrix(1))
 
 
 def test_group_stack_row_stochastic_large(rng):
     grid = P.displacement_grid(14)
-    emb = P.gqpe_embedding(grid)
-    stack = P.group_weight_stack(make_gramian(rng, groups=8), emb)
+    stack = P.group_weight_stack(make_gramian(rng, groups=8), grid)
     assert len(stack) == 8
     for g in range(len(stack)):
         np.testing.assert_allclose(stack.matrix(g).sum(axis=1), np.ones(196), atol=1e-6)
@@ -351,14 +329,13 @@ def test_group_stack_row_stochastic_large(rng):
 def test_group_stack_entries_match_single_group(rng):
     # the stacked product and softmax give each group its own matrix
     grid = P.displacement_grid(4)
-    emb = P.gqpe_embedding(grid)
     groups = make_gramian(rng, groups=5)
-    stack = P.group_weight_stack(groups, emb)
+    stack = P.group_weight_stack(groups, grid)
     for g in range(5):
         params = make_gramian(rng)
         params.delta.data[:] = groups.delta.data[g]
         params.gamma.data[:] = groups.gamma.data[g]
-        want = softmax_oracle(P.gqpe_logits(params, emb).data)
+        want = softmax_oracle(P.gqpe_logits(params, grid).data[0].reshape(16, 16))
         np.testing.assert_allclose(stack.matrix(g), want, rtol=0, atol=1e-15)
 
 
@@ -366,8 +343,8 @@ def test_float32_stack_has_no_subnormal_weights():
     # a T-sized stage-3 stack at init: the sharp prior underflows some
     # weights, which come out as exact zeros rather than subnormals
     rng = np.random.default_rng(0)
-    emb = P.gqpe_embedding(P.displacement_grid(14))
-    w = P.group_weight_stack(P.GqpeParams(groups=32, rng=rng), emb).weights.data
+    grid = P.displacement_grid(14)
+    w = P.group_weight_stack(P.GqpeParams(groups=32, rng=rng), grid).weights.data
     assert w.dtype == np.float32 and w.shape == (196, 32, 196)
     fi = np.finfo(np.float32)
     assert not np.any((w != 0) & (np.abs(w) < fi.tiny / (fi.eps * 196)))
@@ -381,11 +358,11 @@ def test_cut_stack_mixes_like_the_tiny_flush_oracle(k, s, c):
     # change no mixed value, though they are a few percent of the stack
     rng = np.random.default_rng(0)
     n = k * k
-    emb = P.gqpe_embedding(P.displacement_grid(k))
+    grid = P.displacement_grid(k)
     groups = P.GqpeParams(groups=s, rng=rng)
-    w = P.group_weight_stack(groups, emb).weights
+    w = P.group_weight_stack(groups, grid).weights
     logits = np.ascontiguousarray(
-        P._feature_logits(groups, emb).data.reshape(s, n, n).transpose(1, 0, 2))
+        P.gqpe_logits(groups, grid).data.reshape(s, n, n).transpose(1, 0, 2))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     oracle = e / e.sum(axis=-1, keepdims=True)
     oracle[oracle < np.finfo(np.float32).tiny] = 0.0
@@ -413,12 +390,11 @@ def test_group_stack_rejects_empty():
 ])
 def test_weight_matrix_gradcheck(rng, form, frozen):
     grid = P.displacement_grid(3)
-    emb = P.gqpe_embedding(grid)
     g = P.GqpeParams(form, delta_frozen=frozen, rng=rng, dtype=np.float64)
     weights = rng.standard_normal((9, 9))
 
     def fn():
-        return T.weighted_sum(P.gqpe_weight_matrix(g, emb), weights)
+        return T.weighted_sum(P.group_weight_stack(g, grid).weights, weights.reshape(9, 1, 9))
 
     res = gradcheck(fn, g.parameters())
     assert res.ok, res.failures
@@ -427,11 +403,10 @@ def test_weight_matrix_gradcheck(rng, form, frozen):
 
 def test_frozen_delta_receives_no_gradient(rng):
     grid = P.displacement_grid(3)
-    emb = P.gqpe_embedding(grid)
     g = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, delta_frozen=True, rng=rng,
                      dtype=np.float64)
-    loss = T.sum_all(T.mul(P.gqpe_weight_matrix(g, emb),
-                           Tensor(rng.standard_normal((9, 9)))))
+    loss = T.sum_all(T.mul(P.group_weight_stack(g, grid).weights,
+                           Tensor(rng.standard_normal((9, 9)).reshape(9, 1, 9))))
     backward(loss)
     assert g.delta.grad is None
     np.testing.assert_array_equal(g.delta.data, np.zeros((1, 2)))
@@ -444,14 +419,12 @@ def test_alpha_i_requires_frozen_delta():
 
 
 def test_lrpe_table_gradcheck(rng):
-    grid = P.displacement_grid(3)
     tab = P.LrpeTable(3, 2, rng=rng, dtype=np.float64)
     weights = rng.standard_normal((9, 9))
 
     def fn():
-        w0 = P.lrpe_weight_matrix(tab, grid, 0)
-        w1 = P.lrpe_weight_matrix(tab, grid, 1)
-        return T.weighted_sum(T.mul(w0, w1), weights)
+        w0, w1 = T.split(P.lrpe_weight_stack(tab).weights, 2, axis=1)
+        return T.weighted_sum(T.mul(w0, w1), weights.reshape(9, 1, 9))
 
     res = gradcheck(fn, {"values": tab.values})
     assert res.ok, res.failures
@@ -483,18 +456,18 @@ class PerGroupParams:
         return T.reshape(T.concat([alpha, zero, zero, alpha], axis=0), (2, 2))
 
 
-def per_group_stack(groups, emb):
+def per_group_stack(groups, grid):
     """The per-group chain: a [P | P d] block per group, then a node-major softmax."""
     blocks = []
     for grp in groups:
         p = grp.precision()
         blocks.append(T.concat([p, T.matmul(p, T.reshape(grp.delta, (2, 1)))], axis=1))
     blocks = T.concat(blocks, axis=0)
-    s, n = len(groups), emb.window_side ** 2
+    s, n = len(groups), grid.n_tokens
     idx = np.array([2, 5, 0, 4, 1])[:, None] + 6 * np.arange(s)[None, :]
     coeffs = np.repeat(np.array([1.0, 1.0, -0.5, -0.5, -1.0])[:, None], s, axis=1)
     v = T.mul(T.take(blocks, idx, (5, s)), Tensor(coeffs.astype(blocks.dtype)))
-    logits = T.matmul(Tensor(emb.flat.astype(v.dtype)), v)
+    logits = T.matmul(Tensor(grid.features(v.dtype).data.T), v)
     return T.softmax_rows(logits, (n, n, s), (0, 2, 1))
 
 
@@ -517,13 +490,13 @@ FORMS = [(P.CovarianceForm.GAMMA_GRAMIAN, False), (P.CovarianceForm.GAMMA_GRAMIA
 def test_stacked_generation_matches_the_per_group_chain(k, s, form, frozen, dtype):
     rng = np.random.default_rng(k * 100 + s)
     n = k * k
-    emb = P.gqpe_embedding(P.displacement_grid(k))
+    grid = P.displacement_grid(k)
     params = P.GqpeParams(form, delta_frozen=frozen, groups=s, rng=rng, dtype=dtype)
     if params.alpha_raw is not None:
         params.alpha_raw.data[:] = rng.uniform(-1.0, 3.0, size=(s, 1))
     groups = [PerGroupParams(params, g) for g in range(s)]
-    got = P.group_weight_stack(params, emb).weights
-    want = per_group_stack(groups, emb)
+    got = P.group_weight_stack(params, grid).weights
+    want = per_group_stack(groups, grid)
     assert got.shape == want.shape == (n, s, n) and got.dtype == want.dtype == dtype
     np.testing.assert_array_equal(got.data.view(np.uint8), want.data.view(np.uint8))
 
@@ -541,11 +514,11 @@ def test_stacked_generation_matches_the_per_group_chain(k, s, form, frozen, dtyp
 @pytest.mark.parametrize("form, frozen", FORMS)
 def test_stack_tape_does_not_grow_with_the_group_count(form, frozen):
     # a per-group loop would record nodes in proportion to s
-    emb = P.gqpe_embedding(P.displacement_grid(3))
+    grid = P.displacement_grid(3)
 
     def tape_nodes(s):
         params = P.GqpeParams(form, delta_frozen=frozen, groups=s, rng=np.random.default_rng(0))
-        stack = P.group_weight_stack(params, emb).weights
+        stack = P.group_weight_stack(params, grid).weights
         return sum(node._vjp is not None for node in T._topo_order(stack))
 
     assert tape_nodes(64) <= tape_nodes(1)

@@ -88,7 +88,7 @@ def test_an_intermediate_read_by_no_rule_is_freed(name):
 def _stack_gradients(form, frozen, hold):
     """Gradients through one stack, and whether its feature logits outlived the build."""
     params = P.GqpeParams(form, delta_frozen=frozen, groups=4, rng=np.random.default_rng(2))
-    emb = P.gqpe_embedding(P.displacement_grid(3))
+    grid = P.displacement_grid(3)
     refs, held = [], []
     softmax = T.softmax_rows
 
@@ -100,7 +100,7 @@ def _stack_gradients(form, frozen, hold):
 
     T.softmax_rows = recording
     try:
-        stack = P.group_weight_stack(params, emb).weights
+        stack = P.group_weight_stack(params, grid).weights
     finally:
         T.softmax_rows = softmax
     gc.collect()

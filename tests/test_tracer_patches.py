@@ -1,0 +1,57 @@
+"""The benchmark tracer patches library functions by name; these tests keep those names.
+
+``perfbench/tracer.py`` swaps module attributes and class methods of posmlp
+while it is installed.  Loading it here, by path and without writing
+bytecode, runs its ``install`` against the current library, so a renamed or
+deleted target fails here rather than only in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from posmlp import model as M
+from posmlp import tensor as T
+from posmlp.gating import GatingKind
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_tracer(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", list(GatingKind))
+def test_tracer_installs_over_a_training_step_and_restores_every_patch(monkeypatch, kind):
+    had_cache = (PERFBENCH / "__pycache__").exists()
+    tracer_mod = load_tracer(monkeypatch)
+    cfg = M.variant_config("MICRO", gating_kind=kind)
+    model = M.build_model(cfg, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = T.Tensor(rng.standard_normal((2, cfg.image_side, cfg.image_side, 3)).astype(np.float32))
+    labels = rng.integers(0, cfg.num_classes, size=2)
+
+    tracer = tracer_mod.Tracer({st.dim: i for i, st in enumerate(cfg.stages)})
+    tracer.install()
+    originals = list(tracer._saved)
+    try:
+        assert all(vars(owner)[attr] is not original for owner, attr, original in originals)
+        T.backward(T.cross_entropy_mean(model.forward(x), labels))
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in originals:
+        assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} not restored"
+    assert (PERFBENCH / "__pycache__").exists() == had_cache
+
+    rows, _, _ = tracer.table()
+    assert rows["model.forward"]["calls"] == 1 and rows["tensor.backward"]["calls"] == 1
+    assert rows["gating"]["calls"] == sum(st.depth for st in cfg.stages)
+    if kind in (GatingKind.GGQPE, GatingKind.LRPE_M):
+        assert rows["positional"]["calls"] > 0 and tracer.matrices > 0
