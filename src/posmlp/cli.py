@@ -9,7 +9,8 @@ the type its flag parses to; every command that returns echoes the fully
 resolved configuration into its output directory, and that echo is itself
 a valid config file.  A command that raises writes no echo.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 configuration error, 3 I/O error,
+4 a training run that diverged (a non-finite loss).
 """
 
 import argparse
@@ -453,6 +454,9 @@ def main(argv=None):
     except (OSError, CheckpointError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         code = 3
+    except FloatingPointError as err:
+        print(f"numerical error: {err}", file=sys.stderr)
+        code = 4
     return code
 
 

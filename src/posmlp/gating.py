@@ -190,8 +190,9 @@ class GatingUnit:
         built last is returned again while each of them is the same object
         with the same ``requires_grad``, dtype and bytes.  In-place
         edits (an optimizer step, ``p.data[:] = ...``) and replaced tensors
-        both force a rebuild, and so does a backward pass through the stack,
-        which consumes its tape.  A returned stack keeps its tape, so
+        both force a rebuild, and so does a backward pass through the stack
+        or, for a softmax stack, through its vectors: either consumes the
+        tape the stack's gradient needs.  A returned stack keeps its tape, so
         gradients through it reach the parameters as if it were built
         afresh.  The entry is one ``(key, stack)`` pair, read once and
         replaced in one assignment, so concurrent forwards never pair a key
@@ -202,7 +203,7 @@ class GatingUnit:
         key = (tensors, [t.requires_grad for t in tensors], [t.data.dtype for t in tensors],
                b"".join([t.data.tobytes() for t in tensors]))
         entry = self._stack_entry
-        if entry is not None and entry[0] == key and not entry[1].weights.consumed:
+        if entry is not None and entry[0] == key and not entry[1].consumed:
             return entry[1]
         stack = self._build_mixing_stack()
         self._stack_entry = (key, stack)
@@ -239,9 +240,13 @@ class GatingUnit:
             # Statistics stay inside each group's channel slice, so groups
             # remain independent channel-wise.
             x1 = T.layer_norm(x1, self.norm_gain, self.norm_shift, groups=cfg.groups)
-        z1 = T.mix_tokens(self.mixing_stack().weights, x1)
-        if self.bias is not None:
-            z1 = T.add_token_bias(z1, self.bias)
+        stack = self.mixing_stack()
+        if cfg.kind is GatingKind.GGQPE:
+            z1 = T.mix_softmax_stack(stack.weights, stack.vectors, stack.features, x1, self.bias)
+        else:
+            z1 = T.mix_tokens(stack.weights, x1)
+            if self.bias is not None:
+                z1 = T.add_token_bias(z1, self.bias)
 
         if cfg.combine is Combine.GATE:
             return T.mul(z1, x2)

@@ -111,18 +111,28 @@ class WeightStack:
     """The s token-mixing matrices of a gating unit as one ``(N, s, N)`` tensor.
 
     ``weights[:, g]`` is group g's ``N x N`` matrix: the leading axis is the
-    query token and ``len`` is the group count.
+    query token and ``len`` is the group count.  A softmax stack also
+    carries the ``(s, 5)`` logit ``vectors`` and the constant ``(5, N^2)``
+    ``features`` it was generated from, so ``tensor.mix_softmax_stack`` can
+    take the gradient to the vectors without the stack's own tape.
     """
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "vectors", "features")
 
-    def __init__(self, weights):
+    def __init__(self, weights, vectors=None, features=None):
         if weights.ndim != 3 or weights.shape[0] != weights.shape[2]:
             raise T.ShapeError(f"a weight stack is (N, s, N), got {weights.shape}")
         self.weights = weights
+        self.vectors = vectors
+        self.features = features
 
     def __len__(self):
         return self.weights.shape[1]
+
+    @property
+    def consumed(self):
+        """True once a backward pass has run through the stack's tape or its vectors'."""
+        return self.weights.consumed or (self.vectors is not None and self.vectors.consumed)
 
     def matrix(self, group):
         """Group ``group``'s ``N x N`` matrix as a numpy array."""
@@ -274,10 +284,15 @@ def group_weight_stack(params, grid):
     All groups share the displacement features: one product forms the
     group-major ``(s, N^2)`` logits and one softmax normalizes them,
     reading contiguous rows of the ``(s, N, N)`` view and writing the
-    ``(N, s, N)`` stack directly.  The op count does not depend on s.
+    ``(N, s, N)`` stack directly.  The op count does not depend on s.  The
+    logits are freed on return; the stack keeps the vectors and the
+    features, from which ``tensor.mix_softmax_stack`` takes its gradient.
     """
     n, s = grid.n_tokens, len(params)
-    return WeightStack(T.softmax_rows(gqpe_logits(params, grid), (s, n, n), (1, 0, 2)))
+    v = gqpe_vectors(params)
+    features = grid.features(v.dtype)
+    weights = T.softmax_rows(T.matmul(v, features), (s, n, n), (1, 0, 2))
+    return WeightStack(weights, v, features)
 
 
 class ZeroDraws:

@@ -262,7 +262,9 @@ def mix_tokens(w, x):
     numpy carries each out as one BLAS call per (window, group) on that
     pair's strided matrices alone.  So each window's result is bitwise
     identical to processing that window alone, and each group's to mixing
-    that group's channels on their own.
+    that group's channels on their own.  ``mix_softmax_stack`` mixes
+    through this op on untaped operands, and forms its stack gradient in
+    the same window order without this op's full ``(N, s, N)`` one.
     """
     if w.ndim not in (2, 3) or w.shape[0] != w.shape[-1]:
         raise ShapeError(f"mix_tokens: expected an N x N matrix or (N, s, N) stack, "
@@ -304,6 +306,98 @@ def mix_tokens(w, x):
         return gw, gx
 
     return _result(out, (w, x), vjp, "mix_tokens")
+
+
+# Bytes of the stack-gradient rows the softmax-stack rule works through at
+# once: eight float32 groups of a 196-token window, which stay in L2.
+_STACK_CHUNK_BYTES = 5 << 18
+
+
+def mix_softmax_stack(stack, vectors, features, x, bias=None):
+    """``mix_tokens(stack, x)`` plus an optional token bias, differentiated to the logit vectors.
+
+    ``stack`` is an ``(N, s, N)`` stack whose group g is the row softmax of
+    row g of ``vectors @ features`` read as ``N x N``, as
+    ``positional.group_weight_stack`` builds it: ``vectors`` is ``(s, m)``
+    and ``features`` a constant ``(m, N^2)``.  Only the stack's data is
+    read; one tape node links the gradient to the vectors, x and the bias.
+
+    The forward is one untaped ``mix_tokens`` call with the bias added in
+    place, so the output is bitwise that of ``mix_tokens`` followed by
+    ``add_token_bias``, and so is the input gradient.  The vectors'
+    gradient never forms the ``(N, s, N)`` stack gradient.  The rule takes
+    the softmax's row term r from the output: r_i = sum of G_i * (Z_i - b_i)
+    over the windows and a group's channels, which equals the row sum of
+    the stack gradient times the stack.  It then works through the groups in
+    chunks that stay in L2.  Each chunk's stack gradient is formed window by
+    window, in ``mix_tokens``' order, straight into the group-major
+    ``(s, N^2)`` logit gradient, and is turned into y * (gw - r) there.
+    One product with the features' transpose, the one ``matmul``'s rule
+    forms, ends the rule.  The node keeps the stack, x and its own output.
+    """
+    if stack.ndim != 3 or stack.shape[0] != stack.shape[2]:
+        raise ShapeError(f"mix_softmax_stack: expected an (N, s, N) stack, got {stack.shape}")
+    n, s = stack.shape[:2]
+    if vectors.ndim != 2 or vectors.shape[0] != s or features.shape != (vectors.shape[1], n * n):
+        raise ShapeError(f"mix_softmax_stack: vectors {vectors.shape} and features "
+                         f"{features.shape} do not generate stack {stack.shape}")
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"mix_softmax_stack: bias {bias.shape} does not fit stack {stack.shape}")
+    for t in (stack, features):
+        if t.dtype != vectors.dtype:
+            raise ShapeError(f"mix_softmax_stack: dtype mismatch {t.dtype} vs {vectors.dtype}")
+    out = mix_tokens(Tensor(stack.data), Tensor(x.data)).data
+    if bias is not None:
+        out += bias.data[:, None]
+    xshape, y = x.shape, stack.data
+    bsz = xshape[0]
+    grouped = (bsz, n, s, xshape[2] // s)
+
+    def by_group(a):
+        """(B, N, C) array as the (B, s, N, c) view of its channel groups."""
+        return a.reshape(grouped).transpose(0, 2, 1, 3)
+
+    # The vectors' gradient reads x, the output, the bias and the features;
+    # the input gradient reads only the stack.
+    to_vectors, to_x = vectors.requires_grad, x.requires_grad
+    to_bias = bias is not None and bias.requires_grad
+    xd = x.data if to_vectors else None
+    zd = out if to_vectors else None
+    bd = bias.data if to_vectors and bias is not None else None
+    ft = np.swapaxes(features.data, -1, -2) if to_vectors else None
+
+    def vjp(g):
+        gg = by_group(g)
+        gv = gx = gb = None
+        if to_vectors:
+            z = zd if bd is None else zd - bd[:, None]
+            r = np.einsum("bnsc,bnsc->sn", g.reshape(grouped), z.reshape(grouped))
+            del z
+            yg, xg = y.transpose(1, 0, 2), by_group(xd)
+            gl = np.empty((s, n, n), dtype=y.dtype)
+            step = max(1, _STACK_CHUNK_BYTES // (n * n * y.itemsize))
+            tmp = np.empty((min(step, s), n, n), dtype=y.dtype) if bsz > 1 else None
+            for lo in range(0, s, step):
+                hi = min(lo + step, s)
+                gw = gl[lo:hi]
+                # The first window's products are written in place; the others add on.
+                np.matmul(gg[0, lo:hi], xg[0, lo:hi].transpose(0, 2, 1), out=gw)
+                for b in range(1, bsz):
+                    part = tmp[:hi - lo]
+                    np.matmul(gg[b, lo:hi], xg[b, lo:hi].transpose(0, 2, 1), out=part)
+                    gw += part
+                gw -= r[lo:hi, :, None]
+                gw *= yg[lo:hi]
+            gv = gl.reshape(s, n * n) @ ft
+        if to_x:
+            gx = np.empty(xshape, dtype=y.dtype)
+            np.matmul(y.transpose(1, 2, 0), gg, out=by_group(gx))
+        if to_bias:
+            gb = g.sum(axis=(0, 2))
+        return (gv, gx) if bias is None else (gv, gx, gb)
+
+    parents = (vectors, x) if bias is None else (vectors, x, bias)
+    return _result(out, parents, vjp, "mix_softmax_stack")
 
 
 def linear(x, w, b):
@@ -627,9 +721,10 @@ def softmax_rows(x, shape=None, axes=None):
     own layout.  No permuted copy of x is made or kept.
 
     An entry whose logit lies more than ln(eps/tiny) below its row's maximum
-    (71.39 in float32, 672.35 in float64) gets weight exactly 0: its
-    exponential would be under tiny/eps (2**-103 in float32) of the row's
-    largest, far below what can move the row sum.  Every nonzero weight is
+    (71.39 in float32, 672.35 in float64) gets weight exactly 0: one masked
+    pass sets it to -inf before the exponential.  Its exponential would be
+    under tiny/eps (2**-103 in float32) of the row's largest, far below
+    what can move the row sum.  Every nonzero weight is
     then at least tiny/(eps*L) for rows of length L, so no exponential and
     no weight is subnormal, nor (for L <= 256) any product of a weight with
     a value of magnitude 2**-15 or more.  A sharp positional prior otherwise
@@ -642,13 +737,9 @@ def softmax_rows(x, shape=None, axes=None):
     fi = np.finfo(view.dtype)
     y = np.empty(view.shape, dtype=view.dtype)
     np.subtract(view, view.max(axis=-1, keepdims=True), out=y)
-    # Entries below the cut get -max added before the exponential, which
-    # takes them to exactly 0; the others get -0.0 added, which changes no bit.
-    k = np.empty_like(y)
-    np.less(y, -np.log(fi.eps / fi.tiny), out=k)
-    k *= -fi.max
-    y += k
-    del k
+    # One masked pass sets the entries below the cut to -inf, whose
+    # exponential is exactly 0; the others keep every bit.
+    np.copyto(y, -np.inf, where=y < -np.log(fi.eps / fi.tiny))
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     shape = x.shape

@@ -242,7 +242,10 @@ def train_loop(model, dataset, config, out_dir=None):
     """Cross-entropy training; returns per-epoch metric rows.
 
     Metrics are also rendered as CSV text (``epoch,split,loss,accuracy``)
-    and written to ``out_dir/metrics.csv`` when a directory is given.
+    and written to ``out_dir/metrics.csv`` when a directory is given.  A
+    non-finite loss stops the run with ``FloatingPointError`` naming its
+    epoch and step, before that step's backward and update and before
+    anything is written.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -260,11 +263,14 @@ def train_loop(model, dataset, config, out_dir=None):
         losses = []
         hits = 0
         seen = 0
-        for idx in plan[epoch]:
+        for step, idx in enumerate(plan[epoch]):
             images, labels = dataset.images[idx], dataset.labels[idx]
             x = Tensor(images.astype(model.dtype, copy=False))
             logits = model.forward(x)
             loss = T.cross_entropy_mean(logits, labels)
+            if not np.isfinite(loss.data):
+                raise FloatingPointError(f"training diverged: loss {float(loss.data)} at "
+                                         f"epoch {epoch}, step {step}")
             model.zero_grad()
             backward(loss)
             opt.step(lr)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from posmlp import cli
+from posmlp import tensor as T
 from posmlp.analysis import read_map_csv
 
 
@@ -172,6 +173,18 @@ def test_train_eval_save_load_cycle(tmp_path, capsys):
                        "--out", str(tmp_path / "load"))
     assert code == 0
     assert "loaded MICRO" in out
+
+
+def test_diverging_training_run_exits_4_and_writes_nothing(tmp_path, capsys):
+    T.set_checked(False)  # the training loop's own loss check must stop the run
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, "train", "--variant", "MICRO", "--epochs", "3",
+                           "--lr-init", "10000", "--out", str(out))
+    assert code == 4
+    assert "numerical error" in err and "epoch 0, step " in err
+    for name in ("model.pmlp", "metrics.csv", "resolved_config.json"):
+        assert not (out / name).exists()
 
 
 def test_eval_on_binary_dataset_fixture(tmp_path, capsys):

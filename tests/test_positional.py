@@ -544,3 +544,94 @@ def test_blocks_draw_group_by_group(form, frozen):
                 params.alpha_raw.data, np.full((6, 1), np.log(np.expm1(1.0 - P.PRECISION_EPS)),
                                                dtype=dtype))
         assert params.delta.requires_grad == (not frozen)
+
+
+# -- mixing through the softmax stack in one node ---------------------------------
+
+# (B, s, k, c): PosMLP-T's four stages at 224^2 and batch 1, then MICRO's first
+# and last stages at batch 2 (the last has one-token windows).
+MIX_SHAPES = [(16, 8, 14, 24), (4, 16, 14, 24), (1, 32, 14, 24), (1, 64, 7, 12),
+              (2, 8, 8, 4), (2, 64, 1, 2)]
+
+
+def _mix_gradients(params, grid, x, bias, g, fused):
+    """Output, input, bias and parameter gradients of stack mixing under loss sum(g * out)."""
+    stack = P.group_weight_stack(params, grid)
+    xt = Tensor(x, requires_grad=True)
+    bt = None if bias is None else Tensor(bias, requires_grad=True)
+    if fused:
+        out = T.mix_softmax_stack(stack.weights, stack.vectors, stack.features, xt, bt)
+    else:
+        out = T.mix_tokens(stack.weights, xt)
+        if bt is not None:
+            out = T.add_token_bias(out, bt)
+    for p in params.parameters().values():
+        p.grad = None
+    backward(T.weighted_sum(out, g))
+    grads = {name: p.grad for name, p in params.parameters().items()}
+    return out.data, xt.grad, None if bt is None else bt.grad, grads
+
+
+@pytest.mark.parametrize("b, s, k, c", MIX_SHAPES)
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_node_mixing_matches_the_stack_chain(b, s, k, c, with_bias, dtype):
+    # The reference is mix_tokens on the built stack plus add_token_bias,
+    # differentiated through the stack's softmax and logit product.
+    rng = np.random.default_rng(b * 1000 + s * 10 + k)
+    n = k * k
+    grid = P.displacement_grid(k)
+    params = P.GqpeParams(P.CovarianceForm.GAMMA_GRAMIAN, groups=s, rng=rng, dtype=dtype)
+    x = rng.standard_normal((b, n, s * c)).astype(dtype)
+    bias = rng.standard_normal(n).astype(dtype) if with_bias else None
+    g = rng.standard_normal((b, n, s * c)).astype(dtype)
+    out, gx, gb, grads = _mix_gradients(params, grid, x, bias, g, fused=True)
+    want_out, want_gx, want_gb, want = _mix_gradients(params, grid, x, bias, g, fused=False)
+    np.testing.assert_array_equal(out.view(np.uint8), want_out.view(np.uint8))
+    np.testing.assert_array_equal(gx.view(np.uint8), want_gx.view(np.uint8))
+    if with_bias:
+        np.testing.assert_array_equal(gb, want_gb)
+    # The row term comes from the output, not from the stack gradient, so
+    # the logit gradients round differently: 5.4 eps is the most measured
+    # (these shapes, both dtypes, with and without a bias, all three forms).
+    for name, oracle in want.items():
+        bound = REORDER_EPS_BOUND * np.finfo(dtype).eps * np.max(np.abs(oracle))
+        assert grads[name].dtype == dtype
+        assert np.max(np.abs(grads[name] - oracle)) <= bound, name
+
+
+@pytest.mark.parametrize("form, frozen", FORMS)
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_one_node_mixing_gradcheck(form, frozen, with_bias):
+    rng = np.random.default_rng(31)
+    grid = P.displacement_grid(3)
+    params = P.GqpeParams(form, delta_frozen=frozen, groups=2, rng=rng, dtype=np.float64)
+    x = Tensor(rng.standard_normal((2, 9, 6)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(9), requires_grad=True) if with_bias else None
+    weights = rng.standard_normal((2, 9, 6))
+
+    def fn():
+        stack = P.group_weight_stack(params, grid)
+        out = T.mix_softmax_stack(stack.weights, stack.vectors, stack.features, x, bias)
+        return T.weighted_sum(out, weights)
+
+    wrt = {**params.parameters(), "x": x, **({"bias": bias} if with_bias else {})}
+    res = gradcheck(fn, wrt)
+    assert res.ok, res.failures
+    assert res.max_rel_err < 1e-4
+
+
+def test_one_node_mixing_refuses_a_stack_its_vectors_cannot_generate():
+    params = P.GqpeParams(groups=2, rng=np.random.default_rng(0))
+    stack = P.group_weight_stack(params, P.displacement_grid(3))
+    other = P.group_weight_stack(P.GqpeParams(groups=3, rng=np.random.default_rng(0)),
+                                 P.displacement_grid(3))
+    x = Tensor(np.ones((1, 9, 6), dtype=np.float32))
+    with pytest.raises(T.ShapeError, match="do not generate"):
+        T.mix_softmax_stack(stack.weights, other.vectors, other.features, x)
+    with pytest.raises(T.ShapeError, match="bias"):
+        T.mix_softmax_stack(stack.weights, stack.vectors, stack.features, x,
+                            Tensor(np.ones(4, dtype=np.float32)))
+    with pytest.raises(T.ShapeError, match="dtype"):
+        T.mix_softmax_stack(stack.weights, stack.vectors,
+                            P.displacement_grid(3).features(np.float64), x)

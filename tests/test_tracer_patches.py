@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` swaps module attributes and class methods of posmlp
 while it is installed.  Loading it here, by path and without writing
 bytecode, runs its ``install`` against the current library, so a renamed or
-deleted target fails here rather than only in a benchmark run.
+deleted target fails here rather than only in a benchmark run.  The same
+holds for the MAC count that ``perfbench/harness.py`` checks against the
+closed form.
 """
 
 import importlib.util
@@ -20,9 +22,10 @@ from posmlp.gating import GatingKind
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer(monkeypatch):
+def load_perfbench(monkeypatch, stem, name):
+    """``perfbench/<stem>.py`` loaded as module ``name``, writing no bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -31,7 +34,7 @@ def load_tracer(monkeypatch):
 @pytest.mark.parametrize("kind", list(GatingKind))
 def test_tracer_installs_over_a_training_step_and_restores_every_patch(monkeypatch, kind):
     had_cache = (PERFBENCH / "__pycache__").exists()
-    tracer_mod = load_tracer(monkeypatch)
+    tracer_mod = load_perfbench(monkeypatch, "tracer", "perfbench_tracer")
     cfg = M.variant_config("MICRO", gating_kind=kind)
     model = M.build_model(cfg, rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
@@ -55,3 +58,24 @@ def test_tracer_installs_over_a_training_step_and_restores_every_patch(monkeypat
     assert rows["gating"]["calls"] == sum(st.depth for st in cfg.stages)
     if kind in (GatingKind.GGQPE, GatingKind.LRPE_M):
         assert rows["positional"]["calls"] > 0 and tracer.matrices > 0
+
+
+@pytest.mark.parametrize("batch, macs", [(1, 1_070_688), (2, 1_949_792)])
+def test_a_fresh_micro_forward_executes_the_closed_form_macs(monkeypatch, batch, macs):
+    # The benchmark counts MACs only where the tracer wraps tensor.mix_tokens
+    # and tensor.matmul; a dense product that bypasses them shows up here.
+    had_cache = (PERFBENCH / "__pycache__").exists()
+    tracer_mod = load_perfbench(monkeypatch, "tracer", "perfbench_tracer")
+    monkeypatch.setitem(sys.modules, "tracer", tracer_mod)  # harness imports it by name
+    harness = load_perfbench(monkeypatch, "harness", "perfbench_harness")
+    cfg = M.variant_config("MICRO", gating_kind=GatingKind.GGQPE)
+    model = M.build_model(cfg, rng=np.random.default_rng(0))
+    x = T.Tensor(np.random.default_rng(1).standard_normal(
+        (batch, cfg.image_side, cfg.image_side, 3)).astype(np.float32))
+    with tracer_mod.Tracer({st.dim: i for i, st in enumerate(cfg.stages)}) as tracer:
+        model.forward(x)
+    rows, _, _ = tracer.table()
+    executed = sum(rows.get(f"tensor.{op}", {}).get("macs", 0) for op in tracer_mod.MAC_OPS)
+    assert executed == harness.reconcile_macs(cfg, batch, executed)["code_convention_macs"]
+    assert executed == macs
+    assert (PERFBENCH / "__pycache__").exists() == had_cache

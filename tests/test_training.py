@@ -3,8 +3,14 @@ import subprocess
 import sys
 import weakref
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from posmlp import model as M
 from posmlp import tensor as T
@@ -283,7 +289,73 @@ def test_ingest_rejects_large_label(tmp_path, rng):
         TR.ingest_cifar_binary(path)
 
 
+@st.composite
+def cifar_records(draw, max_n=4):
+    """n >= 1 uint8 images of the binary layout with labels below 10."""
+    n = draw(st.integers(1, max_n))
+    images = draw(arrays(np.uint8, (n, 32, 32, 3)))
+    labels = draw(arrays(np.uint8, n, elements=st.integers(0, 9)))
+    return images, labels
+
+
+@settings(max_examples=25, deadline=None)
+@given(cifar_records())
+def test_binary_dataset_round_trips_any_records(records):
+    images, labels = records
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.bin"
+        TR.write_cifar_binary(path, images, labels)
+        ds = TR.ingest_cifar_binary(path)
+    want = images.astype(np.float32) / 255.0
+    want -= np.asarray(TR.CIFAR_MEAN, dtype=np.float32)
+    want /= np.asarray(TR.CIFAR_STD, dtype=np.float32)
+    assert len(ds) == len(labels) and ds.n_classes == 10
+    np.testing.assert_array_equal(ds.labels, labels)
+    np.testing.assert_array_equal(ds.images, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cifar_records(), st.integers(1, 3072), st.booleans())
+def test_binary_dataset_refuses_a_partial_record(records, cut, extra):
+    # a file cut short inside its last record, or one with a stray tail
+    images, labels = records
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.bin"
+        TR.write_cifar_binary(path, images, labels)
+        blob = path.read_bytes()
+        path.write_bytes(blob + blob[:cut] if extra else blob[:-cut])
+        with pytest.raises(ValueError, match="3073"):
+            TR.ingest_cifar_binary(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cifar_records(), st.data())
+def test_binary_dataset_refuses_a_label_of_ten_or_more(records, data):
+    images, labels = records
+    labels = labels.copy()
+    labels[data.draw(st.integers(0, len(labels) - 1))] = data.draw(st.integers(10, 255))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.bin"
+        TR.write_cifar_binary(path, images, labels)
+        with pytest.raises(ValueError, match="out of range"):
+            TR.ingest_cifar_binary(path)
+
+
 # -- the loop -----------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 60), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_batch_plan_cuts_each_epoch_into_full_batches_and_one_short_tail(n, b, epochs, seed):
+    plan = TR._batch_plan(n, b, epochs, seed)
+    assert len(plan) == epochs
+    for batches in plan:
+        assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+        assert all(len(batch) == b for batch in batches[:-1])
+        assert 1 <= len(batches[-1]) <= b
+    again = TR._batch_plan(n, b, epochs, seed)
+    assert all(len(p) == len(q) and all(np.array_equal(x, y) for x, y in zip(p, q))
+               for p, q in zip(plan, again))
+
 
 def tiny_dataset(seed=0):
     return TR.SyntheticDataset(seed=seed, per_class=16)
@@ -446,3 +518,62 @@ def test_evaluate_reports_accuracy():
     ds = tiny_dataset()
     out = TR.evaluate(m, ds, batch_size=32)
     assert 0.0 <= out["accuracy"] <= 1.0 and out["loss"] > 0
+
+
+def test_a_non_finite_loss_stops_training_before_its_backward_and_step(monkeypatch):
+    # An enormous learning rate drives the loss to inf or nan within a few
+    # steps; the run stops at the first such loss, before it is differentiated
+    # or applied, and writes nothing.
+    T.set_checked(False)  # the loop's own check must catch it, not an op's
+    calls = []
+    losses = []
+    cross_entropy, backward_, step = T.cross_entropy_mean, TR.backward, TR.AdamW.step
+
+    def recording_loss(logits, labels):
+        out = cross_entropy(logits, labels)
+        losses.append(float(out.data))
+        return out
+
+    def counted_step(self, lr):
+        calls.append("step")
+        step(self, lr)
+
+    monkeypatch.setattr(T, "cross_entropy_mean", recording_loss)
+    monkeypatch.setattr(TR, "backward", lambda loss: (calls.append("backward"), backward_(loss)))
+    monkeypatch.setattr(TR.AdamW, "step", counted_step)
+    cfg = TR.TrainConfig(epochs=3, batch_size=16, lr_init=1e4, seed=0)
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"epoch \d+, step \d+") as err:
+            TR.train_loop(micro(seed=2), tiny_dataset(), cfg, out_dir=tmp)
+        assert list(Path(tmp).iterdir()) == []
+    finite = [v for v in losses if np.isfinite(v)]
+    assert not np.isfinite(losses[-1]) and len(finite) == len(losses) - 1
+    assert calls == ["backward", "step"] * len(finite)
+    per_epoch = -(-len(tiny_dataset()) // cfg.batch_size)
+    epoch, step_ = divmod(len(finite), per_epoch)
+    assert f"epoch {epoch}, step {step_}" in str(err.value)
+
+
+def test_two_micro_steps_at_lr_zero_rebuild_the_consumed_stacks():
+    # The second forward finds every positional parameter unchanged, but the
+    # first backward consumed the tape of each ggqpe stack's vectors, so each
+    # unit rebuilds its stack; nothing raises and the two steps agree.
+    m = micro(seed=4)
+    opt = TR.AdamW(m.parameters(), TR.TrainConfig(lr_init=0.0, lr_min=0.0, seed=0))
+    ds = tiny_dataset()
+    x, labels = Tensor(ds.images[:8]), ds.labels[:8]
+    units = [blk.unit for blocks in m.stages for blk in blocks]
+    results = []
+    for _ in range(2):
+        stacks = [u.mixing_stack() for u in units]
+        loss = T.cross_entropy_mean(m.forward(x), labels)
+        backward(loss)
+        assert all(s.vectors.consumed and not s.weights.consumed for s in stacks)
+        results.append((loss.data.copy(), {k: p.grad.copy() for k, p in m.parameters().items()
+                                           if p.grad is not None}))
+        opt.step(0.0)
+    assert all(u.mixing_stack() is not s for u, s in zip(units, stacks))
+    (loss0, grads0), (loss1, grads1) = results
+    assert loss0 == loss1 and grads0.keys() == grads1.keys()
+    for k in grads0:
+        np.testing.assert_array_equal(grads0[k], grads1[k], err_msg=k)
