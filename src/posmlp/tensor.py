@@ -906,6 +906,11 @@ def conv2d(x, w, b, stride, pad=1):
     weight by one ``np.matmul``, one BLAS call per image, so batch
     independence is exact.  The weight and bias gradients are summed per
     image, then over the images in image order.
+
+    When the weight needs a gradient the rule keeps the input, not the
+    patches (k²/stride² times larger): it re-cuts the same patches just
+    before the weight-gradient product and drops them after, so the
+    gradient is the one the forward's patches would give, bit for bit.
     """
     k, ho, wo = _conv_shape("conv2d", x, w, stride, pad)
     bsz, _, _, cin = x.shape
@@ -915,16 +920,18 @@ def conv2d(x, w, b, stride, pad=1):
     wmat = w.data.reshape(k * k * cin, cout)
     cols = _im2col(x.data, k, stride, pad, ho, wo).reshape(bsz, ho * wo, k * k * cin)
     out = np.matmul(cols, wmat)
+    del cols
     out += b.data
-    if not w.requires_grad:
-        cols = None
+    xd = x.data if w.requires_grad else None
     x_like, w_like, b_like = _grad_like(x), _grad_like(w), _grad_like(b)
 
     def vjp(g):
         g = g.reshape(bsz, ho * wo, cout)
         gx = gw = gb = None
         if w_like is not None:
-            gw = np.matmul(cols.transpose(0, 2, 1), g).sum(axis=0).reshape(w_like[0])
+            patches = _im2col(xd, k, stride, pad, ho, wo).reshape(bsz, ho * wo, k * k * cin)
+            gw = np.matmul(patches.transpose(0, 2, 1), g).sum(axis=0).reshape(w_like[0])
+            del patches
         if b_like is not None:
             gb = g.sum(axis=1).sum(axis=0)
         if x_like is not None:
@@ -940,8 +947,14 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
     x: (B, H, W, C); w: (k, k, C, M); b: (C*M,).  Output channel ``c*M + m``
     is produced from input channel ``c`` alone; M=2 realizes the stride-2
     patch-merging doubling.  As in ``conv2d``, the whole batch is convolved
-    in one op (one ``einsum``), and the weight and bias gradients are summed
-    per image, then over the images in image order.
+    in one op (one ``einsum``), the weight and bias gradients are summed
+    per image, then over the images in image order, and the rule keeps the
+    input and re-cuts its patches for the weight gradient.
+
+    The patch gradient is formed as broadcast products ``g[..., m] * w[..., m]``
+    added in m order, not by an ``einsum`` over m.  For M <= 2 (the only M the
+    model builds) that is the einsum's result bit for bit; for M >= 3 the
+    summation order can differ from the einsum's in the last bit.
     """
     k, ho, wo = _conv_shape("conv2d_depthwise", x, w, stride, pad)
     bsz, _, _, c = x.shape
@@ -951,20 +964,25 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
     wtaps = w.data.reshape(k * k, c, m)
     cols = _im2col(x.data, k, stride, pad, ho, wo)
     out = np.einsum("bptc,tcm->bpcm", cols, wtaps).reshape(bsz, ho, wo, c * m)
+    del cols
     out += b.data
-    if not w.requires_grad:
-        cols = None
+    xd = x.data if w.requires_grad else None
     x_like, w_like, b_like = _grad_like(x), _grad_like(w), _grad_like(b)
 
     def vjp(g):
         g = g.reshape(bsz, ho * wo, c, m)
         gx = gw = gb = None
         if w_like is not None:
-            gw = np.einsum("bptc,bpcm->btcm", cols, g).sum(axis=0).reshape(w_like[0])
+            patches = _im2col(xd, k, stride, pad, ho, wo)
+            gw = np.einsum("bptc,bpcm->btcm", patches, g).sum(axis=0).reshape(w_like[0])
+            del patches
         if b_like is not None:
             gb = g.reshape(bsz, ho * wo, c * m).sum(axis=1).sum(axis=0)
         if x_like is not None:
-            gx = _col2im(np.einsum("bpcm,tcm->bptc", g, wtaps), x_like[0], k, stride, pad, ho, wo)
+            gcols = g[:, :, None, :, 0] * wtaps[:, :, 0]
+            for j in range(1, m):
+                gcols += g[:, :, None, :, j] * wtaps[:, :, j]
+            gx = _col2im(gcols, x_like[0], k, stride, pad, ho, wo)
         return gx, gw, gb
 
     return _result(out, (x, w, b), vjp, "conv2d_depthwise")
