@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .gating import GatingKind
+from .tensor import check_int
 
 
 @dataclass
@@ -52,8 +53,8 @@ def analytic_params(kind, d, gamma, n, s=1):
     normalization affines are excluded, as in the closed forms.
     """
     kind = GatingKind(kind)
-    if min(d, gamma, n, s) < 1:
-        raise ValueError("all block settings must be positive")
+    for name, value in (("d", d), ("gamma", gamma), ("n", n), ("s", s)):
+        check_int(name, value)
     fc = _fc_params(d, gamma)
     root = _sqrt_tokens(n)
     table_term = 4 * n - 4 * root + 4  # appendix lookup-table term at one group
@@ -64,10 +65,8 @@ def analytic_params(kind, d, gamma, n, s=1):
     elif kind in (GatingKind.LRPE, GatingKind.GLRPE):
         s_eff = 1 if kind is GatingKind.LRPE else s
         token, positional = n, 4 * s_eff * n - 4 * s_eff * root + 4 * s_eff
-    elif kind is GatingKind.GGQPE:
+    else:  # GGQPE
         token, positional = n, 6 * s
-    else:  # pragma: no cover
-        raise ValueError(f"unknown gating kind {kind}")
     return BlockCost(fc + token + positional,
                      {"channel_fc": fc, "token_mixing": token, "positional": positional})
 
@@ -75,8 +74,8 @@ def analytic_params(kind, d, gamma, n, s=1):
 def analytic_flops(kind, d, gamma, n, s=1):
     """Closed-form MAC count of one block applied to a single window."""
     kind = GatingKind(kind)
-    if min(d, gamma, n, s) < 1:
-        raise ValueError("all block settings must be positive")
+    for name, value in (("d", d), ("gamma", gamma), ("n", n), ("s", s)):
+        check_int(name, value)
     fc = 3 * gamma * d * d * n // 2
     mixing = gamma * d * n * n // 2
     if kind is GatingKind.SGU:

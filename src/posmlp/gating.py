@@ -74,10 +74,8 @@ class GatingConfig:
             if not (isinstance(val, bool) or (tri_state and val is None)):
                 or_none = ", or None for the kind's default" if tri_state else ""
                 raise ValueError(f"{name} must be true or false{or_none}, got {val!r}")
-        if self.window_side < 1:
-            raise ValueError("window_side must be >= 1")
-        if self.groups < 1:
-            raise ValueError("groups must be >= 1")
+        for name in ("window_side", "groups"):
+            object.__setattr__(self, name, T.check_int(name, getattr(self, name)))
         if not self.kind.grouped:
             if self.groups != 1:
                 raise ValueError(f"{self.kind.name} admits exactly one group")
@@ -127,7 +125,7 @@ class GatingUnit:
     def __init__(self, config, width, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.config = config
-        self.width = int(width)
+        self.width = T.check_int("width", width)
         k = config.window_side
         n = config.n_tokens
         x1_width = config.mixed_width(self.width)

@@ -1,16 +1,22 @@
 """Central finite-difference verification of tape gradients.
 
-The check perturbs parameter entries by +-h, re-evaluates the scalar loss,
-and compares the two-sided difference quotient against the tape gradient.
-It is the independent oracle for every differentiable operation in the
-package, so it never calls ``backward`` for the numerical side.
+The check perturbs parameter entries by +-``STEP``, re-evaluates the scalar
+loss, and compares the two-sided difference quotient against the tape
+gradient.  It is the independent oracle for every differentiable operation
+in the package, so it never calls ``backward`` for the numerical side.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from .tensor import backward
+
+# The central difference's step, and the tolerances every derivative meets:
+# |analytic - numeric| <= ATOL + RTOL * max(|analytic|, |numeric|).
+STEP = 1e-5
+RTOL = 1e-4
+ATOL = 1e-7
 
 
 @dataclass
@@ -33,56 +39,59 @@ def _analytic_grads(fn, params):
             for name, p in params.items()}
 
 
-def gradcheck(fn, params, h=1e-5, rtol=1e-4, atol=1e-7):
+def _compare(key, ana, f_plus, f_minus, failures):
+    """One tape derivative against its central difference; returns the relative error.
+
+    A miss of the module's tolerances appends ``(*key, analytic, numeric, rel)``
+    to ``failures``.  ``rel`` divides the error by ``max(|analytic|, |numeric|,
+    ATOL / RTOL)``, so exact zeros compare cleanly.
+    """
+    numeric = (f_plus - f_minus) / (2.0 * STEP)
+    err = abs(ana - numeric)
+    scl = max(abs(ana), abs(numeric))
+    rel = err / max(scl, ATOL / RTOL)
+    if err > ATOL + RTOL * scl:
+        failures.append((*key, ana, numeric, rel))
+    return rel
+
+
+def gradcheck(fn, params):
     """Compare tape gradients of ``fn()`` against central differences.
 
     fn: zero-argument callable rebuilding the scalar loss from ``params``.
     params: mapping name -> Tensor (float64, requires_grad).
 
-    Every coordinate of every parameter is perturbed in turn.
-
-    A coordinate passes when ``|analytic - numeric| <= atol + rtol * scale``
-    with ``scale = max(|analytic|, |numeric|)``; the reported relative error
-    uses the same scale with an ``atol/rtol`` floor so exact zeros compare
-    cleanly.
+    Every coordinate of every parameter is perturbed in turn by +-``STEP``
+    and must meet the module's tolerances (see ``_compare``).
     """
     analytic = _analytic_grads(fn, params)
 
     max_rel = 0.0
-    checked = 0
     failures = []
-    floor = atol / rtol
     for name, p in params.items():
         flat = p.data.reshape(-1)
         for idx in range(p.size):
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + STEP
             f_plus = float(fn().data)
-            flat[idx] = orig - h
+            flat[idx] = orig - STEP
             f_minus = float(fn().data)
             flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
             ana = float(analytic[name].reshape(-1)[idx])
-            err = abs(ana - numeric)
-            scl = max(abs(ana), abs(numeric))
-            rel = err / max(scl, floor)
-            max_rel = max(max_rel, rel)
-            checked += 1
-            if err > atol + rtol * scl:
-                failures.append((name, idx, ana, numeric, rel))
-    return GradcheckResult(not failures, max_rel, checked, failures)
+            max_rel = max(max_rel, _compare((name, idx), ana, f_plus, f_minus, failures))
+    return GradcheckResult(not failures, max_rel, sum(p.size for p in params.values()), failures)
 
 
-def gradcheck_directional(fn, params, groups, h=1e-5, rtol=1e-4, atol=1e-7, rng=None):
+def gradcheck_directional(fn, params, groups, rng=None):
     """Central-difference check along random directions in parameter space.
 
     ``groups`` maps a group name to its member parameter names (see
     ``category_groups``); every parameter belongs to exactly one group.
-    All members of a group are perturbed together by ``+-h u`` for a
-    random unit direction ``u``, and the two-sided difference quotient is
-    compared with the projected tape gradient ``<grad, u>``.  Two model
-    evaluations per group make this affordable for whole networks while
-    still exercising every parameter coordinate.  ``rng`` draws the
+    All members of a group are perturbed together by ``+-STEP u`` for a
+    random unit direction ``u``, and the two-sided difference quotient must
+    match the projected tape gradient ``<grad, u>`` as in ``gradcheck``.
+    Two model evaluations per group make this affordable for whole networks
+    while still exercising every parameter coordinate.  ``rng`` draws the
     directions (seed 0 if None).
     """
     rng = rng or np.random.default_rng(0)
@@ -93,28 +102,21 @@ def gradcheck_directional(fn, params, groups, h=1e-5, rtol=1e-4, atol=1e-7, rng=
 
     max_rel = 0.0
     failures = []
-    floor = atol / rtol
     for gname, members in groups.items():
         dirs = {n: rng.standard_normal(params[n].shape) for n in members}
         norm = np.sqrt(sum(float((u * u).sum()) for u in dirs.values()))
         dirs = {n: u / norm for n, u in dirs.items()}
         saved = {n: params[n].data.copy() for n in members}
         for n in members:
-            params[n].data = saved[n] + h * dirs[n]
+            params[n].data = saved[n] + STEP * dirs[n]
         f_plus = float(fn().data)
         for n in members:
-            params[n].data = saved[n] - h * dirs[n]
+            params[n].data = saved[n] - STEP * dirs[n]
         f_minus = float(fn().data)
         for n in members:
             params[n].data = saved[n]
-        numeric = (f_plus - f_minus) / (2.0 * h)
         ana = sum(float((analytic[n] * dirs[n]).sum()) for n in members)
-        err = abs(ana - numeric)
-        scl = max(abs(ana), abs(numeric))
-        rel = err / max(scl, floor)
-        max_rel = max(max_rel, rel)
-        if err > atol + rtol * scl:
-            failures.append((gname, None, ana, numeric, rel))
+        max_rel = max(max_rel, _compare((gname, None), ana, f_plus, f_minus, failures))
     return GradcheckResult(not failures, max_rel, len(groups), failures)
 
 

@@ -35,11 +35,6 @@ class CheckpointError(RuntimeError):
 
 # -- configuration ------------------------------------------------------------
 
-def _check_positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class StageConfig:
     depth: int
@@ -50,7 +45,7 @@ class StageConfig:
 
     def __post_init__(self):
         for name in ("depth", "dim", "window_side", "groups", "expansion"):
-            _check_positive_int(name, getattr(self, name))
+            object.__setattr__(self, name, T.check_int(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,8 @@ class ModelConfig:
             s if isinstance(s, StageConfig) else StageConfig(**s) for s in self.stages))
         if len(self.stages) != 4:
             raise ValueError("the backbone is four stages")
-        _check_positive_int("image_side", self.image_side)
-        _check_positive_int("num_classes", self.num_classes)
+        for name in ("image_side", "num_classes"):
+            object.__setattr__(self, name, T.check_int(name, getattr(self, name)))
         if self.image_side % 4 != 0:
             raise ValueError(f"image side {self.image_side} must be divisible by 4")
         side = self.image_side // 4
@@ -177,7 +172,7 @@ def variant_config(variant, image_side=None, num_classes=None, windows=None, **o
     spec = _VARIANTS[variant]
     if image_side is None:
         image_side = 32 if variant == "MICRO" else 224
-    _check_positive_int("image_side", image_side)
+    T.check_int("image_side", image_side)
     if num_classes is None:
         num_classes = 4 if variant == "MICRO" else 1000
     if windows is None:

@@ -47,10 +47,7 @@ class DisplacementGrid:
     """
 
     def __init__(self, window_side):
-        k = int(window_side)
-        if k < 1:
-            raise ValueError(f"window side must be >= 1, got {window_side}")
-        self.window_side = k
+        k = self.window_side = T.check_int("window_side", window_side)
         self.n_tokens = k * k
         pos = np.arange(self.n_tokens)
         px = pos // k
@@ -93,10 +90,8 @@ class LrpeTable:
     """Learnable displacement dictionary; one row of (2k-1)^2 scalars per group."""
 
     def __init__(self, window_side, group_count=1, rng=None, dtype=np.float32):
-        if group_count < 1:
-            raise ValueError("group_count must be >= 1")
-        self.window_side = int(window_side)
-        self.group_count = int(group_count)
+        self.window_side = T.check_int("window_side", window_side)
+        self.group_count = T.check_int("group_count", group_count)
         n_entries = (2 * self.window_side - 1) ** 2
         rng = rng or np.random.default_rng(0)
         self.values = Tensor(trunc_normal(rng, (self.group_count, n_entries), 0.02, dtype),
@@ -180,9 +175,7 @@ class GqpeParams:
         rng = rng or np.random.default_rng(0)
         self.form = CovarianceForm(form)
         check_frozen_delta(self.form, delta_frozen)
-        s = int(groups)
-        if s < 1:
-            raise ValueError(f"the quadratic prior needs at least one group, got {groups}")
+        s = T.check_int("groups", groups)
         self.delta_frozen = bool(delta_frozen)
         delta = np.zeros((s, 2), dtype=dtype)
         gamma = None if self.form is CovarianceForm.ALPHA_I else np.empty((s, 2, 2), dtype=dtype)

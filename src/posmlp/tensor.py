@@ -52,6 +52,33 @@ class GradError(RuntimeError):
     """Raised on misuse of the backward pass (non-scalar loss, reuse, ...)."""
 
 
+def check_int(name, value, least=1, error=ValueError):
+    """``value`` as an int: the one rule for every size, count, stride and seed.
+
+    Only an integer of at least ``least`` passes, numpy's too, never a bool
+    or a float.  Else ``error`` (``ValueError`` from configurations and
+    constructors, ``ShapeError`` from ops) names ``name``: the field or op.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _axis(op, axis, ndim):
+    """``axis`` of an ndim-D operand counted from 0; refuses one outside [-ndim, ndim)."""
+    if check_int(f"{op}: axis", axis, least=-ndim, error=ShapeError) >= ndim:
+        raise ShapeError(f"{op}: axis {axis} is not below {ndim}")
+    return axis % ndim
+
+
+def _integers(name, values, error):
+    """``values`` as a flat int64 array; refuses an array of floats or bools."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        raise error(f"{name} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False).reshape(-1)
+
+
 def _validate_finite(name, *arrays):
     if not _checked:
         return
@@ -251,11 +278,17 @@ def matmul(a, b):
     return _result(out, (a, b), vjp, "matmul")
 
 
-def mix_tokens(w, x):
-    """Apply token-mixing weights to ``x`` of shape ``(B, N, C)``.
+def _by_group(a, s):
+    """(B, N, C) array as the (B, s, N, c) view of its s channel groups."""
+    b, n, c = a.shape
+    return a.reshape(b, n, s, c // s).transpose(0, 2, 1, 3)
 
-    ``w`` is one ``N x N`` matrix or an ``(N, s, N)`` stack whose entry
-    ``w[:, g]`` mixes the g-th of s equal contiguous channel groups.  The
+
+def mix_tokens(w, x):
+    """Apply an ``(N, s, N)`` stack of token-mixing weights to ``x`` of shape ``(B, N, C)``.
+
+    The stack's entry ``w[:, g]`` mixes the g-th of s equal contiguous
+    channel groups; one matrix is the stack ``w[:, None]`` of s = 1.  The
     forward and the input gradient are each one ``np.matmul`` of the
     stack's ``(s, N, N)`` view with the ``(B, s, N, c)`` view of every
     window's channel groups, and the weight gradient is one per window;
@@ -266,43 +299,34 @@ def mix_tokens(w, x):
     through this op on untaped operands, and forms its stack gradient in
     the same window order without this op's full ``(N, s, N)`` one.
     """
-    if w.ndim not in (2, 3) or w.shape[0] != w.shape[-1]:
-        raise ShapeError(f"mix_tokens: expected an N x N matrix or (N, s, N) stack, "
-                         f"got {w.shape}")
-    ws = w.data if w.ndim == 3 else w.data[:, None, :]
-    n, s = ws.shape[:2]
+    if w.ndim != 3 or w.shape[0] != w.shape[2]:
+        raise ShapeError(f"mix_tokens: expected an (N, s, N) stack, got {w.shape}")
+    n, s = w.shape[:2]
     if x.ndim != 3 or x.shape[1] != n or x.shape[2] % s != 0:
         raise ShapeError(f"mix_tokens: weights {w.shape} do not fit input {x.shape}")
     xd = x.data
     bsz = xd.shape[0]
-    wshape, wdtype = w.shape, w.dtype
-    grouped = (bsz, n, s, xd.shape[2] // s)
-
-    def by_group(a):
-        """(B, N, C) array as the (B, s, N, c) view of its channel groups."""
-        return a.reshape(grouped).transpose(0, 2, 1, 3)
-
-    wg = ws.transpose(1, 0, 2)
+    wg = w.data.transpose(1, 0, 2)
     out = np.empty_like(xd)
-    np.matmul(wg, by_group(xd), out=by_group(out))
+    np.matmul(wg, _by_group(xd, s), out=_by_group(out, s))
     # The weight gradient reads x, the input gradient the weights.
-    xg = by_group(xd) if w.requires_grad else None
+    xg = _by_group(xd, s) if w.requires_grad else None
     wgt = wg.transpose(0, 2, 1) if x.requires_grad else None
 
     def vjp(g):
         gw = gx = None
-        gg = by_group(g)
+        gg = _by_group(g, s)
         if xg is not None:
             # The first window's products are written in place; the others add on.
-            gws = np.empty((n, s, n), dtype=wdtype)
+            gws = np.empty((n, s, n), dtype=xd.dtype)
             acc = gws.transpose(1, 0, 2)
             np.matmul(gg[0], xg[0].transpose(0, 2, 1), out=acc)
             for b in range(1, bsz):
                 acc += np.matmul(gg[b], xg[b].transpose(0, 2, 1))
-            gw = gws.reshape(wshape)
+            gw = gws
         if wgt is not None:
             gx = np.empty(xd.shape, dtype=xd.dtype)
-            np.matmul(wgt, gg, out=by_group(gx))
+            np.matmul(wgt, gg, out=_by_group(gx, s))
         return gw, gx
 
     return _result(out, (w, x), vjp, "mix_tokens")
@@ -353,10 +377,6 @@ def mix_softmax_stack(stack, vectors, features, x, bias=None):
     bsz = xshape[0]
     grouped = (bsz, n, s, xshape[2] // s)
 
-    def by_group(a):
-        """(B, N, C) array as the (B, s, N, c) view of its channel groups."""
-        return a.reshape(grouped).transpose(0, 2, 1, 3)
-
     # The vectors' gradient reads x, the output, the bias and the features;
     # the input gradient reads only the stack.
     to_vectors, to_x = vectors.requires_grad, x.requires_grad
@@ -367,13 +387,13 @@ def mix_softmax_stack(stack, vectors, features, x, bias=None):
     ft = np.swapaxes(features.data, -1, -2) if to_vectors else None
 
     def vjp(g):
-        gg = by_group(g)
+        gg = _by_group(g, s)
         gv = gx = gb = None
         if to_vectors:
             z = zd if bd is None else zd - bd[:, None]
             r = np.einsum("bnsc,bnsc->sn", g.reshape(grouped), z.reshape(grouped))
             del z
-            yg, xg = y.transpose(1, 0, 2), by_group(xd)
+            yg, xg = y.transpose(1, 0, 2), _by_group(xd, s)
             gl = np.empty((s, n, n), dtype=y.dtype)
             step = max(1, _STACK_CHUNK_BYTES // (n * n * y.itemsize))
             tmp = np.empty((min(step, s), n, n), dtype=y.dtype) if bsz > 1 else None
@@ -391,7 +411,7 @@ def mix_softmax_stack(stack, vectors, features, x, bias=None):
             gv = gl.reshape(s, n * n) @ ft
         if to_x:
             gx = np.empty(xshape, dtype=y.dtype)
-            np.matmul(y.transpose(1, 2, 0), gg, out=by_group(gx))
+            np.matmul(y.transpose(1, 2, 0), gg, out=_by_group(gx, s))
         if to_bias:
             gb = g.sum(axis=(0, 2))
         return (gv, gx) if bias is None else (gv, gx, gb)
@@ -467,8 +487,8 @@ def add_token_bias(x, b):
 # -- shape ops (copying; no views) ------------------------------------------
 
 def reshape(x, shape):
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != x.size:
+    shape = tuple(check_int("reshape: extent", s, error=ShapeError) for s in shape)
+    if np.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     old = x.shape
     return _result(x.data.reshape(shape).copy(), (x,),
@@ -488,9 +508,10 @@ def split(x, parts, axis=-1):
     Returns a list of tensors.  ``concat(split(x, n), axis)`` reproduces x
     exactly.
     """
-    axis = axis % x.ndim
+    axis = _axis("split", axis, x.ndim)
+    check_int("split: parts", parts, error=ShapeError)
     extent = x.shape[axis]
-    if parts < 1 or extent % parts != 0:
+    if extent % parts != 0:
         raise ShapeError(f"split: axis extent {extent} not divisible into {parts} parts")
     step = extent // parts
     shape = x.shape
@@ -513,7 +534,7 @@ def concat(parts, axis=-1):
     parts = list(parts)
     if not parts:
         raise ShapeError("concat: empty input list")
-    axis = axis % parts[0].ndim
+    axis = _axis("concat", axis, parts[0].ndim)
     if len({(p.ndim, p.shape[:axis] + p.shape[axis + 1:]) for p in parts}) != 1:
         raise ShapeError(f"concat: parts {[p.shape for p in parts]} differ off axis {axis}")
     sizes = [p.shape[axis] for p in parts]
@@ -533,7 +554,7 @@ def concat(parts, axis=-1):
 
 def take(x, flat_indices, out_shape):
     """Gather ``x.flat[idx]`` into ``out_shape``; duplicates accumulate on backward."""
-    idx = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
+    idx = _integers("take: indices", flat_indices, ShapeError)
     if np.prod(out_shape) != idx.size:
         raise ShapeError(f"take: {idx.size} indices do not fill {tuple(out_shape)}")
     if idx.size and not 0 <= idx.min() <= idx.max() < x.size:
@@ -558,10 +579,10 @@ def _permuted_view(op, x, shape, axes):
         view = view.reshape(shape)
     if axes is None:
         return view, None
-    axes = tuple(int(a) for a in axes)
+    axes = tuple(check_int(f"{op}: axis", a, least=0, error=ShapeError) for a in axes)
     if sorted(axes) != list(range(view.ndim)):
         raise ShapeError(f"{op}: {axes} is not a permutation of the axes of {view.shape}")
-    return view.transpose(axes), tuple(int(a) for a in np.argsort(axes))
+    return view.transpose(axes), tuple(np.argsort(axes).tolist())
 
 
 def permute_flat(x, shape, axes, out_shape):
@@ -582,6 +603,9 @@ def permute_flat(x, shape, axes, out_shape):
 
 
 # -- nonlinearities and normalization ---------------------------------------
+
+# Added to every variance layer_norm divides by.
+LN_EPS = 1e-5
 
 # Coefficients of erf(t) ~ t * P(t^2) / Q(t^2) in float32, highest power
 # first; P is halved (see _gelu_f32).
@@ -754,8 +778,8 @@ def softmax_rows(x, shape=None, axes=None):
     return _result(y, (x,), vjp, "softmax_rows")
 
 
-def layer_norm(x, gain, shift, eps=1e-5, groups=1):
-    """Standardization (population variance) followed by an affine map.
+def layer_norm(x, gain, shift, groups=1):
+    """Standardization (population variance, plus ``LN_EPS``) followed by an affine map.
 
     x may be ``(R, d)`` or ``(B, N, d)``; gain and shift have length d.
     Statistics only ever reduce over the final axis, so batching is exact.
@@ -764,14 +788,14 @@ def layer_norm(x, gain, shift, eps=1e-5, groups=1):
     """
     if x.shape[-1] != gain.shape[0] or gain.shape != shift.shape:
         raise ShapeError(f"layer_norm: affine {gain.shape}/{shift.shape} does not fit {x.shape}")
-    if x.shape[-1] % groups != 0:
+    if x.shape[-1] % check_int("layer_norm: groups", groups, error=ShapeError) != 0:
         raise ShapeError(f"layer_norm: width {x.shape[-1]} not divisible by {groups} groups")
     xd = x.data
     shape, gd = xd.shape, gain.data
     xg = xd.reshape(shape[:-1] + (groups, shape[-1] // groups))
     # Centred once; the centred values are scaled into xhat in place.
     xhat = xg - xg.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LN_EPS)
     xhat *= inv
     out = xhat.reshape(shape) * gd
     out += shift.data
@@ -830,7 +854,7 @@ def cross_entropy_mean(logits, labels):
     """Mean cross-entropy of integer ``labels`` under row ``logits``."""
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy_mean expects (B, K) logits, got {logits.shape}")
-    lab = np.asarray(labels, dtype=np.int64).reshape(-1)
+    lab = _integers("cross_entropy_mean: labels", labels, ValueError)
     if lab.shape[0] != logits.shape[0]:
         raise ShapeError("cross_entropy_mean: label count does not match batch")
     if lab.min() < 0 or lab.max() >= logits.shape[1]:
@@ -851,25 +875,25 @@ def cross_entropy_mean(logits, labels):
 
 # -- convolutions ------------------------------------------------------------
 
-def _conv_shape(op, x, w, stride, pad):
-    """Check a convolution's input, kernel, stride and pad; return (k, ho, wo)."""
+def _conv_shape(op, x, w, stride):
+    """Check a convolution's input, kernel and stride; return (k, ho, wo).
+
+    The kernel is square and odd, and the input is zero-padded by k // 2 on
+    every side, so a stride-1 convolution keeps the image size.
+    """
     if x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]:
         raise ShapeError(f"{op}: weight {w.shape} does not fit input {x.shape}")
-    if not isinstance(stride, numbers.Integral) or not isinstance(pad, numbers.Integral) \
-            or stride < 1 or pad < 0:
-        raise ShapeError(f"{op}: stride {stride} or pad {pad} for input {x.shape} and "
-                         f"weight {w.shape} is not an integer in range (stride >= 1, pad >= 0)")
+    check_int(f"{op}: stride", stride, error=ShapeError)
     k = w.shape[0]
-    hp, wp = x.shape[1] + 2 * pad, x.shape[2] + 2 * pad
-    if w.shape[1] != k or k > min(hp, wp):
-        raise ShapeError(f"{op}: kernel {w.shape[:2]} is not square or does not fit "
-                         f"input {x.shape} padded to {hp}x{wp}")
-    return k, (hp - k) // stride + 1, (wp - k) // stride + 1
+    if w.shape[1] != k or k % 2 == 0:
+        raise ShapeError(f"{op}: kernel {w.shape[:2]} is not square and odd")
+    return k, (x.shape[1] - 1) // stride + 1, (x.shape[2] - 1) // stride + 1
 
 
-def _im2col(x, k, stride, pad, ho, wo):
-    """(B, H, W, C) -> (B, ho*wo, k*k, C) patches of the zero-padded batch."""
+def _im2col(x, k, stride, ho, wo):
+    """(B, H, W, C) -> (B, ho*wo, k*k, C) patches of the batch zero-padded by k // 2."""
     bsz, h, w, c = x.shape
+    pad = k // 2
     if pad:
         xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         xp[:, pad:pad + h, pad:pad + w] = x
@@ -882,9 +906,10 @@ def _im2col(x, k, stride, pad, ho, wo):
     return cols.reshape(bsz, ho * wo, k * k, c)
 
 
-def _col2im(gcols, shape, k, stride, pad, ho, wo):
+def _col2im(gcols, shape, k, stride, ho, wo):
     """Scatter (B, ho*wo, k*k, C) patch gradients back onto (B, H, W, C) images."""
     bsz, h, w, c = shape
+    pad = k // 2
     gpad = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c), dtype=gcols.dtype)
     gc = gcols.reshape(bsz, ho, wo, k * k, c)
     for di in range(k):
@@ -893,15 +918,11 @@ def _col2im(gcols, shape, k, stride, pad, ho, wo):
     return gpad[:, pad:pad + h, pad:pad + w].copy() if pad else gpad
 
 
-def _grad_like(t):
-    """``(shape, dtype)`` of t's gradient if t needs one, else None."""
-    return (t.shape, t.dtype) if t.requires_grad else None
+def conv2d(x, w, b, stride):
+    """Square odd-kernel convolution on channel-last images, zero-padded by k // 2.
 
-
-def conv2d(x, w, b, stride, pad=1):
-    """Square-kernel convolution on channel-last images.
-
-    x: (B, H, W, Cin); w: (k, k, Cin, Cout); b: (Cout,).  The whole batch is
+    x: (B, H, W, Cin); w: (k, k, Cin, Cout); b: (Cout,).  The output is
+    ``ceil(H / stride) x ceil(W / stride)``.  The whole batch is
     convolved in one op: its patches are cut once and contracted with the
     weight by one ``np.matmul``, one BLAS call per image, so batch
     independence is exact.  The weight and bias gradients are summed per
@@ -912,41 +933,43 @@ def conv2d(x, w, b, stride, pad=1):
     before the weight-gradient product and drops them after, so the
     gradient is the one the forward's patches would give, bit for bit.
     """
-    k, ho, wo = _conv_shape("conv2d", x, w, stride, pad)
+    k, ho, wo = _conv_shape("conv2d", x, w, stride)
     bsz, _, _, cin = x.shape
     cout = w.shape[3]
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias {b.shape} is not ({cout},)")
     wmat = w.data.reshape(k * k * cin, cout)
-    cols = _im2col(x.data, k, stride, pad, ho, wo).reshape(bsz, ho * wo, k * k * cin)
+    cols = _im2col(x.data, k, stride, ho, wo).reshape(bsz, ho * wo, k * k * cin)
     out = np.matmul(cols, wmat)
     del cols
     out += b.data
+    # The weight gradient reads the input, the input gradient the weight.
     xd = x.data if w.requires_grad else None
-    x_like, w_like, b_like = _grad_like(x), _grad_like(w), _grad_like(b)
+    to_x, to_b, xshape = x.requires_grad, b.requires_grad, x.shape
 
     def vjp(g):
         g = g.reshape(bsz, ho * wo, cout)
         gx = gw = gb = None
-        if w_like is not None:
-            patches = _im2col(xd, k, stride, pad, ho, wo).reshape(bsz, ho * wo, k * k * cin)
-            gw = np.matmul(patches.transpose(0, 2, 1), g).sum(axis=0).reshape(w_like[0])
+        if xd is not None:
+            patches = _im2col(xd, k, stride, ho, wo).reshape(bsz, ho * wo, k * k * cin)
+            gw = np.matmul(patches.transpose(0, 2, 1), g).sum(axis=0).reshape(k, k, cin, cout)
             del patches
-        if b_like is not None:
+        if to_b:
             gb = g.sum(axis=1).sum(axis=0)
-        if x_like is not None:
-            gx = _col2im(np.matmul(g, wmat.T), x_like[0], k, stride, pad, ho, wo)
+        if to_x:
+            gx = _col2im(np.matmul(g, wmat.T), xshape, k, stride, ho, wo)
         return gx, gw, gb
 
     return _result(out.reshape(bsz, ho, wo, cout), (x, w, b), vjp, "conv2d")
 
 
-def conv2d_depthwise(x, w, b, stride, pad=1):
-    """Depthwise convolution with a channel multiplier.
+def conv2d_depthwise(x, w, b, stride):
+    """Depthwise convolution with a channel multiplier, zero-padded by k // 2.
 
-    x: (B, H, W, C); w: (k, k, C, M); b: (C*M,).  Output channel ``c*M + m``
-    is produced from input channel ``c`` alone; M=2 realizes the stride-2
-    patch-merging doubling.  As in ``conv2d``, the whole batch is convolved
+    x: (B, H, W, C); w: (k, k, C, M) with k odd; b: (C*M,).  Output channel
+    ``c*M + m`` is produced from input channel ``c`` alone; M=2 realizes the
+    stride-2 patch-merging doubling.  As in ``conv2d``, the output is
+    ``ceil(H / stride) x ceil(W / stride)`` and the whole batch is convolved
     in one op (one ``einsum``), the weight and bias gradients are summed
     per image, then over the images in image order, and the rule keeps the
     input and re-cuts its patches for the weight gradient.
@@ -956,33 +979,33 @@ def conv2d_depthwise(x, w, b, stride, pad=1):
     model builds) that is the einsum's result bit for bit; for M >= 3 the
     summation order can differ from the einsum's in the last bit.
     """
-    k, ho, wo = _conv_shape("conv2d_depthwise", x, w, stride, pad)
+    k, ho, wo = _conv_shape("conv2d_depthwise", x, w, stride)
     bsz, _, _, c = x.shape
     m = w.shape[3]
     if b.shape != (c * m,):
         raise ShapeError(f"conv2d_depthwise: bias {b.shape} is not ({c * m},)")
     wtaps = w.data.reshape(k * k, c, m)
-    cols = _im2col(x.data, k, stride, pad, ho, wo)
+    cols = _im2col(x.data, k, stride, ho, wo)
     out = np.einsum("bptc,tcm->bpcm", cols, wtaps).reshape(bsz, ho, wo, c * m)
     del cols
     out += b.data
     xd = x.data if w.requires_grad else None
-    x_like, w_like, b_like = _grad_like(x), _grad_like(w), _grad_like(b)
+    to_x, to_b, xshape = x.requires_grad, b.requires_grad, x.shape
 
     def vjp(g):
         g = g.reshape(bsz, ho * wo, c, m)
         gx = gw = gb = None
-        if w_like is not None:
-            patches = _im2col(xd, k, stride, pad, ho, wo)
-            gw = np.einsum("bptc,bpcm->btcm", patches, g).sum(axis=0).reshape(w_like[0])
+        if xd is not None:
+            patches = _im2col(xd, k, stride, ho, wo)
+            gw = np.einsum("bptc,bpcm->btcm", patches, g).sum(axis=0).reshape(k, k, c, m)
             del patches
-        if b_like is not None:
+        if to_b:
             gb = g.reshape(bsz, ho * wo, c * m).sum(axis=1).sum(axis=0)
-        if x_like is not None:
+        if to_x:
             gcols = g[:, :, None, :, 0] * wtaps[:, :, 0]
             for j in range(1, m):
                 gcols += g[:, :, None, :, j] * wtaps[:, :, j]
-            gx = _col2im(gcols, x_like[0], k, stride, pad, ho, wo)
+            gx = _col2im(gcols, xshape, k, stride, ho, wo)
         return gx, gw, gb
 
     return _result(out, (x, w, b), vjp, "conv2d_depthwise")

@@ -38,9 +38,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {val!r}")
+            setattr(self, name, T.check_int(name, getattr(self, name), least))
         for name in ("lr_init", "lr_min", "weight_decay"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Real) \
@@ -166,9 +164,9 @@ class SyntheticDataset(ArrayDataset):
     """
 
     def __init__(self, image_side=32, per_class=64, seed=0, noise=0.1):
+        side = T.check_int("image_side", image_side)
+        n = 4 * T.check_int("per_class", per_class)
         rng = np.random.default_rng(seed)
-        n = 4 * per_class
-        side = image_side
         half = side // 2
         images = rng.normal(0.0, noise, size=(n, side, side, 3)).astype(np.float32)
         labels = np.repeat(np.arange(4), per_class).astype(np.int64)
@@ -298,6 +296,7 @@ def metrics_csv(history):
 
 def evaluate(model, dataset, batch_size=64):
     """Mean loss and top-1 accuracy without parameter updates."""
+    T.check_int("batch_size", batch_size)
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     losses = []

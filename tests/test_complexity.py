@@ -50,6 +50,14 @@ def test_params_lookup_formula_values():
     assert single.total == grouped_s1.total
 
 
+@pytest.mark.parametrize("fn", [C.analytic_params, C.analytic_flops])
+@pytest.mark.parametrize("args, field", [((96.0, 4, 196, 8), "d"), ((96, 4, 196, 0), "s"),
+                                         ((96, True, 196, 8), "gamma")])
+def test_block_costs_refuse_a_setting_that_is_no_positive_integer(fn, args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least 1"):
+        fn(GatingKind.GGQPE, *args)
+
+
 def test_params_rejects_non_square_tokens():
     with pytest.raises(ValueError):
         C.analytic_params(GatingKind.GGQPE, 8, 2, 12, 2)
@@ -155,14 +163,14 @@ def test_estimate_matches_instrumented_forward(monkeypatch):
         counted["macs"] += out.size * w.shape[0]
         return out
 
-    def wrap_conv(x, w, b, stride, pad=1):
-        out = real["conv2d"](x, w, b, stride, pad)
+    def wrap_conv(x, w, b, stride):
+        out = real["conv2d"](x, w, b, stride)
         k2cin = w.shape[0] * w.shape[1] * w.shape[2]
         counted["macs"] += out.size * k2cin
         return out
 
-    def wrap_dw(x, w, b, stride, pad=1):
-        out = real["conv2d_depthwise"](x, w, b, stride, pad)
+    def wrap_dw(x, w, b, stride):
+        out = real["conv2d_depthwise"](x, w, b, stride)
         counted["macs"] += out.size * w.shape[0] * w.shape[1]
         return out
 

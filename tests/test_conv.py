@@ -171,17 +171,17 @@ def test_each_image_of_a_batch_is_convolved_as_if_alone(rng, dtype, op, case, sh
 
 
 @pytest.mark.parametrize("op", [T.conv2d, T.conv2d_depthwise])
-@pytest.mark.parametrize("x_shape,w_shape,b_len,stride,pad,match", [
-    ((1, 4, 4, 2), (3, 3, 2, 2), 4, 0, 1, r"stride 0 .*\(1, 4, 4, 2\)"),
-    ((1, 4, 4, 2), (3, 3, 2, 2), 4, -1, 1, r"stride -1 .*\(1, 4, 4, 2\)"),
-    ((1, 4, 4, 2), (3, 3, 2, 2), 4, 1, -1, r"pad -1 .*\(1, 4, 4, 2\)"),
-    ((1, 4, 4, 2), (3, 3, 2, 2), 4, 1.5, 1, r"stride 1.5 .*\(1, 4, 4, 2\)"),
-    ((1, 4, 4, 2), (3, 2, 2, 2), 4, 1, 1, r"kernel \(3, 2\) .*\(1, 4, 4, 2\)"),
-    ((1, 1, 1, 2), (3, 3, 2, 2), 4, 1, 0, r"kernel \(3, 3\) .*\(1, 1, 1, 2\)"),
-    ((1, 4, 4, 2), (3, 3, 2, 2), 3, 1, 1, r"bias \(3,\)"),
+@pytest.mark.parametrize("x_shape,w_shape,b_len,stride,match", [
+    ((1, 4, 4, 2), (3, 3, 2, 2), 4, 0, r"stride must be an integer of at least 1, got 0"),
+    ((1, 4, 4, 2), (3, 3, 2, 2), 4, -1, r"stride must be an integer of at least 1, got -1"),
+    ((1, 4, 4, 2), (3, 3, 2, 2), 4, 1.5, r"stride must be an integer of at least 1, got 1.5"),
+    ((1, 4, 4, 2), (3, 3, 2, 2), 4, True, r"stride must be an integer of at least 1, got True"),
+    ((1, 4, 4, 2), (3, 2, 2, 2), 4, 1, r"kernel \(3, 2\) is not square and odd"),
+    ((1, 4, 4, 2), (2, 2, 2, 2), 4, 1, r"kernel \(2, 2\) is not square and odd"),
+    ((1, 4, 4, 2), (3, 3, 2, 2), 3, 1, r"bias \(3,\)"),
 ])
 def test_degenerate_convolution_arguments_raise_shape_error(op, x_shape, w_shape, b_len,
-                                                            stride, pad, match):
+                                                            stride, match):
     x, w, b = Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_len))
-    with pytest.raises(T.ShapeError, match=match):
-        op(x, w, b, stride, pad)
+    with pytest.raises(T.ShapeError, match=f"^{op.__name__}: {match}"):
+        op(x, w, b, stride)

@@ -112,6 +112,17 @@ def test_sgu_rejects_odd_width():
         unit(G.GatingKind.SGU, k=2, width=5)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: G.GatingConfig(kind="glrpe", window_side=2.5), "window_side"),
+    (lambda: G.GatingConfig(kind="glrpe", window_side=True), "window_side"),
+    (lambda: G.GatingConfig(kind="glrpe", window_side=2, groups=0), "groups"),
+    (lambda: G.GatingUnit(G.GatingConfig(kind="sgu", window_side=2), 8.9), "width"),
+])
+def test_gating_refuses_a_size_that_is_no_positive_integer(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least 1"):
+        make()
+
+
 def test_sgu_rejects_token_mismatch(rng):
     u = unit(G.GatingKind.SGU, k=2, width=4)
     with pytest.raises(T.ShapeError):

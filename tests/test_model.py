@@ -2,6 +2,7 @@ import json
 import struct
 import sys
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -226,6 +227,14 @@ def test_variant_config_rejects_unknown():
 def test_variant_config_refuses_a_mistyped_setting(args, kw, field):
     with pytest.raises(ValueError, match=field):
         M.variant_config(*args, **kw)
+
+
+def test_numpy_integer_settings_are_stored_as_ints():
+    # Stored as numpy integers they would pass, then fail the checkpoint's JSON record.
+    cfg = M.variant_config("MICRO", image_side=np.int64(32), num_classes=np.int32(4))
+    stage = M.StageConfig(**{k: np.int64(v) for k, v in asdict(cfg.stages[0]).items()})
+    assert type(cfg.image_side) is type(cfg.num_classes) is type(stage.depth) is int
+    assert M.ModelConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
 
 
 def test_config_validation_happens_at_build_time():

@@ -64,6 +64,20 @@ def test_grid_rejects_k0():
         P.DisplacementGrid(0)
 
 
+@pytest.mark.parametrize("make, field, value", [
+    (lambda: P.displacement_grid(2.5), "window_side", "2.5"),
+    (lambda: P.DisplacementGrid(True), "window_side", "True"),
+    (lambda: P.LrpeTable(3, 1.5), "group_count", "1.5"),
+    (lambda: P.LrpeTable(2.0), "window_side", "2.0"),
+    (lambda: P.GqpeParams(groups=2.7), "groups", "2.7"),
+    (lambda: P.GqpeParams(groups=0), "groups", "0"),
+])
+def test_generators_refuse_a_size_that_is_no_positive_integer(make, field, value):
+    # Nothing is truncated: a fractional side or count never builds a smaller generator.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least 1, got {value}$"):
+        make()
+
+
 def test_index_map_is_bijection():
     for k in (1, 2, 3, 7):
         g = P.displacement_grid(k)

@@ -411,7 +411,7 @@ def test_backward_visits_each_node_once(rng):
 
 def test_composite_gradcheck(rng):
     """Analytic gradients of a composite of most ops vs central differences."""
-    w = t64(rng.standard_normal((4, 4)), grad=True)
+    w = t64(rng.standard_normal((4, 4))[:, None], grad=True)  # one (N, 1, N) stack
     b = t64(rng.standard_normal(4), grad=True)
     gain = t64(rng.standard_normal(6) * 0.1 + 1.0, grad=True)
     shift = t64(rng.standard_normal(6) * 0.1, grad=True)
@@ -446,12 +446,12 @@ def test_linear_and_conv_gradcheck(rng):
     wsum = rng.standard_normal((2, 2, 2, 12))
 
     def fn():
-        h = T.conv2d(img, cw, cb, stride=2, pad=1)       # (2, 2, 2, 3)
+        h = T.conv2d(img, cw, cb, stride=2)              # (2, 2, 2, 3)
         h = T.reshape(h, (2, 4, 3))
         h = T.linear(h, w, bias)                         # (2, 4, 6)
         h = T.gelu(h)
         h = T.reshape(h, (2, 2, 2, 6))
-        h = T.conv2d_depthwise(h, dw, db, stride=1, pad=1)  # (2, 2, 2, 12)
+        h = T.conv2d_depthwise(h, dw, db, stride=1)      # (2, 2, 2, 12)
         return T.weighted_sum(h, wsum)
 
     res = gradcheck(fn, {"w": w, "bias": bias, "cw": cw, "cb": cb,
@@ -469,11 +469,11 @@ def test_stacked_mix_tokens_matches_group_loop(rng, n, s, c, b):
     backward(T.weighted_sum(out, g))
     for i in range(s):
         sl = slice(i * c, (i + 1) * c)
-        wi, xi = t64(w[:, i].copy(), grad=True), t64(x[..., sl].copy(), grad=True)
+        wi, xi = t64(w[:, i:i + 1].copy(), grad=True), t64(x[..., sl].copy(), grad=True)
         ref = T.mix_tokens(wi, xi)
         backward(T.weighted_sum(ref, g[..., sl].copy()))
         np.testing.assert_array_equal(out.data[..., sl], ref.data)
-        np.testing.assert_array_equal(wt.grad[:, i], wi.grad)
+        np.testing.assert_array_equal(wt.grad[:, i:i + 1], wi.grad)
         np.testing.assert_array_equal(xt.grad[..., sl], xi.grad)
 
 
@@ -574,6 +574,8 @@ def test_permute_flat_rejects_a_bad_permutation_or_shape():
     # axes=None would be a pure reshape, which is reshape's job.
     with pytest.raises(T.ShapeError, match="axes are required"):
         T.permute_flat(x, (2, 4), None, (8,))
+    with pytest.raises(T.ShapeError, match=r"^permute_flat: axis .* got 1\.0$"):
+        T.permute_flat(x, None, (1.0, 0), (2, 4))
 
 
 def test_softmax_flushes_subnormals_to_zero():
@@ -628,12 +630,18 @@ def test_split_rejects_uneven():
         T.split(t64(np.ones((2, 5))), 2, axis=-1)
     with pytest.raises(T.ShapeError, match="split"):
         T.split(t64(np.ones((2, 5))), 0)
+    with pytest.raises(T.ShapeError, match=r"^split: parts must be an integer .* got 2\.0$"):
+        T.split(t64(np.ones((2, 4))), 2.0)
+    # An axis outside [-ndim, ndim) is refused, not wrapped onto another axis.
+    with pytest.raises(T.ShapeError, match=r"^split: axis 5 "):
+        T.split(t64(np.ones((2, 4, 6))), 2, axis=5)
 
 
-@pytest.mark.parametrize("shapes", [((2, 3), (3, 3)), ((2, 3), (2, 3, 1)), ((2, 3), (2,))])
-def test_concat_rejects_parts_that_differ_off_axis(shapes):
+@pytest.mark.parametrize("shapes, axis", [(((2, 3), (3, 3)), 1), (((2, 3), (2, 3, 1)), 1),
+                                         (((2, 3), (2,)), 1), (((2, 3), (2, 3)), 5)])
+def test_concat_rejects_parts_that_differ_off_axis(shapes, axis):
     with pytest.raises(T.ShapeError, match="concat"):
-        T.concat([t64(np.ones(s)) for s in shapes], axis=1)
+        T.concat([t64(np.ones(s)) for s in shapes], axis=axis)
 
 
 def test_take_rejects_an_out_shape_its_indices_do_not_fill():
@@ -641,16 +649,36 @@ def test_take_rejects_an_out_shape_its_indices_do_not_fill():
         T.take(Tensor(np.ones(3)), [0, 1], (3,))
 
 
-@pytest.mark.parametrize("idx", [[0, 5], [0, 3], [-1, 0]])
+@pytest.mark.parametrize("idx", [[0, 5], [0, 3], [-1, 0], [0.5, 1]])
 def test_take_rejects_an_index_outside_x(idx):
     with pytest.raises(T.ShapeError, match="take"):
         T.take(Tensor(np.ones(3)), idx, (2,))
+
+
+@pytest.mark.parametrize("labels, match", [([0, 3], "out of range"), ([0, -1], "out of range"),
+                                           ([0.9, 1], "must be integers")])
+def test_cross_entropy_refuses_a_label_that_is_no_class(labels, match):
+    with pytest.raises(ValueError, match=f"^cross_entropy_mean: .*{match}"):
+        T.cross_entropy_mean(t64(np.zeros((2, 3))), labels)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda x: T.reshape(x, (2.5, 4.9)), r"^reshape: extent .* got 2\.5$"),
+    (lambda x: T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)), groups=0),
+     r"^layer_norm: groups .* got 0$"),
+    (lambda x: T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)), groups=2.0),
+     r"^layer_norm: groups .* got 2\.0$"),
+])
+def test_ops_refuse_a_size_or_count_that_is_no_integer(call, match):
+    with pytest.raises(T.ShapeError, match=match):
+        call(t64(np.ones((3, 4))))
 
 
 def test_reshape_is_rowmajor_copy(rng):
     x = t64(rng.standard_normal((2, 6)))
     y = T.reshape(x, (3, 4))
     np.testing.assert_array_equal(y.data.reshape(-1), x.data.reshape(-1))
+    assert T.reshape(x, (np.int64(3), np.int32(4))).shape == (3, 4)
 
 
 def test_tensor_rejects_zero_extent():

@@ -55,6 +55,16 @@ def test_train_config_refuses_a_mistyped_count(kw, field):
         TR.TrainConfig(**kw)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: TR.SyntheticDataset(per_class=0), "per_class"),
+    (lambda: TR.SyntheticDataset(image_side=31.5, per_class=1), "image_side"),
+    (lambda: TR.evaluate(None, TR.SyntheticDataset(per_class=1), batch_size=0), "batch_size"),
+])
+def test_data_sizes_are_positive_integers(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least 1"):
+        make()
+
+
 def test_train_config_accepts_numpy_integers():
     cfg = TR.TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3))
     assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 8, 3)
