@@ -6,6 +6,7 @@ gradient.  It is the independent oracle for every differentiable operation
 in the package, so it never calls ``backward`` for the numerical side.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +45,15 @@ def _compare(key, ana, f_plus, f_minus, failures):
 
     A miss of the module's tolerances appends ``(*key, analytic, numeric, rel)``
     to ``failures``.  ``rel`` divides the error by ``max(|analytic|, |numeric|,
-    ATOL / RTOL)``, so exact zeros compare cleanly.
+    ATOL / RTOL)``, so exact zeros compare cleanly.  A non-finite derivative
+    or difference quotient misses every tolerance, with ``rel`` infinite.
     """
     numeric = (f_plus - f_minus) / (2.0 * STEP)
     err = abs(ana - numeric)
     scl = max(abs(ana), abs(numeric))
-    rel = err / max(scl, ATOL / RTOL)
-    if err > ATOL + RTOL * scl:
+    finite = math.isfinite(err)
+    rel = err / max(scl, ATOL / RTOL) if finite else math.inf
+    if not finite or err > ATOL + RTOL * scl:
         failures.append((*key, ana, numeric, rel))
     return rel
 

@@ -43,7 +43,9 @@ class DisplacementGrid:
     Token i sits at ``(i // k, i % k)``; components therefore lie in
     ``[-k+1, k-1]`` and the table is antisymmetric with a zero diagonal.
     The grid also owns the quadratic generator's polynomial features of
-    these displacements.
+    these displacements, and ``pairs``: the read-only ``(2, (2k-1)^2)``
+    flat indices ``i * N + j`` of the first and the last pair of each
+    displacement, in ``lrpe_index_map``'s order.
     """
 
     def __init__(self, window_side):
@@ -54,6 +56,11 @@ class DisplacementGrid:
         py = pos % k
         self.dx = px[None, :] - px[:, None]
         self.dy = py[None, :] - py[:, None]
+        idx = lrpe_index_map(self).reshape(-1)
+        first = np.unique(idx, return_index=True)[1]
+        last = idx.size - 1 - np.unique(idx[::-1], return_index=True)[1]
+        self.pairs = np.stack([first, last])
+        self.pairs.flags.writeable = False
         self._features = {}
 
     def features(self, dtype):
@@ -106,10 +113,12 @@ class WeightStack:
     """The s token-mixing matrices of a gating unit as one ``(N, s, N)`` tensor.
 
     ``weights[:, g]`` is group g's ``N x N`` matrix: the leading axis is the
-    query token and ``len`` is the group count.  A softmax stack also
-    carries the ``(s, 5)`` logit ``vectors`` and the constant ``(5, N^2)``
-    ``features`` it was generated from, so ``tensor.mix_softmax_stack`` can
-    take the gradient to the vectors without the stack's own tape.
+    query token and ``len`` is the group count.  A softmax stack is
+    ``tensor.softmax_stack`` of its logits, bit for bit their row softmax,
+    and also carries the ``(s, 5)`` logit ``vectors`` and the constant
+    ``(5, N^2)`` ``features`` it was generated from, so
+    ``tensor.mix_softmax_stack`` can take the gradient to the vectors
+    without the stack's own tape.
     """
 
     __slots__ = ("weights", "vectors", "features")
@@ -265,7 +274,8 @@ def gqpe_vectors(params):
 def gqpe_logits(params, grid):
     """``(s, N^2)`` logits: row g holds group g's logit of pair (i, j) at ``i * N + j``.
 
-    Equal displacements give equal entries.
+    Equal displacements give equal entries, as far as the BLAS rounds
+    equal feature columns alike (see ``tensor.softmax_stack``).
     """
     v = gqpe_vectors(params)
     return T.matmul(v, grid.features(v.dtype))
@@ -275,16 +285,19 @@ def group_weight_stack(params, grid):
     """Every group's row-stochastic matrix as one ``WeightStack``.
 
     All groups share the displacement features: one product forms the
-    group-major ``(s, N^2)`` logits and one softmax normalizes them,
-    reading contiguous rows of the ``(s, N, N)`` view and writing the
-    ``(N, s, N)`` stack directly.  The op count does not depend on s.  The
-    logits are freed on return; the stack keeps the vectors and the
-    features, from which ``tensor.mix_softmax_stack`` takes its gradient.
+    group-major ``(s, N^2)`` logits and ``tensor.softmax_stack`` normalizes
+    their rows into the ``(N, s, N)`` stack.  Since a logit depends on its
+    pair only through the displacement, the softmax reads each group's
+    (2k-1)^2 distinct logits at ``grid.pairs``, exponentiates them once and
+    copies them out to the rows that share the group's maximum, with the
+    bits of a row-by-row softmax.  Every product entry is still read, for
+    the row maxima.  The op count does not depend on s.  The logits are
+    freed on return; the stack keeps the vectors and the features, from
+    which ``tensor.mix_softmax_stack`` takes its gradient.
     """
-    n, s = grid.n_tokens, len(params)
     v = gqpe_vectors(params)
     features = grid.features(v.dtype)
-    weights = T.softmax_rows(T.matmul(v, features), (s, n, n), (1, 0, 2))
+    weights = T.softmax_stack(T.matmul(v, features), grid.pairs)
     return WeightStack(weights, v, features)
 
 

@@ -26,6 +26,7 @@ contract for all ops at once: the operands share the result's float dtype
 (``set_checked``) the operands and the result are finite.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -342,9 +343,10 @@ def mix_softmax_stack(stack, vectors, features, x, bias=None):
 
     ``stack`` is an ``(N, s, N)`` stack whose group g is the row softmax of
     row g of ``vectors @ features`` read as ``N x N``, as
-    ``positional.group_weight_stack`` builds it: ``vectors`` is ``(s, m)``
-    and ``features`` a constant ``(m, N^2)``.  Only the stack's data is
-    read; one tape node links the gradient to the vectors, x and the bias.
+    ``positional.group_weight_stack`` builds it with ``softmax_stack``:
+    ``vectors`` is ``(s, m)`` and ``features`` a constant ``(m, N^2)``.  Only
+    the stack's data is read, so how its numerators were formed does not
+    matter; one tape node links the gradient to the vectors, x and the bias.
 
     The forward is one untaped ``mix_tokens`` call with the bias added in
     place, so the output is bitwise that of ``mix_tokens`` followed by
@@ -758,13 +760,27 @@ def softmax_rows(x, shape=None, axes=None):
     view, inv = _permuted_view("softmax_rows", x, shape, axes)
     if view.ndim < 2:
         raise ShapeError(f"softmax_rows expects a matrix or a stack of rows, got {view.shape}")
-    fi = np.finfo(view.dtype)
     y = np.empty(view.shape, dtype=view.dtype)
     np.subtract(view, view.max(axis=-1, keepdims=True), out=y)
+    _cut_exp(y)
+    return _normalized(y, x, inv, "softmax_rows")
+
+
+def _cut_exp(y):
+    """The exponential of y in place, exactly 0 below the cut of ``softmax_rows``."""
+    fi = np.finfo(y.dtype)
     # One masked pass sets the entries below the cut to -inf, whose
     # exponential is exactly 0; the others keep every bit.
     np.copyto(y, -np.inf, where=y < -np.log(fi.eps / fi.tiny))
     np.exp(y, out=y)
+
+
+def _normalized(y, x, inv, op_name):
+    """Numerators y divided in place by their row sums, as the op's result on x.
+
+    The gradient is the softmax's, returned in x's own layout: ``inv``
+    permutes y's axes back to those of x's view, whose data x holds.
+    """
     y /= y.sum(axis=-1, keepdims=True)
     shape = x.shape
 
@@ -775,7 +791,78 @@ def softmax_rows(x, shape=None, axes=None):
             gx = np.ascontiguousarray(gx.transpose(inv))
         return (gx.reshape(shape),)
 
-    return _result(y, (x,), vjp, "softmax_rows")
+    return _result(y, (x,), vjp, op_name)
+
+
+def softmax_stack(x, pairs):
+    """``softmax_rows(x, (s, N, N), (1, 0, 2))`` of logits that depend only on displacement.
+
+    x is the group-major ``(s, N^2)`` product of s logit vectors with the
+    features of a k x k window (N = k^2): entry ``i * N + j`` of row g is
+    group g's logit of the pair whose key token j lies ``p_j - p_i`` from
+    query token i.  ``pairs`` is the window's ``DisplacementGrid.pairs``:
+    the flat indices of the first and the last pair of each of the
+    (2k-1)^2 displacements, entry ``(dx + k - 1) * (2k - 1) + (dy + k - 1)``
+    for displacement (dx, dy).  The result is the ``(N, s, N)`` stack of
+    row softmaxes, bit for bit ``softmax_rows``', and so is the gradient,
+    returned in x's layout.
+
+    Every row's maximum is taken from x, in one exact pass.  A group's
+    (2k-1)^2 distinct logits are read at the first pairs.  The rows whose
+    maximum equals their group's maximum M share the numerators
+    exp(cut(l - M)) of those logits, so each is exponentiated once and
+    copied out: row (ix, iy) is the k x k window of the (2k-1) x (2k-1)
+    table at (k-1-ix, k-1-iy), read through strided views, with no gather.
+    A row whose window misses its group's peak is subtracted, cut and
+    exponentiated from its own logits, as ``softmax_rows`` does.  Either
+    way each numerator is the same subtraction, cut and exponential of the
+    same two values, and the row sums and the division are
+    ``softmax_rows``'.
+
+    The bits rest on pairs of equal displacement holding equal logits.  In
+    exact arithmetic a product with equal feature columns gives them, but
+    in floating point it is an assumption about the BLAS: that it rounds
+    equal columns alike wherever they sit in the product.  The op checks it
+    at the first and the last pair of each displacement, and where they
+    differ in any group (a NaN among them included) it returns
+    ``softmax_rows`` of x.  Pairs in between are not checked.
+    """
+    n = math.isqrt(x.shape[-1])
+    k = math.isqrt(n)
+    side = 2 * k - 1
+    if x.ndim != 2 or k < 1 or x.shape[1] != n * n or n != k * k or pairs.shape != (2, side * side):
+        raise ShapeError(f"softmax_stack: expected (s, N^2) logits of a k x k window, N = k^2, "
+                         f"and (2, (2k-1)^2) pairs, got {x.shape} and {pairs.shape}")
+    s, dtype = x.shape[0], x.dtype
+    rows = x.data.reshape(s, n, n)
+    row_max = rows.max(axis=-1)
+    top = row_max.max(axis=-1, keepdims=True)
+    g, i = np.nonzero(row_max != top)
+    # The stack is allocated before the table and its check: in the other
+    # order the t224_infer benchmark's peak RSS read 2.7 MB higher.
+    y = np.empty((n, s, n), dtype=dtype)
+    table = x.data.take(pairs[0], axis=1)
+    if not np.array_equal(table, x.data.take(pairs[1], axis=1)):
+        return softmax_rows(x, (s, n, n), (1, 0, 2))
+    table -= top
+    _cut_exp(table)
+    # Two strided copies over the contiguous (s, 2k-1, 2k-1) table, whose
+    # entry [g, a, b] is displacement (a - k + 1, b - k + 1).  First
+    # by_row[g, iy, a, jy] = table[g, a, k-1-iy+jy], in which each row's
+    # window is one run of N entries; then each run is copied out as
+    # y[ix, iy, g, jx, jy] = by_row[g, iy, k-1-ix+jx, jy].
+    e = table.itemsize
+    by_row = np.ndarray((s, k, side, k), dtype, table, (k - 1) * e,
+                        (side * side * e, -e, side * e, e)).copy()
+    np.copyto(y.reshape(k, k, s, k, k),
+              np.ndarray((k, k, s, k, k), dtype, by_row, (k - 1) * k * e,
+                         (-k * e, side * k * e, k * side * k * e, k * e, e)))
+    if g.size:
+        own = rows[g, i]
+        own -= row_max[g, i, None]
+        _cut_exp(own)
+        y[i, g] = own
+    return _normalized(y, x, (1, 0, 2), "softmax_stack")
 
 
 def layer_norm(x, gain, shift, groups=1):

@@ -538,6 +538,86 @@ def test_stack_tape_does_not_grow_with_the_group_count(form, frozen):
     assert tape_nodes(64) <= tape_nodes(1)
 
 
+def _displacement_logit_cases(k, s, dtype, rng):
+    """(name, (s, N^2) logits) of s raw-precision groups: centres near and far, a tie, sharp."""
+    grid = P.displacement_grid(k)
+    far = k - 1
+
+    def logits(delta, gamma_scale=1.0, gamma=None):
+        params = P.GqpeParams(P.CovarianceForm.GAMMA_RAW, groups=s, rng=rng, dtype=dtype)
+        params.delta.data[:] = delta
+        params.gamma.data[:] = params.gamma.data * gamma_scale if gamma is None else gamma
+        return P.gqpe_logits(params, grid).data
+
+    half = np.zeros((s, 2))
+    half[: s // 2] = rng.uniform(-far, far, size=(s // 2, 2))
+    return [
+        ("near", logits(rng.uniform(-0.5, 0.5, size=(s, 2)))),
+        ("half far", logits(half)),
+        ("spread", logits(rng.uniform(-far, far, size=(s, 2)))),
+        ("corner", logits(np.full((s, 2), float(far)))),
+        # (0, 0) and (1, 0) tie exactly: 1.5 dx - 1.5 (dx^2 + dy^2) is 0 at both.
+        ("tie", logits(np.tile([0.5, 0.0], (s, 1)), gamma=3.0 * np.eye(2))),
+        # precisions near 2000 put most logits below either dtype's cut
+        ("sharp", logits(rng.uniform(-far, far, size=(s, 2)), gamma_scale=2000.0)),
+    ]
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes, compared as integers of the item size (faster than uint8)."""
+    return np.array_equal(a.view(f"i{a.itemsize}"), b.view(f"i{b.itemsize}"))
+
+
+@pytest.mark.parametrize("k, s", [(1, 64), (2, 64), (3, 5), (7, 64), (8, 8), (14, 16)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_displacement_softmax_matches_the_row_softmax(k, s, dtype, monkeypatch):
+    # softmax_stack exponentiates each displacement once for the rows at
+    # their group's maximum and each entry of the others; the oracle is
+    # softmax_rows over every entry, in the same layout.
+    rng = np.random.default_rng(k * 100 + s)
+    n, side = k * k, 2 * k - 1
+    grid = P.displacement_grid(k)
+    # The pairs follow lrpe_index_map, and the strided copy reads table
+    # entry [a, b] as displacement (a - k + 1, b - k + 1).
+    at_pairs = P.lrpe_index_map(grid).reshape(-1)[grid.pairs]
+    np.testing.assert_array_equal(at_pairs, np.tile(np.arange(side * side), (2, 1)))
+    d = np.arange(1 - k, k)
+    for i, j in zip(*np.divmod(grid.pairs, n)):
+        np.testing.assert_array_equal(grid.dx[i, j], np.repeat(d, side))
+        np.testing.assert_array_equal(grid.dy[i, j], np.tile(d, side))
+    oracle, fallbacks = T.softmax_rows, []
+    monkeypatch.setattr(T, "softmax_rows", lambda *a: fallbacks.append(a) or oracle(*a))
+
+    def check(name, x):
+        got = T.softmax_stack(Tensor(x, requires_grad=True), grid.pairs)
+        want = oracle(Tensor(x, requires_grad=True), (s, n, n), (1, 0, 2))
+        assert got.shape == want.shape == (n, s, n) and got.dtype == dtype
+        assert same_bits(got.data, want.data), name
+        g = rng.standard_normal((n, s, n)).astype(dtype)
+        (gx,), (want_gx,) = got._vjp(g), want._vjp(g)
+        assert gx.shape == x.shape and same_bits(gx, want_gx), name
+        return want.data
+
+    off_peak = {}
+    for name, x in _displacement_logit_cases(k, s, dtype, rng):
+        want = check(name, x)
+        row_max = x.reshape(s, n, n).max(axis=-1)
+        off_peak[name] = np.mean(row_max != row_max.max(axis=-1, keepdims=True))
+        if name == "sharp" and k > 1:
+            assert np.mean(want == 0.0) > 0.5
+    # No case fell back to softmax_rows.  Every group has a row at its peak,
+    # so the table path always ran; the corner centres put most rows off it.
+    assert not fallbacks
+    if k > 1:
+        assert off_peak["corner"] > 0.5, off_peak
+        # A last pair of displacement (0, 0) that differs from its first by
+        # one ulp sends the whole stack to softmax_rows.
+        last = grid.pairs[1, side * side // 2]
+        x[-1, last] = np.nextafter(x[-1, last], dtype(np.inf))
+        check("unequal pairs", x)
+        assert len(fallbacks) == 1
+
+
 @pytest.mark.parametrize("form, frozen", FORMS)
 def test_blocks_draw_group_by_group(form, frozen):
     # the draws of each group built on its own, delta before gamma, in group order

@@ -26,7 +26,7 @@ from posmlp import training as TR
 from posmlp.tensor import Tensor, backward
 
 
-# op name -> (input shape, the op applied to an intermediate h)
+# op name -> (input shape or values, the op applied to an intermediate h)
 def _ops(rng):
     gain = Tensor(rng.standard_normal(6), requires_grad=True)
     shift = Tensor(rng.standard_normal(6), requires_grad=True)
@@ -36,9 +36,13 @@ def _ops(rng):
     conv_b = Tensor(rng.standard_normal(3), requires_grad=True)
     dw_w = Tensor(rng.standard_normal((3, 3, 2, 2)), requires_grad=True)
     dw_b = Tensor(rng.standard_normal(4), requires_grad=True)
+    # logits that depend on their pair only through the displacement
+    grid = P.displacement_grid(3)
+    by_pair = np.random.default_rng(1).standard_normal((2, 25))[:, P.lrpe_index_map(grid).ravel()]
     return {
         "softmax_rows": ((4, 6), lambda h: T.softmax_rows(h)),
         "softmax_rows_layout": ((2, 9), lambda h: T.softmax_rows(h, (2, 3, 3), (1, 0, 2))),
+        "softmax_stack": (by_pair, lambda h: T.softmax_stack(h, grid.pairs)),
         "split": ((4, 6), lambda h: T.split(h, 3)),
         "take": ((4, 6), lambda h: T.take(h, [0, 5, 5, 23], (2, 2))),
         "permute_flat": ((4, 6), lambda h: T.permute_flat(h, (2, 2, 6), (2, 0, 1), (6, 4))),
@@ -74,7 +78,8 @@ def _gradient(name, hold, check=None):
     """
     rng = np.random.default_rng(7)
     shape, op = _ops(rng)[name]
-    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    x = Tensor(shape if isinstance(shape, np.ndarray) else rng.standard_normal(shape),
+               requires_grad=True)
     h = T.scale(x, 1.5)
     ref = weakref.ref(h.data)
     outs = op(h)
@@ -141,7 +146,7 @@ def _stack_gradients(form, frozen, hold):
     params = P.GqpeParams(form, delta_frozen=frozen, groups=4, rng=np.random.default_rng(2))
     grid = P.displacement_grid(3)
     refs, held = [], []
-    softmax = T.softmax_rows
+    softmax = T.softmax_stack
 
     def recording(x, *args):
         refs.append(weakref.ref(x.data))
@@ -149,11 +154,11 @@ def _stack_gradients(form, frozen, hold):
             held.append(x)
         return softmax(x, *args)
 
-    T.softmax_rows = recording
+    T.softmax_stack = recording
     try:
         stack = P.group_weight_stack(params, grid).weights
     finally:
-        T.softmax_rows = softmax
+        T.softmax_stack = softmax
     gc.collect()
     alive = refs[0]() is not None
     backward(T.weighted_sum(stack, np.random.default_rng(3).standard_normal(stack.shape)))

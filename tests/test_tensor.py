@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from posmlp import tensor as T
-from posmlp.gradcheck import gradcheck
+from posmlp.gradcheck import gradcheck, gradcheck_directional
 from posmlp.tensor import Tensor, backward
 
 
@@ -433,6 +433,27 @@ def test_composite_gradcheck(rng):
     res = gradcheck(fn, {"w": w, "b": b, "gain": gain, "shift": shift})
     assert res.ok, res.failures
     assert res.max_rel_err < 1e-4
+
+
+def test_a_nan_difference_fails_both_gradchecks(rng):
+    # The tape gradient comes from the first call; every perturbed call
+    # returns NaN, which compares false against any tolerance.  Checked mode
+    # would refuse the NaN before the check could see it.
+    T.set_checked(False)
+    w = t64(rng.standard_normal(3), grad=True)
+    calls = []
+
+    def fn():
+        calls.append(1)
+        if len(calls) > 1:
+            return t64(np.nan)
+        return T.sum_all(T.mul(w, w))
+
+    res = gradcheck(fn, {"w": w})
+    assert not res.ok and len(res.failures) == 3 and res.max_rel_err == math.inf
+    calls.clear()
+    res = gradcheck_directional(fn, {"w": w}, {"w": ["w"]})
+    assert not res.ok and len(res.failures) == 1 and res.max_rel_err == math.inf
 
 
 def test_linear_and_conv_gradcheck(rng):
