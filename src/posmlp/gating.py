@@ -12,6 +12,7 @@ an optional pre-norm on the mixed half, a no-split mode and a per-position
 bias cover the ablation configurations.
 """
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -184,27 +185,35 @@ class GatingUnit:
     def mixing_stack(self):
         """The unit's s token-mixing matrices as one ``(N, s, N)`` ``WeightStack``.
 
-        The stack is a pure function of ``_positional_tensors()``, so the one
-        built last is returned again while each of them is the same object
-        with the same ``requires_grad``, dtype and bytes.  In-place
+        The stack is a pure function of ``_positional_tensors()``: its state
+        is their identities, ``requires_grad``, dtypes and bytes.  In-place
         edits (an optimizer step, ``p.data[:] = ...``) and replaced tensors
-        both force a rebuild, and so does a backward pass through the stack
-        or, for a softmax stack, through its vectors: either consumes the
-        tape the stack's gradient needs.  A returned stack keeps its tape, so
-        gradients through it reach the parameters as if it were built
-        afresh.  The entry is one ``(key, stack)`` pair, read once and
-        replaced in one assignment, so concurrent forwards never pair a key
-        with another key's stack.
+        both change the state.  The unit keeps a state's stack only from the
+        state's second request on, and returns that same stack while the
+        state holds.  On the first request it keeps a weak reference, which
+        a second request still returns if the stack is alive; otherwise the
+        stack is built again.  So inference, which asks for one state on
+        every forward, keeps its stacks from the second forward on, and a
+        training step, whose state changes every step, keeps none: once its
+        forward has mixed, ``tensor.mix_softmax_stack``'s node holds only the
+        stack's recipe.  A backward pass through the stack or, for a softmax
+        stack, through its vectors consumes the tape the stack's gradient
+        needs, so it forces a rebuild too.  A returned stack keeps its tape,
+        so gradients through it reach the parameters as if it were built
+        afresh.  The entry is one ``(state, weak reference, kept stack)``
+        triple, read once and replaced in one assignment, so concurrent
+        forwards never pair a state with another state's stack.
         """
         tensors = self._positional_tensors()
         # Lists of tensors compare by identity: Tensor defines no __eq__.
         key = (tensors, [t.requires_grad for t in tensors], [t.data.dtype for t in tensors],
                b"".join([t.data.tobytes() for t in tensors]))
         entry = self._stack_entry
-        if entry is not None and entry[0] == key and not entry[1].consumed:
-            return entry[1]
-        stack = self._build_mixing_stack()
-        self._stack_entry = (key, stack)
+        again = entry is not None and entry[0] == key
+        stack = entry[1]() if again else None
+        if stack is None or stack.consumed:
+            stack = self._build_mixing_stack()
+        self._stack_entry = (key, weakref.ref(stack), stack if again else None)
         return stack
 
     def _build_mixing_stack(self):
@@ -240,7 +249,8 @@ class GatingUnit:
             x1 = T.layer_norm(x1, self.norm_gain, self.norm_shift, groups=cfg.groups)
         stack = self.mixing_stack()
         if cfg.kind is GatingKind.GGQPE:
-            z1 = T.mix_softmax_stack(stack.weights, stack.vectors, stack.features, x1, self.bias)
+            z1 = T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors, stack.features,
+                                     x1, self.bias)
         else:
             z1 = T.mix_tokens(stack.weights, x1)
             if self.bias is not None:

@@ -115,20 +115,24 @@ class WeightStack:
     ``weights[:, g]`` is group g's ``N x N`` matrix: the leading axis is the
     query token and ``len`` is the group count.  A softmax stack is
     ``tensor.softmax_stack`` of its logits, bit for bit their row softmax,
-    and also carries the ``(s, 5)`` logit ``vectors`` and the constant
-    ``(5, N^2)`` ``features`` it was generated from, so
+    and also carries the ``(s, 5)`` logit ``vectors``, the constant
+    ``(5, N^2)`` ``features`` it was generated from and its ``recipe``, the
+    ``tensor.StackRecipe`` the stack is rebuilt from.  So
     ``tensor.mix_softmax_stack`` can take the gradient to the vectors
-    without the stack's own tape.
+    without the stack's own tape, and its tape node keeps the recipe, not
+    the stack.  A stack can be weakly referenced, as
+    ``GatingUnit.mixing_stack`` does for a state asked for once.
     """
 
-    __slots__ = ("weights", "vectors", "features")
+    __slots__ = ("weights", "vectors", "features", "recipe", "__weakref__")
 
-    def __init__(self, weights, vectors=None, features=None):
+    def __init__(self, weights, vectors=None, features=None, recipe=None):
         if weights.ndim != 3 or weights.shape[0] != weights.shape[2]:
             raise T.ShapeError(f"a weight stack is (N, s, N), got {weights.shape}")
         self.weights = weights
         self.vectors = vectors
         self.features = features
+        self.recipe = recipe
 
     def __len__(self):
         return self.weights.shape[1]
@@ -292,13 +296,14 @@ def group_weight_stack(params, grid):
     copies them out to the rows that share the group's maximum, with the
     bits of a row-by-row softmax.  Every product entry is still read, for
     the row maxima.  The op count does not depend on s.  The logits are
-    freed on return; the stack keeps the vectors and the features, from
-    which ``tensor.mix_softmax_stack`` takes its gradient.
+    freed on return; the stack keeps the vectors, the features and the
+    softmax's recipe, from which ``tensor.mix_softmax_stack`` takes its
+    gradient.
     """
     v = gqpe_vectors(params)
     features = grid.features(v.dtype)
-    weights = T.softmax_stack(T.matmul(v, features), grid.pairs)
-    return WeightStack(weights, v, features)
+    weights, recipe = T.softmax_stack(T.matmul(v, features), grid.pairs)
+    return WeightStack(weights, v, features, recipe)
 
 
 class ZeroDraws:

@@ -170,14 +170,16 @@ class _Node:
     as long as something other than the tape refers to it; what a backward
     rule needs it captures itself.  ``_parents`` has one link per operand:
     the operand's node, the operand itself if it is a leaf that requires a
-    gradient, or None if it needs no gradient.
+    gradient, or None if it needs no gradient.  ``op`` names the op that
+    made it, whatever wraps its rule.
     """
 
-    __slots__ = ("_parents", "_vjp")
+    __slots__ = ("_parents", "_vjp", "op")
 
-    def __init__(self, parents, vjp):
+    def __init__(self, parents, vjp, op):
         self._parents = parents
         self._vjp = vjp
+        self.op = op
 
 
 def _consumed(g=None):
@@ -206,7 +208,7 @@ def _result(data, parents, vjp, op_name):
     out.data = data
     out.requires_grad = needs
     out.grad = None
-    out._node = _Node(links, vjp) if needs else None
+    out._node = _Node(links, vjp, op_name) if needs else None
     return out
 
 
@@ -333,33 +335,38 @@ def mix_tokens(w, x):
     return _result(out, (w, x), vjp, "mix_tokens")
 
 
-# Bytes of the stack-gradient rows the softmax-stack rule works through at
-# once: eight float32 groups of a 196-token window, which stay in L2.
+# Bytes of the stack rows the softmax-stack rule works through at once:
+# eight float32 groups of a 196-token window, which stay in L2.
 _STACK_CHUNK_BYTES = 5 << 18
 
 
-def mix_softmax_stack(stack, vectors, features, x, bias=None):
+def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
     """``mix_tokens(stack, x)`` plus an optional token bias, differentiated to the logit vectors.
 
     ``stack`` is an ``(N, s, N)`` stack whose group g is the row softmax of
-    row g of ``vectors @ features`` read as ``N x N``, as
-    ``positional.group_weight_stack`` builds it with ``softmax_stack``:
-    ``vectors`` is ``(s, m)`` and ``features`` a constant ``(m, N^2)``.  Only
-    the stack's data is read, so how its numerators were formed does not
-    matter; one tape node links the gradient to the vectors, x and the bias.
+    row g of ``vectors @ features`` read as ``N x N``, and ``recipe`` its
+    ``StackRecipe``, as ``positional.group_weight_stack`` builds them with
+    ``softmax_stack``: ``vectors`` is ``(s, m)`` and ``features`` a
+    constant ``(m, N^2)``.  Only the stack's data is read, so how its
+    numerators were formed does not matter; one tape node links the
+    gradient to the vectors, x and the bias.
 
     The forward is one untaped ``mix_tokens`` call with the bias added in
     place, so the output is bitwise that of ``mix_tokens`` followed by
-    ``add_token_bias``, and so is the input gradient.  The vectors'
-    gradient never forms the ``(N, s, N)`` stack gradient.  The rule takes
-    the softmax's row term r from the output: r_i = sum of G_i * (Z_i - b_i)
-    over the windows and a group's channels, which equals the row sum of
-    the stack gradient times the stack.  It then works through the groups in
-    chunks that stay in L2.  Each chunk's stack gradient is formed window by
-    window, in ``mix_tokens``' order, straight into the group-major
-    ``(s, N^2)`` logit gradient, and is turned into y * (gw - r) there.
+    ``add_token_bias``.  The node keeps the recipe, x and its own output,
+    not the stack: its rule rebuilds the stack from the recipe in chunks of
+    groups that stay in L2, with the stack's bits, and uses each chunk for
+    both gradients.  The chunk's input gradient is ``mix_tokens``' product,
+    so it has the same bits.  The vectors' gradient never forms the
+    ``(N, s, N)`` stack gradient.  The softmax's row term r comes from the
+    output: r_i = sum of G_i * (Z_i - b_i) over the windows and a group's
+    channels, which equals the row sum of the stack gradient times the
+    stack.  The chunk's stack gradient is formed window by window, in
+    ``mix_tokens``' order, less r, and multiplies the chunk, which was
+    rebuilt straight into the group-major ``(s, N^2)`` logit gradient.
     One product with the features' transpose, the one ``matmul``'s rule
-    forms, ends the rule.  The node keeps the stack, x and its own output.
+    forms, ends the rule.  That product takes the whole logit gradient:
+    split into row blocks, OpenBLAS rounds it differently.
     """
     if stack.ndim != 3 or stack.shape[0] != stack.shape[2]:
         raise ShapeError(f"mix_softmax_stack: expected an (N, s, N) stack, got {stack.shape}")
@@ -367,6 +374,9 @@ def mix_softmax_stack(stack, vectors, features, x, bias=None):
     if vectors.ndim != 2 or vectors.shape[0] != s or features.shape != (vectors.shape[1], n * n):
         raise ShapeError(f"mix_softmax_stack: vectors {vectors.shape} and features "
                          f"{features.shape} do not generate stack {stack.shape}")
+    if recipe.shape != stack.shape:
+        raise ShapeError(f"mix_softmax_stack: a recipe of {recipe.shape} does not rebuild "
+                         f"stack {stack.shape}")
     if bias is not None and bias.shape != (n,):
         raise ShapeError(f"mix_softmax_stack: bias {bias.shape} does not fit stack {stack.shape}")
     for t in (stack, features):
@@ -375,12 +385,14 @@ def mix_softmax_stack(stack, vectors, features, x, bias=None):
     out = mix_tokens(Tensor(stack.data), Tensor(x.data)).data
     if bias is not None:
         out += bias.data[:, None]
-    xshape, y = x.shape, stack.data
+    xshape, dtype = x.shape, stack.dtype
     bsz = xshape[0]
     grouped = (bsz, n, s, xshape[2] // s)
+    step = max(1, _STACK_CHUNK_BYTES // (n * n * dtype.itemsize))
+    chunk = (min(step, s), n, n)
 
     # The vectors' gradient reads x, the output, the bias and the features;
-    # the input gradient reads only the stack.
+    # both it and the input gradient read the stack, rebuilt from the recipe.
     to_vectors, to_x = vectors.requires_grad, x.requires_grad
     to_bias = bias is not None and bias.requires_grad
     xd = x.data if to_vectors else None
@@ -395,25 +407,32 @@ def mix_softmax_stack(stack, vectors, features, x, bias=None):
             z = zd if bd is None else zd - bd[:, None]
             r = np.einsum("bnsc,bnsc->sn", g.reshape(grouped), z.reshape(grouped))
             del z
-            yg, xg = y.transpose(1, 0, 2), _by_group(xd, s)
-            gl = np.empty((s, n, n), dtype=y.dtype)
-            step = max(1, _STACK_CHUNK_BYTES // (n * n * y.itemsize))
-            tmp = np.empty((min(step, s), n, n), dtype=y.dtype) if bsz > 1 else None
+            xg = _by_group(xd, s)
+            gw = np.empty(chunk, dtype=dtype)
+            part = np.empty(chunk, dtype=dtype) if bsz > 1 else None
+        if to_x:
+            gx = np.empty(xshape, dtype=dtype)
+        if to_vectors or to_x:
+            # For the vectors' gradient the chunks are rebuilt straight into
+            # the logit gradient, else into one reused chunk.
+            ys = np.empty((s, n, n) if to_vectors else chunk, dtype=dtype)
             for lo in range(0, s, step):
                 hi = min(lo + step, s)
-                gw = gl[lo:hi]
-                # The first window's products are written in place; the others add on.
-                np.matmul(gg[0, lo:hi], xg[0, lo:hi].transpose(0, 2, 1), out=gw)
-                for b in range(1, bsz):
-                    part = tmp[:hi - lo]
-                    np.matmul(gg[b, lo:hi], xg[b, lo:hi].transpose(0, 2, 1), out=part)
-                    gw += part
-                gw -= r[lo:hi, :, None]
-                gw *= yg[lo:hi]
-            gv = gl.reshape(s, n * n) @ ft
-        if to_x:
-            gx = np.empty(xshape, dtype=y.dtype)
-            np.matmul(y.transpose(1, 2, 0), gg, out=_by_group(gx, s))
+                y = recipe.write(lo, hi, ys[lo:hi] if to_vectors else ys[:hi - lo])
+                if to_x:
+                    np.matmul(y.transpose(0, 2, 1), gg[:, lo:hi], out=_by_group(gx, s)[:, lo:hi])
+                if to_vectors:
+                    w = gw[:hi - lo]
+                    # The first window's products are written in place; the others add on.
+                    np.matmul(gg[0, lo:hi], xg[0, lo:hi].transpose(0, 2, 1), out=w)
+                    for b in range(1, bsz):
+                        np.matmul(gg[b, lo:hi], xg[b, lo:hi].transpose(0, 2, 1),
+                                  out=part[:hi - lo])
+                        w += part[:hi - lo]
+                    w -= r[lo:hi, :, None]
+                    y *= w
+        if to_vectors:
+            gv = ys.reshape(s, n * n) @ ft
         if to_bias:
             gb = g.sum(axis=(0, 2))
         return (gv, gx) if bias is None else (gv, gx, gb)
@@ -763,7 +782,7 @@ def softmax_rows(x, shape=None, axes=None):
     y = np.empty(view.shape, dtype=view.dtype)
     np.subtract(view, view.max(axis=-1, keepdims=True), out=y)
     _cut_exp(y)
-    return _normalized(y, x, inv, "softmax_rows")
+    return _normalized(y, y.sum(axis=-1, keepdims=True), x, inv, "softmax_rows")
 
 
 def _cut_exp(y):
@@ -775,13 +794,13 @@ def _cut_exp(y):
     np.exp(y, out=y)
 
 
-def _normalized(y, x, inv, op_name):
+def _normalized(y, sums, x, inv, op_name):
     """Numerators y divided in place by their row sums, as the op's result on x.
 
     The gradient is the softmax's, returned in x's own layout: ``inv``
     permutes y's axes back to those of x's view, whose data x holds.
     """
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= sums
     shape = x.shape
 
     def vjp(g):
@@ -794,6 +813,70 @@ def _normalized(y, x, inv, op_name):
     return _result(y, (x,), vjp, op_name)
 
 
+def _table_windows(table, k):
+    """Each row's window of c groups' displacement tables, as a (c, k, k, k, k) view.
+
+    ``table`` is a contiguous ``(c, (2k-1)^2)`` array whose entry
+    ``[g, a * (2k-1) + b]`` is displacement (a - k + 1, b - k + 1).  Entry
+    ``[g, ix, iy, jx, jy]`` of the view is group g's entry for the pair of
+    query (ix, iy) and key (jx, jy): row (ix, iy) is the k x k window of the
+    (2k-1) x (2k-1) table at (k-1-ix, k-1-iy), read through strided views,
+    with no gather.  One strided copy first forms
+    ``by_row[g, iy, a, jy] = table[g, a, k-1-iy+jy]``, in which each row's
+    window is one run of N entries; the view reads
+    ``by_row[g, iy, k-1-ix+jx, jy]``.
+    """
+    c, dtype, e, side = table.shape[0], table.dtype, table.itemsize, 2 * k - 1
+    by_row = np.ndarray((c, k, side, k), dtype, table, (k - 1) * e,
+                        (side * side * e, -e, side * e, e)).copy()
+    return np.ndarray((c, k, k, k, k), dtype, by_row, (k - 1) * k * e,
+                      (k * side * k * e, -k * e, side * k * e, k * e, e))
+
+
+class StackRecipe:
+    """What a softmax stack is rebuilt from, some groups at a time, with its bits.
+
+    ``softmax_stack`` returns one with the ``(N, s, N)`` stack it forms.  On
+    its table path the recipe is that path's small arrays: each group's
+    (2k-1)^2 exponentiated logits (``table``); the groups, rows and
+    numerators of the rows that miss their group's peak (``off_peak``); and
+    every row's sum, group-major (``sums``).  Where the op fell back to
+    ``softmax_rows``, ``dense`` is the stack itself.  A PosMLP-T stage-2
+    recipe at initialisation holds 170 KB (70 off-peak rows), against the
+    stack's 4.9 MB.
+    """
+
+    __slots__ = ("shape", "table", "off_peak", "sums", "dense")
+
+    def __init__(self, shape, table=None, off_peak=None, sums=None, dense=None):
+        self.shape = shape
+        self.table = table
+        self.off_peak = off_peak
+        self.sums = sums
+        self.dense = dense
+
+    def write(self, lo, hi, out):
+        """Groups lo to hi of the stack, group-major, written into ``(hi - lo, N, N)`` ``out``.
+
+        Each entry is the stack's numerator, copied out through the table
+        path's strided views or from its off-peak row, divided by the same
+        row sum, so it has the stack's bits.  Returns ``out``.
+        """
+        if self.dense is not None:
+            np.copyto(out, self.dense.transpose(1, 0, 2)[lo:hi])
+            return out
+        k = math.isqrt(self.shape[0])
+        sums = self.sums[lo:hi]
+        # Each numerator is divided as it is copied out; an off-peak row's
+        # window is then overwritten with its own numerators so divided.
+        np.divide(_table_windows(self.table[lo:hi], k), sums.reshape(hi - lo, k, k, 1, 1),
+                  out=out.reshape(hi - lo, k, k, k, k))
+        g, i, own = self.off_peak
+        a, b = np.searchsorted(g, (lo, hi))
+        out[g[a:b] - lo, i[a:b]] = own[a:b] / sums[g[a:b] - lo, i[a:b]]
+        return out
+
+
 def softmax_stack(x, pairs):
     """``softmax_rows(x, (s, N, N), (1, 0, 2))`` of logits that depend only on displacement.
 
@@ -803,21 +886,21 @@ def softmax_stack(x, pairs):
     query token i.  ``pairs`` is the window's ``DisplacementGrid.pairs``:
     the flat indices of the first and the last pair of each of the
     (2k-1)^2 displacements, entry ``(dx + k - 1) * (2k - 1) + (dy + k - 1)``
-    for displacement (dx, dy).  The result is the ``(N, s, N)`` stack of
-    row softmaxes, bit for bit ``softmax_rows``', and so is the gradient,
-    returned in x's layout.
+    for displacement (dx, dy).  Returns the ``(N, s, N)`` stack of row
+    softmaxes, bit for bit ``softmax_rows``' and with its gradient returned
+    in x's layout, and the stack's ``StackRecipe``, from which
+    ``mix_softmax_stack``'s rule rebuilds the stack without keeping it.
 
     Every row's maximum is taken from x, in one exact pass.  A group's
     (2k-1)^2 distinct logits are read at the first pairs.  The rows whose
     maximum equals their group's maximum M share the numerators
     exp(cut(l - M)) of those logits, so each is exponentiated once and
-    copied out: row (ix, iy) is the k x k window of the (2k-1) x (2k-1)
-    table at (k-1-ix, k-1-iy), read through strided views, with no gather.
-    A row whose window misses its group's peak is subtracted, cut and
-    exponentiated from its own logits, as ``softmax_rows`` does.  Either
-    way each numerator is the same subtraction, cut and exponential of the
-    same two values, and the row sums and the division are
-    ``softmax_rows``'.
+    copied out to each row's window (``_table_windows``).  A row whose
+    window misses its group's peak is subtracted, cut and exponentiated
+    from its own logits, as ``softmax_rows`` does.  Either way each
+    numerator is the same subtraction, cut and exponential of the same two
+    values, and the row sums and the division are ``softmax_rows``'.  The
+    recipe keeps the table, the off-peak numerators and the row sums.
 
     The bits rest on pairs of equal displacement holding equal logits.  In
     exact arithmetic a product with equal feature columns gives them, but
@@ -825,12 +908,13 @@ def softmax_stack(x, pairs):
     equal columns alike wherever they sit in the product.  The op checks it
     at the first and the last pair of each displacement, and where they
     differ in any group (a NaN among them included) it returns
-    ``softmax_rows`` of x.  Pairs in between are not checked.
+    ``softmax_rows`` of x, whose recipe is the stack itself.  Pairs in
+    between are not checked.
     """
     n = math.isqrt(x.shape[-1])
     k = math.isqrt(n)
-    side = 2 * k - 1
-    if x.ndim != 2 or k < 1 or x.shape[1] != n * n or n != k * k or pairs.shape != (2, side * side):
+    if x.ndim != 2 or k < 1 or x.shape[1] != n * n or n != k * k or \
+            pairs.shape != (2, (2 * k - 1) ** 2):
         raise ShapeError(f"softmax_stack: expected (s, N^2) logits of a k x k window, N = k^2, "
                          f"and (2, (2k-1)^2) pairs, got {x.shape} and {pairs.shape}")
     s, dtype = x.shape[0], x.dtype
@@ -843,26 +927,18 @@ def softmax_stack(x, pairs):
     y = np.empty((n, s, n), dtype=dtype)
     table = x.data.take(pairs[0], axis=1)
     if not np.array_equal(table, x.data.take(pairs[1], axis=1)):
-        return softmax_rows(x, (s, n, n), (1, 0, 2))
+        stack = softmax_rows(x, (s, n, n), (1, 0, 2))
+        return stack, StackRecipe(stack.shape, dense=stack.data)
     table -= top
     _cut_exp(table)
-    # Two strided copies over the contiguous (s, 2k-1, 2k-1) table, whose
-    # entry [g, a, b] is displacement (a - k + 1, b - k + 1).  First
-    # by_row[g, iy, a, jy] = table[g, a, k-1-iy+jy], in which each row's
-    # window is one run of N entries; then each run is copied out as
-    # y[ix, iy, g, jx, jy] = by_row[g, iy, k-1-ix+jx, jy].
-    e = table.itemsize
-    by_row = np.ndarray((s, k, side, k), dtype, table, (k - 1) * e,
-                        (side * side * e, -e, side * e, e)).copy()
-    np.copyto(y.reshape(k, k, s, k, k),
-              np.ndarray((k, k, s, k, k), dtype, by_row, (k - 1) * k * e,
-                         (-k * e, side * k * e, k * side * k * e, k * e, e)))
-    if g.size:
-        own = rows[g, i]
-        own -= row_max[g, i, None]
-        _cut_exp(own)
-        y[i, g] = own
-    return _normalized(y, x, (1, 0, 2), "softmax_stack")
+    np.copyto(y.reshape(k, k, s, k, k), _table_windows(table, k).transpose(1, 2, 0, 3, 4))
+    own = rows[g, i]
+    own -= row_max[g, i, None]
+    _cut_exp(own)
+    y[i, g] = own
+    sums = y.sum(axis=-1, keepdims=True)
+    recipe = StackRecipe(y.shape, table, (g, i, own), sums.transpose(1, 0, 2))
+    return _normalized(y, sums, x, (1, 0, 2), "softmax_stack"), recipe
 
 
 def layer_norm(x, gain, shift, groups=1):
@@ -1123,6 +1199,58 @@ def _topo_order(root):
             if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
+
+
+def _base(a):
+    """The array whose buffer view ``a`` reads."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _held_arrays(root):
+    """``(op name, base array)`` of each buffer the rules on ``root``'s tape hold.
+
+    A rule holds what its closure cells reach, through nested functions (a
+    wrapped rule), tuples, lists and ``StackRecipe`` slots.  Each buffer is
+    listed once, under the first op in tape order that holds it, and the
+    buffers of the tape's leaves, the parameters, are left out.
+    """
+    order = _topo_order(root)
+    seen = {id(_base(leaf.data)) for leaf in order if isinstance(leaf, Tensor)}
+    held = []
+    for node in order:
+        if not isinstance(node, _Node):
+            continue
+        todo = [node._vjp]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, np.ndarray):
+                base = _base(obj)
+                if id(base) not in seen:
+                    seen.add(id(base))
+                    held.append((node.op, base))
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                todo.extend(cell.cell_contents for cell in obj.__closure__)
+            elif isinstance(obj, (tuple, list)):
+                todo.extend(obj)
+            elif isinstance(obj, StackRecipe):
+                todo.extend(getattr(obj, name) for name in StackRecipe.__slots__)
+    return held
+
+
+def tape_census(root):
+    """Bytes that the backward rules on ``root``'s tape hold, per op name.
+
+    These are the arrays a backward pass from ``root`` would free as it
+    goes, counted by base buffer, once each, under the first op in tape
+    order that holds them; the parameters are not counted.  The op name is
+    the one each node records, so a traced rule counts under its op.
+    """
+    census = {}
+    for op, base in _held_arrays(root):
+        census[op] = census.get(op, 0) + base.nbytes
+    return census
 
 
 def backward(loss):

@@ -170,8 +170,9 @@ def test_attention_export_rejects_bad_query(tmp_path):
 
 @pytest.mark.parametrize("kind", list(GatingKind))
 def test_attention_export_writes_the_rows_the_unit_mixes_with(tmp_path, monkeypatch, kind):
-    # dense plus lookup for LRPE_M, the dense matrix for SGU; after a forward
-    # the export reads the stack that forward cached and builds none
+    # dense plus lookup for LRPE_M, the dense matrix for SGU; the state's
+    # second request, after the forward, keeps the stack, and the export
+    # reads that stack and builds none
     from posmlp.gating import GatingConfig, GatingUnit
     from posmlp.tensor import Tensor
     cfg = GatingConfig(kind=kind, window_side=3, groups=2 if kind.grouped else 1)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -390,6 +392,50 @@ def test_mixing_stack_hit_returns_the_same_stack(monkeypatch):
     assert len(calls) == 1
 
 
+def recording_generator(monkeypatch):
+    """Weak references to the GGQPE stacks a gating unit builds."""
+    built = []
+    real = G.group_weight_stack
+
+    def recorded(*args):
+        stack = real(*args)
+        built.append(weakref.ref(stack))
+        return stack
+
+    monkeypatch.setattr(G, "group_weight_stack", recorded)
+    return built
+
+
+def test_a_first_request_keeps_no_stack_past_its_forward(rng, monkeypatch):
+    # A training step asks for each parameter state once: after its forward
+    # the tape holds the stack's recipe, and nothing holds the stack.
+    built = recording_generator(monkeypatch)
+    u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
+    fresh = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
+    x, weights = tin(rng, 2, 9, 8), rng.standard_normal((2, 9, 4))
+    out = u.forward(x)
+    assert len(built) == 1 and built[0]() is None
+    held = fresh.mixing_stack()
+    T.backward(T.weighted_sum(out, weights))
+    T.backward(T.weighted_sum(fresh.forward(x), weights))
+    assert fresh.mixing_stack() is not held
+    for (name, p), q in zip(u.parameters().items(), fresh.parameters().values()):
+        np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
+
+
+def test_a_second_request_keeps_the_stack_and_a_third_returns_it(rng, monkeypatch):
+    built = recording_generator(monkeypatch)
+    u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
+    x = tin(rng, 2, 9, 8)
+    first = u.forward(x).data
+    assert len(built) == 1 and built[0]() is None
+    ref = weakref.ref(u.mixing_stack())
+    assert len(built) == 2 and ref() is not None
+    assert u.mixing_stack() is ref()
+    np.testing.assert_array_equal(u.forward(x).data, first)
+    assert len(built) == 2
+
+
 def _edit_gamma_in_place(u):
     u.gqpe.gamma.data[1] = u.gqpe.gamma.data[1] * 1.5
 
@@ -444,9 +490,12 @@ def test_shared_stack_gradients_match_two_built_stacks(rng, monkeypatch):
     x1, x2 = tin(rng, 2, 9, 8), tin(rng, 1, 9, 8)
     w1, w2 = rng.standard_normal((2, 9, 4)), rng.standard_normal((1, 9, 4))
 
+    # A state's first request keeps only a weak reference, so the stack is
+    # held here; both forwards then mix with that one stack.
+    shared = cached.mixing_stack()
     T.backward(T.add(T.weighted_sum(cached.forward(x1), w1),
                      T.weighted_sum(cached.forward(x2), w2)))
-    assert len(calls) == 1
+    assert len(calls) == 1 and shared.vectors.consumed
     first = uncached.forward(x1)
     uncached._stack_entry = None
     loss = T.add(T.weighted_sum(first, w1), T.weighted_sum(uncached.forward(x2), w2))

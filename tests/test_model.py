@@ -449,6 +449,21 @@ def test_checkpoint_roundtrip_bytes_and_forward(tmp_path, rng):
         np.testing.assert_array_equal(q1.data, q2.data)
 
 
+def test_a_loaded_checkpoint_forwards_the_same_logits_while_its_stacks_are_kept(tmp_path, rng):
+    # The first forward builds each unit's stack and keeps none, the second
+    # builds and keeps them, the third reads the kept ones.
+    m = micro(seed=14)
+    path = tmp_path / "m.pmlp"
+    M.save_checkpoint(m, path)
+    loaded = M.load_checkpoint(path)
+    x = Tensor(rng.standard_normal((2, 32, 32, 3)).astype(np.float32))
+    want = m.forward(x).data
+    units = [blk.unit for blocks in loaded.stages for blk in blocks]
+    for kept in (False, True, True):
+        np.testing.assert_array_equal(loaded.forward(x).data, want)
+        assert all((u._stack_entry[2] is not None) == kept for u in units)
+
+
 @pytest.mark.parametrize("overrides", [{}, {"gating_kind": "lrpe_m"}, {"gating_kind": "glrpe"},
                                        {"use_ape": True, "delta_frozen": True}])
 def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, overrides):

@@ -568,12 +568,14 @@ def same_bits(a, b):
     return np.array_equal(a.view(f"i{a.itemsize}"), b.view(f"i{b.itemsize}"))
 
 
-@pytest.mark.parametrize("k, s", [(1, 64), (2, 64), (3, 5), (7, 64), (8, 8), (14, 16)])
+@pytest.mark.parametrize("k, s", [(1, 64), (2, 64), (3, 5), (7, 64), (8, 8), (14, 8), (14, 16),
+                                  (14, 32)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_displacement_softmax_matches_the_row_softmax(k, s, dtype, monkeypatch):
     # softmax_stack exponentiates each displacement once for the rows at
     # their group's maximum and each entry of the others; the oracle is
-    # softmax_rows over every entry, in the same layout.
+    # softmax_rows over every entry, in the same layout.  The stack rebuilt
+    # from its recipe, in chunks of any number of groups, has the same bits.
     rng = np.random.default_rng(k * 100 + s)
     n, side = k * k, 2 * k - 1
     grid = P.displacement_grid(k)
@@ -589,10 +591,17 @@ def test_displacement_softmax_matches_the_row_softmax(k, s, dtype, monkeypatch):
     monkeypatch.setattr(T, "softmax_rows", lambda *a: fallbacks.append(a) or oracle(*a))
 
     def check(name, x):
-        got = T.softmax_stack(Tensor(x, requires_grad=True), grid.pairs)
+        got, recipe = T.softmax_stack(Tensor(x, requires_grad=True), grid.pairs)
         want = oracle(Tensor(x, requires_grad=True), (s, n, n), (1, 0, 2))
-        assert got.shape == want.shape == (n, s, n) and got.dtype == dtype
+        assert got.shape == want.shape == recipe.shape == (n, s, n) and got.dtype == dtype
         assert same_bits(got.data, want.data), name
+        assert (recipe.dense is not None) == (name == "unequal pairs"), name
+        by_group = np.ascontiguousarray(want.data.transpose(1, 0, 2))
+        for step in {1, 3, max(1, T._STACK_CHUNK_BYTES // (n * n * x.itemsize))}:
+            rebuilt = np.full((s, n, n), np.nan, dtype=dtype)
+            for lo in range(0, s, step):
+                recipe.write(lo, min(lo + step, s), rebuilt[lo:lo + step])
+            assert same_bits(rebuilt, by_group), (name, step)
         g = rng.standard_normal((n, s, n)).astype(dtype)
         (gx,), (want_gx,) = got._vjp(g), want._vjp(g)
         assert gx.shape == x.shape and same_bits(gx, want_gx), name
@@ -654,7 +663,8 @@ def _mix_gradients(params, grid, x, bias, g, fused):
     xt = Tensor(x, requires_grad=True)
     bt = None if bias is None else Tensor(bias, requires_grad=True)
     if fused:
-        out = T.mix_softmax_stack(stack.weights, stack.vectors, stack.features, xt, bt)
+        out = T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors, stack.features,
+                                  xt, bt)
     else:
         out = T.mix_tokens(stack.weights, xt)
         if bt is not None:
@@ -706,7 +716,8 @@ def test_one_node_mixing_gradcheck(form, frozen, with_bias):
 
     def fn():
         stack = P.group_weight_stack(params, grid)
-        out = T.mix_softmax_stack(stack.weights, stack.vectors, stack.features, x, bias)
+        out = T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors, stack.features,
+                                  x, bias)
         return T.weighted_sum(out, weights)
 
     wrt = {**params.parameters(), "x": x, **({"bias": bias} if with_bias else {})}
@@ -722,10 +733,83 @@ def test_one_node_mixing_refuses_a_stack_its_vectors_cannot_generate():
                                  P.displacement_grid(3))
     x = Tensor(np.ones((1, 9, 6), dtype=np.float32))
     with pytest.raises(T.ShapeError, match="do not generate"):
-        T.mix_softmax_stack(stack.weights, other.vectors, other.features, x)
+        T.mix_softmax_stack(stack.weights, stack.recipe, other.vectors, other.features, x)
+    with pytest.raises(T.ShapeError, match="does not rebuild"):
+        T.mix_softmax_stack(stack.weights, other.recipe, stack.vectors, stack.features, x)
     with pytest.raises(T.ShapeError, match="bias"):
-        T.mix_softmax_stack(stack.weights, stack.vectors, stack.features, x,
+        T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors, stack.features, x,
                             Tensor(np.ones(4, dtype=np.float32)))
     with pytest.raises(T.ShapeError, match="dtype"):
-        T.mix_softmax_stack(stack.weights, stack.vectors,
+        T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors,
                             P.displacement_grid(3).features(np.float64), x)
+
+
+# -- the mixing rule that rebuilds its stack from the recipe -------------------------
+
+def _recipe_cases(k, s, dtype, rng):
+    """``_displacement_logit_cases`` plus logits whose unequal pairs send the op to softmax_rows."""
+    cases = _displacement_logit_cases(k, s, dtype, rng)
+    if k > 1:
+        x = cases[0][1].copy()
+        last = P.displacement_grid(k).pairs[1, (2 * k - 1) ** 2 // 2]
+        x[-1, last] = np.nextafter(x[-1, last], dtype(np.inf))
+        cases.append(("unequal pairs", x))
+    return cases
+
+
+def _dense_stack_rule(y, g, xd, zd, bd, ft):
+    """The vectors' and input gradients of the one-node rule whose node kept the dense stack.
+
+    The bit oracle for the rule that rebuilds the stack from its recipe:
+    the same row term, the stack gradient formed chunk by chunk in the same
+    window order and multiplied by the strided stack, one product with the
+    features, and the input gradient as one product with the whole stack.
+    """
+    n, s = y.shape[:2]
+    bsz = xd.shape[0]
+    grouped = (bsz, n, s, xd.shape[2] // s)
+    gg, xg, yg = T._by_group(g, s), T._by_group(xd, s), y.transpose(1, 0, 2)
+    z = zd if bd is None else zd - bd[:, None]
+    r = np.einsum("bnsc,bnsc->sn", g.reshape(grouped), z.reshape(grouped))
+    gl = np.empty((s, n, n), dtype=y.dtype)
+    step = max(1, T._STACK_CHUNK_BYTES // (n * n * y.itemsize))
+    for lo in range(0, s, step):
+        hi = min(lo + step, s)
+        gw = gl[lo:hi]
+        np.matmul(gg[0, lo:hi], xg[0, lo:hi].transpose(0, 2, 1), out=gw)
+        for b in range(1, bsz):
+            gw += np.matmul(gg[b, lo:hi], xg[b, lo:hi].transpose(0, 2, 1))
+        gw -= r[lo:hi, :, None]
+        gw *= yg[lo:hi]
+    gx = np.empty(xd.shape, dtype=y.dtype)
+    np.matmul(y.transpose(1, 2, 0), gg, out=T._by_group(gx, s))
+    return gl.reshape(s, n * n) @ ft, gx
+
+
+# (k, s): tiny windows, then PosMLP-T's stages 3, 0 and 2 at 224^2.
+@pytest.mark.parametrize("k, s", [(1, 64), (3, 5), (7, 64), (14, 8), (14, 32)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_recipe_rule_has_the_dense_stack_rules_bits(k, s, dtype):
+    rng = np.random.default_rng(k * 100 + s + 8)
+    n, grid = k * k, P.displacement_grid(k)
+    features = grid.features(dtype)
+    for name, logits in _recipe_cases(k, s, dtype, rng):
+        stack, recipe = T.softmax_stack(Tensor(logits), grid.pairs)
+        # The rule reads the vectors only for their shape: the stack is given.
+        vectors = Tensor(np.zeros((s, 5), dtype=dtype), requires_grad=True)
+        for bsz, with_bias in ((1, True), (2, False), (3, True)):
+            x = rng.standard_normal((bsz, n, 2 * s)).astype(dtype)
+            bias = Tensor(rng.standard_normal(n), dtype=dtype, requires_grad=True) \
+                if with_bias else None
+            g = rng.standard_normal(x.shape).astype(dtype)
+            out = T.mix_softmax_stack(stack, recipe, vectors, features,
+                                      Tensor(x, requires_grad=True), bias)
+            want_out = T.mix_tokens(stack, Tensor(x)).data
+            if with_bias:
+                want_out += bias.data[:, None]
+            assert same_bits(out.data, want_out), name
+            gv, gx = out._vjp(g)[:2]
+            want_gv, want_gx = _dense_stack_rule(stack.data, g, x, out.data,
+                                                 bias.data if with_bias else None,
+                                                 features.data.T)
+            assert same_bits(gv, want_gv) and same_bits(gx, want_gx), (name, bsz)

@@ -19,6 +19,7 @@ import weakref
 import numpy as np
 import pytest
 
+from posmlp import gating as G
 from posmlp import model as M
 from posmlp import positional as P
 from posmlp import tensor as T
@@ -42,7 +43,7 @@ def _ops(rng):
     return {
         "softmax_rows": ((4, 6), lambda h: T.softmax_rows(h)),
         "softmax_rows_layout": ((2, 9), lambda h: T.softmax_rows(h, (2, 3, 3), (1, 0, 2))),
-        "softmax_stack": (by_pair, lambda h: T.softmax_stack(h, grid.pairs)),
+        "softmax_stack": (by_pair, lambda h: T.softmax_stack(h, grid.pairs)[0]),
         "split": ((4, 6), lambda h: T.split(h, 3)),
         "take": ((4, 6), lambda h: T.take(h, [0, 5, 5, 23], (2, 2))),
         "permute_flat": ((4, 6), lambda h: T.permute_flat(h, (2, 2, 6), (2, 0, 1), (6, 4))),
@@ -282,3 +283,61 @@ def test_a_training_step_frees_its_graph_and_its_gradients(monkeypatch):
     opt.step(1e-3)
     assert [k for k, p in m.parameters().items() if p.grad is not None] == []
     assert loss.consumed and logits.consumed
+
+
+# -- what the tape holds ----------------------------------------------------------
+
+def _micro_training_loss(seed):
+    m = M.build_model(M.variant_config("MICRO"), rng=np.random.default_rng(seed))
+    x = Tensor(np.random.default_rng(seed + 1).standard_normal((2, 32, 32, 3)).astype(np.float32))
+    return m, T.cross_entropy_mean(m.forward(x), np.array([0, 3]))
+
+
+def test_same_seed_tape_censuses_are_identical():
+    first, second = (T.tape_census(_micro_training_loss(5)[1]) for _ in range(2))
+    assert first == second
+    assert first["mix_softmax_stack"] > 0 and first["gelu"] > 0
+
+
+def test_gelu_holds_exactly_its_input_and_phi(monkeypatch):
+    leaf = Tensor(np.random.default_rng(0).standard_normal((4, 6)), requires_grad=True)
+    x = T.scale(leaf, 2.0)  # holds no array; x is not a parameter
+    assert T.tape_census(T.gelu(x)) == {"gelu": 2 * x.data.nbytes}
+    # A wrapped rule, as the benchmark tracer installs, counts under its op.
+    result = T._result
+
+    def wrapping(data, parents, vjp, op_name):
+        return result(data, parents, lambda g: vjp(g), op_name)
+
+    monkeypatch.setattr(T, "_result", wrapping)
+    assert T.tape_census(T.gelu(T.scale(leaf, 2.0))) == {"gelu": 2 * x.data.nbytes}
+
+
+def _stack_shapes(units):
+    """Every layout a unit's (N, s, N) stack takes; one-token windows' stacks are trivial."""
+    shapes = set()
+    for u in units:
+        n, s = u.config.n_tokens, u.config.groups
+        if n > 1:
+            shapes |= {(n, s, n), (s, n, n), (s, n * n), (n, s * n)}
+    return shapes
+
+
+def test_a_micro_ggqpe_training_tape_holds_no_mixing_stack():
+    m, loss = _micro_training_loss(6)
+    shapes = _stack_shapes([blk.unit for blocks in m.stages for blk in blocks])
+    assert [(op, a.shape) for op, a in T._held_arrays(loss) if a.shape in shapes] == []
+
+
+def test_a_t_stage_ggqpe_unit_tape_holds_its_stacks_recipe_not_the_stack():
+    # PosMLP-T's stage 2: 196-token windows, 32 groups, 1536 hidden channels.
+    st = M.variant_config("T").stages[2]
+    cfg = G.GatingConfig(kind=G.GatingKind.GGQPE, window_side=st.window_side, groups=st.groups)
+    u = G.GatingUnit(cfg, st.dim * st.expansion, rng=np.random.default_rng(0))
+    n, s = cfg.n_tokens, cfg.groups
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((1, n, u.width)).astype(np.float32))
+    loss = T.weighted_sum(u.forward(x), rng.standard_normal((1, n, u.width // 2)))
+    assert [a.shape for _, a in T._held_arrays(loss) if a.shape in _stack_shapes([u])] == []
+    # x, the output, the recipe and the shared features: under half the stack
+    assert T.tape_census(loss)["mix_softmax_stack"] < n * s * n * 4 // 2
