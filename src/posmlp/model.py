@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, asdict
 
@@ -412,7 +413,13 @@ def _read_exact(fh, n, what):
     return buf
 
 
-def _read_record(fh):
+def _read_header(fh):
+    """``(path, dtype, shape, nbytes)`` of the next record, its buffer unread; None at the end.
+
+    The buffer, ``nbytes`` long, holds ``dtype`` little-endian.  A buffer
+    longer than the rest of the file is refused here, before anything is
+    allocated for it.
+    """
     head = fh.read(4)
     if not head:
         return None
@@ -429,12 +436,19 @@ def _read_record(fh):
     shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"extents of {path}"))
     if 0 in shape:
         raise CheckpointError(f"zero extent in {shape} for {path}")
-    dtype = np.dtype(_DTYPE_TAGS[tag]).newbyteorder("<")
+    dtype = np.dtype(_DTYPE_TAGS[tag])
     nbytes = math.prod(shape) * dtype.itemsize
-    raw = _read_exact(fh, nbytes, f"buffer of {path}")
-    # astype copies: the array owns writable memory the loaded model can keep.
-    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPE_TAGS[tag])
-    return path, arr
+    if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"truncated checkpoint while reading buffer of {path}")
+    return path, dtype, shape, nbytes
+
+
+def _read_into(fh, out, path):
+    """Read a record's buffer straight into ``out``, a C-contiguous array of its dtype and shape."""
+    if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
+        raise CheckpointError(f"truncated checkpoint while reading buffer of {path}")
+    if sys.byteorder != "little":
+        out.byteswap(inplace=True)
 
 
 _GQPE_KINDS = ("delta", "gamma", "alpha_raw")
@@ -487,10 +501,11 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint file; buffers round-trip bit-exactly.
 
     The model is built with ``ZeroDraws``, so no random initialisation runs,
-    and each parameter then takes the array read from its record; a
-    per-group quadratic record fills its row of the unit's block.  Every
-    parameter record must share one float dtype, which becomes the model's,
-    and no path may appear twice.
+    as soon as the first parameter record gives its dtype; every parameter
+    record must share that float dtype, which becomes the model's.  Each
+    record's bytes are then read straight into its parameter, or into its
+    row of a quadratic unit's block, so a load holds one copy of the
+    parameters.  No path may appear twice, and every parameter must be read.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -500,42 +515,39 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
-        first = _read_record(fh)
-        if first is None or first[0] != "__config__":
+        head = _read_header(fh)
+        if head is None or head[0] != "__config__":
             raise CheckpointError("checkpoint missing leading __config__ record")
-        config = _decode_config(first[1])
-        records = []
-        while True:
-            rec = _read_record(fh)
-            if rec is None:
-                break
-            name, arr = rec
-            if arr.dtype.kind != "f":
-                raise CheckpointError(f"parameter {name!r} has non-float dtype {arr.dtype}")
-            if records and arr.dtype != records[0][1].dtype:
+        _, dtype, shape, nbytes = head
+        raw = _read_exact(fh, nbytes, "buffer of __config__")
+        config = _decode_config(np.frombuffer(raw, dtype.newbyteorder("<")).reshape(shape))
+        model = first = None
+        seen = set()
+        while (head := _read_header(fh)) is not None:
+            name, dtype, shape, _ = head
+            if dtype.kind != "f":
+                raise CheckpointError(f"parameter {name!r} has non-float dtype {dtype}")
+            if model is None:
+                first = name, dtype
+                model = PosMlpModel(config, rng=ZeroDraws(), dtype=dtype)
+                targets = _records(model.parameters())
+            elif dtype != first[1]:
                 raise CheckpointError(
-                    f"parameter {name!r} has dtype {arr.dtype}, but {records[0][0]!r} "
-                    f"has {records[0][1].dtype}")
-            records.append(rec)
-    dtype = records[0][1].dtype if records else np.float32
-    model = PosMlpModel(config, rng=ZeroDraws(), dtype=dtype)
-    targets = _records(model.parameters())
-    seen = set()
-    for name, arr in records:
-        if name in seen:
-            raise CheckpointError(f"duplicate parameter path {name!r} in checkpoint")
-        if name not in targets:
-            raise CheckpointError(f"unknown parameter path {name!r} in checkpoint")
-        p, row = targets[name]
-        want = p.shape if row is None else p.shape[1:]
-        if tuple(arr.shape) != tuple(want):
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: file has {tuple(arr.shape)}, model needs {tuple(want)}")
-        if row is None:
-            p.data = arr
-        else:
-            p.data[row] = arr
-        seen.add(name)
+                    f"parameter {name!r} has dtype {dtype}, but {first[0]!r} has {first[1]}")
+            if name in seen:
+                raise CheckpointError(f"duplicate parameter path {name!r} in checkpoint")
+            if name not in targets:
+                raise CheckpointError(f"unknown parameter path {name!r} in checkpoint")
+            p, row = targets[name]
+            want = p.shape if row is None else p.shape[1:]
+            if tuple(shape) != tuple(want):
+                raise CheckpointError(
+                    f"shape mismatch for {name!r}: file has {tuple(shape)}, model needs {tuple(want)}")
+            _read_into(fh, p.data if row is None else p.data[row], name)
+            seen.add(name)
+    if model is None:
+        model = PosMlpModel(config, rng=ZeroDraws(), dtype=np.float32)
+        targets = _records(model.parameters())
     missing = set(targets) - seen
     if missing:
         raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)[:3]} ...")

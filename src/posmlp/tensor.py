@@ -10,6 +10,19 @@ walk consumes the tape: each node drops its rule, and with it the arrays
 the rule read, as soon as the rule has fired, so a graph is differentiated
 once.
 
+A rule that reads an operand keeps what the operand's op left to remake it,
+when that op left one: a result whose op can recompute it bit for bit from
+arrays its own rule already holds carries a remake (``Tensor._remake``), a
+function returning the result, or a slice of it, afresh.  ``gelu`` remakes
+from its input and erf half, ``layer_norm`` from its standardized input,
+``mul`` from its two operands, and a ``split`` part from its slice of a
+remakeable input.  ``linear``, ``mul``, ``mix_tokens``,
+``mix_softmax_stack`` and the convolutions keep such a remake instead of
+the array and run it once, in their rule, so the tape holds one copy of
+each activation.  A remake reads the parameters' arrays when it runs, so a
+parameter edited in place between the forward and the backward changes the
+remade values, as it changes every rule that reads that parameter.
+
 Batched matrix products go through ``np.matmul`` over the leading batch
 axes, which numpy carries out as one BLAS call per matrix, so every batch
 element sees the byte-identical BLAS call it would see alone; this is what
@@ -94,10 +107,13 @@ class Tensor:
     ``data`` is always a C-contiguous float32 or float64 ndarray.  Leaves
     created with ``requires_grad=True`` receive a ``grad`` buffer of the same
     shape when ``backward`` runs.  A tensor created by an operation that
-    needs a gradient carries a ``_Node``; the nodes are the tape.
+    needs a gradient carries a ``_Node``; the nodes are the tape.  Such a
+    tensor may also carry ``_remake(sl=...)``, which returns ``data[sl]``
+    afresh, bit for bit, from arrays its op's rule holds; it is set after
+    ``_result`` returns.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_remake")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -114,6 +130,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._node = None
+        self._remake = None
 
     # -- tape --------------------------------------------------------------
 
@@ -209,7 +226,37 @@ def _result(data, parents, vjp, op_name):
     out.requires_grad = needs
     out.grad = None
     out._node = _Node(links, vjp, op_name) if needs else None
+    out._remake = None
     return out
+
+
+class _Remade:
+    """An operand's remake as a rule keeps it: run at the first read, its array reused after.
+
+    So a rule and its own result's remake, which read the same operand,
+    remake it once between them.
+    """
+
+    __slots__ = ("remake", "array")
+
+    def __init__(self, remake):
+        self.remake = remake
+        self.array = None
+
+    def __call__(self):
+        if self.array is None:
+            self.array, self.remake = self.remake(), None
+        return self.array
+
+
+def _kept(t):
+    """What a rule keeps to read operand t's data: its remake if its op gave it one, else the array."""
+    return t.data if t._remake is None else _Remade(t._remake)
+
+
+def _read(kept):
+    """The data that ``_kept`` kept, remade at the first read."""
+    return kept() if isinstance(kept, _Remade) else kept
 
 
 def _check_same_shape(op, a, b):
@@ -230,16 +277,22 @@ def sub(a, b):
 
 
 def mul(a, b):
-    """Hadamard product."""
+    """Hadamard product.
+
+    When the rule keeps both operands, the result can be remade from them.
+    """
     _check_same_shape("mul", a, b)
     # Each operand's gradient reads only the other operand.
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
+    ak = _kept(a) if b.requires_grad else None
+    bk = (ak if b is a else _kept(b)) if a.requires_grad else None
 
     def vjp(g):
-        return (None if bd is None else g * bd, None if ad is None else g * ad)
+        return (None if bk is None else g * _read(bk), None if ak is None else g * _read(ak))
 
-    return _result(a.data * b.data, (a, b), vjp, "mul")
+    out = _result(a.data * b.data, (a, b), vjp, "mul")
+    if ak is not None and bk is not None:
+        out._remake = lambda sl=...: _read(ak)[sl] * _read(bk)[sl]
+    return out
 
 
 def neg(x):
@@ -307,28 +360,29 @@ def mix_tokens(w, x):
     n, s = w.shape[:2]
     if x.ndim != 3 or x.shape[1] != n or x.shape[2] % s != 0:
         raise ShapeError(f"mix_tokens: weights {w.shape} do not fit input {x.shape}")
-    xd = x.data
-    bsz = xd.shape[0]
+    xshape, dtype = x.shape, x.dtype
+    bsz = xshape[0]
     wg = w.data.transpose(1, 0, 2)
-    out = np.empty_like(xd)
-    np.matmul(wg, _by_group(xd, s), out=_by_group(out, s))
+    out = np.empty_like(x.data)
+    np.matmul(wg, _by_group(x.data, s), out=_by_group(out, s))
     # The weight gradient reads x, the input gradient the weights.
-    xg = _by_group(xd, s) if w.requires_grad else None
+    xk = _kept(x) if w.requires_grad else None
     wgt = wg.transpose(0, 2, 1) if x.requires_grad else None
 
     def vjp(g):
         gw = gx = None
         gg = _by_group(g, s)
-        if xg is not None:
+        if xk is not None:
+            xg = _by_group(_read(xk), s)
             # The first window's products are written in place; the others add on.
-            gws = np.empty((n, s, n), dtype=xd.dtype)
+            gws = np.empty((n, s, n), dtype=dtype)
             acc = gws.transpose(1, 0, 2)
             np.matmul(gg[0], xg[0].transpose(0, 2, 1), out=acc)
             for b in range(1, bsz):
                 acc += np.matmul(gg[b], xg[b].transpose(0, 2, 1))
             gw = gws
         if wgt is not None:
-            gx = np.empty(xd.shape, dtype=xd.dtype)
+            gx = np.empty(xshape, dtype=dtype)
             np.matmul(wgt, gg, out=_by_group(gx, s))
         return gw, gx
 
@@ -395,7 +449,7 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
     # both it and the input gradient read the stack, rebuilt from the recipe.
     to_vectors, to_x = vectors.requires_grad, x.requires_grad
     to_bias = bias is not None and bias.requires_grad
-    xd = x.data if to_vectors else None
+    xk = _kept(x) if to_vectors else None
     zd = out if to_vectors else None
     bd = bias.data if to_vectors and bias is not None else None
     ft = np.swapaxes(features.data, -1, -2) if to_vectors else None
@@ -407,7 +461,7 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
             z = zd if bd is None else zd - bd[:, None]
             r = np.einsum("bnsc,bnsc->sn", g.reshape(grouped), z.reshape(grouped))
             del z
-            xg = _by_group(xd, s)
+            xg = _by_group(_read(xk), s)
             gw = np.empty(chunk, dtype=dtype)
             part = np.empty(chunk, dtype=dtype) if bsz > 1 else None
         if to_x:
@@ -463,13 +517,14 @@ def linear(x, w, b):
     out += b.data
     # The input gradient reads the weight, the weight gradient the input.
     wt = wd.T if x.requires_grad else None
-    xs = xd if w.requires_grad else None
+    xk = _kept(x) if w.requires_grad else None
     bias_grad = b.requires_grad
 
     def vjp(g):
         gx = None if wt is None else g @ wt
         gw = None
-        if xs is not None:
+        if xk is not None:
+            xs = _read(xk)
             if xs.ndim == 2:
                 gw = xs.T @ g
             else:
@@ -527,7 +582,8 @@ def split(x, parts, axis=-1):
     """Split into ``parts`` equal contiguous slices along ``axis``.
 
     Returns a list of tensors.  ``concat(split(x, n), axis)`` reproduces x
-    exactly.
+    exactly.  The parts of an input that can be remade can be remade too,
+    each on its own slice.
     """
     axis = _axis("split", axis, x.ndim)
     check_int("split: parts", parts, error=ShapeError)
@@ -547,8 +603,16 @@ def split(x, parts, axis=-1):
             gx[_sl] = g
             return (gx,)
 
-        outs.append(_result(np.ascontiguousarray(x.data[sl]), (x,), vjp, "split"))
+        part = _result(np.ascontiguousarray(x.data[sl]), (x,), vjp, "split")
+        if x._remake is not None:
+            part._remake = _part_remake(x._remake, sl)
+        outs.append(part)
     return outs
+
+
+def _part_remake(whole, sl):
+    """The remake of slice ``sl`` of a result whose remake is ``whole``."""
+    return lambda sub=...: whole(sl)[sub]
 
 
 def concat(parts, axis=-1):
@@ -647,36 +711,50 @@ def _chunks(n):
     return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
-def _gelu_scipy(x, phi, out, t, s):
-    """phi = Phi(x) from SciPy's erf, out = x * phi; t and s are unused."""
+def _row_blocks(*arrays):
+    """Arrays of one shape read as (rows, last extent), in blocks of about ``_CHUNK`` elements."""
+    width = arrays[0].shape[-1] if arrays[0].ndim else 1
+    rows = [a.reshape(-1, width) for a in arrays]
+    step = max(1, _CHUNK // width)
+    for lo in range(0, rows[0].shape[0], step):
+        yield [r[lo:lo + step] for r in rows]
+
+
+def _gelu_scipy(x, h, out, t, s):
+    """h = erf(x / sqrt(2)) / 2 from SciPy's erf, out = x * Phi(x); t is unused, s scratch."""
     from scipy.special import erf
 
-    np.multiply(x, _INV_SQRT2, out=phi)
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
-    np.multiply(x, phi, out=out)
+    np.multiply(x, _INV_SQRT2, out=h)
+    erf(h, out=h)
+    h *= 0.5
+    _gelu_out_scipy(x, h, out, s)
 
 
-def _gelu_f32(x, phi, out, t, s):
-    """phi = Phi(x), out = x * Phi(x) from a float32 rational erf; t, s are scratch.
+def _gelu_out_scipy(x, h, out, s):
+    """out = x * Phi(x) from h = erf(x / sqrt(2)) / 2; s is scratch.
+
+    Phi = h + 1/2 has the bits of (erf + 1) / 2: halving is exact.
+    """
+    np.add(h, 0.5, out=s)
+    np.multiply(x, s, out=out)
+
+
+def _gelu_f32(x, h, out, t, s):
+    """h = erf(x / sqrt(2)) / 2, out = x * Phi(x) from a float32 rational erf; t, s are scratch.
 
     erf's argument is clamped to [-4, 4], where the rational function
     reaches exactly +-1, and an odd degree-13 numerator is divided by an
     even degree-8 denominator (the form of Eigen's and XLA's float erf).
     The numerator's coefficients are halved, which changes no bit, so the
     quotient is h = erf/2; rounding can carry it a few spacings past +-1/2,
-    so it is clipped back.  The output is formed as
-    max(x, 0) - |x| * (1/2 - |h|), where 1/2 - |h| = Phi(-|x|) is exact for
-    |x| >= 0.68 (|h| >= 1/4): x * (1/2 + h) would add the rounding of
-    1/2 + h, up to half a spacing of x, to the error for positive x.  Only
-    +, -, *, /, abs, max and clip run, so each element's bits depend on its
-    value alone.
+    so it is clipped back.  Phi(x) is h + 1/2, and the output is formed
+    from h by ``_gelu_out_f32``.  Only +, -, *, /, abs, max and clip run,
+    so each element's bits depend on its value alone.
     """
     np.multiply(x, _INV_SQRT2, out=t)
     np.clip(t, -4.0, 4.0, out=t)
     np.multiply(t, t, out=s)
-    a, h = _ERF_F32_NUM, phi
+    a = _ERF_F32_NUM
     np.multiply(s, a[0], out=h)
     h += a[1]
     for c in a[2:]:
@@ -691,9 +769,19 @@ def _gelu_f32(x, phi, out, t, s):
         t += c
     h /= t
     np.clip(h, -0.5, 0.5, out=h)
+    _gelu_out_f32(x, h, out, s)
+
+
+def _gelu_out_f32(x, h, out, s):
+    """out = x * Phi(x) from the clipped erf half h; s is scratch.
+
+    The output is max(x, 0) - |x| * (1/2 - |h|), where 1/2 - |h| =
+    Phi(-|x|) is exact for |x| >= 0.68 (|h| >= 1/4): x * (1/2 + h) would
+    add the rounding of 1/2 + h, up to half a spacing of x, to the error
+    for positive x.
+    """
     np.abs(h, out=s)
     np.subtract(0.5, s, out=s)
-    h += 0.5
     np.multiply(x, s, out=s)
     np.abs(s, out=s)
     np.maximum(x, 0.0, out=out)
@@ -707,41 +795,59 @@ def gelu(x):
     function (``_gelu_f32``): every finite float32 output lies within 3.55
     float32 spacings of |x| of the float64 result, has the sign of x, and
     depends on its input's value alone.  Both work in place over chunks
-    that stay in cache; the forward keeps only Phi(x) for the backward pass.
+    that stay in cache.  The rule keeps x and h = erf(x/sqrt(2)) / 2 and
+    forms Phi = h + 1/2 as it goes; from the same two arrays the result's
+    remake forms the output, or any slice of it, with the forward's ops,
+    so its bits are the output's.
     """
     xd = x.data
     xf = xd.reshape(-1)
-    n = xf.size
-    phi = np.empty_like(xd)
+    n, dtype = xf.size, xd.dtype
+    h = np.empty_like(xd)
     out = np.empty_like(xd)
-    phif, outf = phi.reshape(-1), out.reshape(-1)
-    kernel = _gelu_f32 if xd.dtype == np.float32 else _gelu_scipy
-    t, s = np.empty((2, min(n, _CHUNK)), dtype=xd.dtype)
+    hf, outf = h.reshape(-1), out.reshape(-1)
+    kernel, output = (_gelu_f32, _gelu_out_f32) if dtype == np.float32 else \
+        (_gelu_scipy, _gelu_out_scipy)
+    t, s = np.empty((2, min(n, _CHUNK)), dtype=dtype)
     for sl in _chunks(n):
         m = sl.stop - sl.start
-        kernel(xf[sl], phif[sl], outf[sl], t[:m], s[:m])
+        kernel(xf[sl], hf[sl], outf[sl], t[:m], s[:m])
 
     def vjp(g):
         gf = g.reshape(-1)
         gx = np.empty_like(xd)
         gxf = gx.reshape(-1)
-        d = np.empty(min(n, _CHUNK), dtype=xd.dtype)
+        d, phi = np.empty((2, min(n, _CHUNK)), dtype=dtype)
         # exp(-x^2/2) is already 0 at the clamp, so clamping first changes
         # no bit and keeps x^2 from overflowing.
-        lim = 15.0 if xd.dtype == np.float32 else 40.0
+        lim = 15.0 if dtype == np.float32 else 40.0
         for sl in _chunks(n):
-            xs, ds = xf[sl], d[:sl.stop - sl.start]
+            m = sl.stop - sl.start
+            xs, ds, ps = xf[sl], d[:m], phi[:m]
             np.clip(xs, -lim, lim, out=ds)
             ds *= ds
             ds *= -0.5
             np.exp(ds, out=ds)
             ds *= _INV_SQRT2PI
             ds *= xs
-            ds += phif[sl]
+            np.add(hf[sl], 0.5, out=ps)
+            ds += ps
             np.multiply(ds, gf[sl], out=gxf[sl])
         return (gx,)
 
-    return _result(out, (x,), vjp, "gelu")
+    def remake(sl=...):
+        xs = xd[sl]
+        y = np.empty(xs.shape, dtype=dtype)
+        s = None
+        for xb, hb, yb in _row_blocks(xs, h[sl], y):
+            s = np.empty_like(yb) if s is None else s[:len(yb)]
+            output(xb, hb, yb, s)
+        return y
+
+    out = _result(out, (x,), vjp, "gelu")
+    if out._node is not None:
+        out._remake = remake
+    return out
 
 
 def softplus(x):
@@ -947,21 +1053,23 @@ def layer_norm(x, gain, shift, groups=1):
     x may be ``(R, d)`` or ``(B, N, d)``; gain and shift have length d.
     Statistics only ever reduce over the final axis, so batching is exact.
     With ``groups`` > 1 that axis is cut into equal contiguous groups, each
-    standardized on its own.
+    standardized on its own.  The rule keeps the standardized ``xhat``, and
+    the result's remake forms ``xhat * gain + shift`` from it again, or any
+    slice of it, with the forward's bits.
     """
     if x.shape[-1] != gain.shape[0] or gain.shape != shift.shape:
         raise ShapeError(f"layer_norm: affine {gain.shape}/{shift.shape} does not fit {x.shape}")
     if x.shape[-1] % check_int("layer_norm: groups", groups, error=ShapeError) != 0:
         raise ShapeError(f"layer_norm: width {x.shape[-1]} not divisible by {groups} groups")
     xd = x.data
-    shape, gd = xd.shape, gain.data
+    shape, gd, sd = xd.shape, gain.data, shift.data
     xg = xd.reshape(shape[:-1] + (groups, shape[-1] // groups))
     # Centred once; the centred values are scaled into xhat in place.
     xhat = xg - xg.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LN_EPS)
     xhat *= inv
     out = xhat.reshape(shape) * gd
-    out += shift.data
+    out += sd
 
     def vjp(g):
         red = tuple(range(g.ndim - 1))
@@ -973,7 +1081,15 @@ def layer_norm(x, gain, shift, groups=1):
         gx = inv * (gx_hat - m1 - xhat * m2)
         return gx.reshape(shape), ggain, gshift
 
-    return _result(out.astype(xd.dtype, copy=False), (x, gain, shift), vjp, "layer_norm")
+    def remake(sl=...):
+        y = xhat.reshape(shape)[sl] * np.broadcast_to(gd, shape)[sl]
+        y += np.broadcast_to(sd, shape)[sl]
+        return y
+
+    out = _result(out.astype(xd.dtype, copy=False), (x, gain, shift), vjp, "layer_norm")
+    if out._node is not None:
+        out._remake = remake
+    return out
 
 
 # -- reductions and losses ---------------------------------------------------
@@ -1107,14 +1223,14 @@ def conv2d(x, w, b, stride):
     del cols
     out += b.data
     # The weight gradient reads the input, the input gradient the weight.
-    xd = x.data if w.requires_grad else None
+    xd = _kept(x) if w.requires_grad else None
     to_x, to_b, xshape = x.requires_grad, b.requires_grad, x.shape
 
     def vjp(g):
         g = g.reshape(bsz, ho * wo, cout)
         gx = gw = gb = None
         if xd is not None:
-            patches = _im2col(xd, k, stride, ho, wo).reshape(bsz, ho * wo, k * k * cin)
+            patches = _im2col(_read(xd), k, stride, ho, wo).reshape(bsz, ho * wo, k * k * cin)
             gw = np.matmul(patches.transpose(0, 2, 1), g).sum(axis=0).reshape(k, k, cin, cout)
             del patches
         if to_b:
@@ -1152,14 +1268,14 @@ def conv2d_depthwise(x, w, b, stride):
     out = np.einsum("bptc,tcm->bpcm", cols, wtaps).reshape(bsz, ho, wo, c * m)
     del cols
     out += b.data
-    xd = x.data if w.requires_grad else None
+    xd = _kept(x) if w.requires_grad else None
     to_x, to_b, xshape = x.requires_grad, b.requires_grad, x.shape
 
     def vjp(g):
         g = g.reshape(bsz, ho * wo, c, m)
         gx = gw = gb = None
         if xd is not None:
-            patches = _im2col(xd, k, stride, ho, wo)
+            patches = _im2col(_read(xd), k, stride, ho, wo)
             gw = np.einsum("bptc,bpcm->btcm", patches, g).sum(axis=0).reshape(k, k, c, m)
             del patches
         if to_b:
@@ -1212,7 +1328,8 @@ def _held_arrays(root):
     """``(op name, base array)`` of each buffer the rules on ``root``'s tape hold.
 
     A rule holds what its closure cells reach, through nested functions (a
-    wrapped rule), tuples, lists and ``StackRecipe`` slots.  Each buffer is
+    wrapped rule or a kept remake), tuples, lists and the slots of
+    ``StackRecipe`` and ``_Remade``.  Each buffer is
     listed once, under the first op in tape order that holds it, and the
     buffers of the tape's leaves, the parameters, are left out.
     """
@@ -1234,8 +1351,8 @@ def _held_arrays(root):
                 todo.extend(cell.cell_contents for cell in obj.__closure__)
             elif isinstance(obj, (tuple, list)):
                 todo.extend(obj)
-            elif isinstance(obj, StackRecipe):
-                todo.extend(getattr(obj, name) for name in StackRecipe.__slots__)
+            elif isinstance(obj, (StackRecipe, _Remade)):
+                todo.extend(getattr(obj, name) for name in type(obj).__slots__)
     return held
 
 

@@ -9,7 +9,9 @@ convolutions' rules read their input, so for them the input must stay
 alive, as the one array the node keeps besides views of the weight, in
 place of the patch matrix.  A backward pass consumes the nodes it runs
 through, so what the rules read is freed during the pass and a second pass
-through them is an error.
+through them is an error.  A rule that reads a result its op can remake
+keeps the remake instead: the remake tests check its bits, that keeping it
+adds nothing to what the tape holds, and that it runs once per backward.
 """
 
 import gc
@@ -37,6 +39,9 @@ def _ops(rng):
     conv_b = Tensor(rng.standard_normal(3), requires_grad=True)
     dw_w = Tensor(rng.standard_normal((3, 3, 2, 2)), requires_grad=True)
     dw_b = Tensor(rng.standard_normal(4), requires_grad=True)
+    const = Tensor(rng.standard_normal((4, 6)))
+    lin_w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    lin_b = Tensor(rng.standard_normal(3), requires_grad=True)
     # logits that depend on their pair only through the displacement
     grid = P.displacement_grid(3)
     by_pair = np.random.default_rng(1).standard_normal((2, 25))[:, P.lrpe_index_map(grid).ravel()]
@@ -53,6 +58,12 @@ def _ops(rng):
         "conv2d_depthwise": ((1, 4, 4, 2),
                              lambda h: T.conv2d_depthwise(h, dw_w, dw_b, stride=2)),
         "layer_norm": ((2, 4, 6), lambda h: T.layer_norm(h, gain, shift, groups=2)),
+        # results that can be remade, kept by a rule or returned: the remake
+        # holds only what the producer's rule holds, never its input
+        "layer_norm_split": ((2, 4, 6), lambda h: T.split(T.layer_norm(h, gain, shift), 2)),
+        "layer_norm_linear": ((2, 4, 6),
+                              lambda h: T.linear(T.layer_norm(h, gain, shift), lin_w, lin_b)),
+        "mul": ((4, 6), lambda h: T.mul(h, const)),
         "add_token_bias": ((2, 4, 6), lambda h: T.add_token_bias(h, bias)),
     }
 
@@ -250,12 +261,15 @@ def _closure(t, name):
 def test_a_training_step_frees_its_graph_and_its_gradients(monkeypatch):
     # What backward rules captured is freed as each rule fires, while the
     # loss is still held; the optimizer step then drops every gradient.
+    # The gelu output, and with it the mixing input, is remade in the
+    # backward from the gelu input and erf half its rule keeps.
     refs = {}
-    gelu, layer_norm, mix_tokens = T.gelu, T.layer_norm, T.mix_tokens
+    gelu, layer_norm = T.gelu, T.layer_norm
 
     def recording_gelu(x):
         out = gelu(x)
-        refs.setdefault("gelu phi", weakref.ref(_closure(out, "phif")))
+        refs.setdefault("gelu x", weakref.ref(_closure(out, "xd")))
+        refs.setdefault("gelu h", weakref.ref(_closure(out, "hf").base))
         return out
 
     def recording_layer_norm(*args, **kwargs):
@@ -263,13 +277,8 @@ def test_a_training_step_frees_its_graph_and_its_gradients(monkeypatch):
         refs.setdefault("layer_norm xhat", weakref.ref(_closure(out, "xhat")))
         return out
 
-    def recording_mix_tokens(w, x):
-        refs.setdefault("mixing input", weakref.ref(x.data))
-        return mix_tokens(w, x)
-
     monkeypatch.setattr(T, "gelu", recording_gelu)
     monkeypatch.setattr(T, "layer_norm", recording_layer_norm)
-    monkeypatch.setattr(T, "mix_tokens", recording_mix_tokens)
     m = M.build_model(M.variant_config("MICRO"), rng=np.random.default_rng(0))
     opt = TR.AdamW(m.parameters(), TR.TrainConfig(seed=0))
     x = Tensor(np.random.default_rng(1).standard_normal((4, 32, 32, 3)), dtype=np.float32)
@@ -299,10 +308,12 @@ def test_same_seed_tape_censuses_are_identical():
     assert first["mix_softmax_stack"] > 0 and first["gelu"] > 0
 
 
-def test_gelu_holds_exactly_its_input_and_phi(monkeypatch):
+def test_gelu_holds_exactly_its_input_and_erf_half(monkeypatch):
     leaf = Tensor(np.random.default_rng(0).standard_normal((4, 6)), requires_grad=True)
     x = T.scale(leaf, 2.0)  # holds no array; x is not a parameter
-    assert T.tape_census(T.gelu(x)) == {"gelu": 2 * x.data.nbytes}
+    y = T.gelu(x)
+    assert T.tape_census(y) == {"gelu": 2 * x.data.nbytes}
+    assert {id(a) for _, a in T._held_arrays(y)} == {id(x.data), id(_closure(y, "hf").base)}
     # A wrapped rule, as the benchmark tracer installs, counts under its op.
     result = T._result
 
@@ -341,3 +352,130 @@ def test_a_t_stage_ggqpe_unit_tape_holds_its_stacks_recipe_not_the_stack():
     assert [a.shape for _, a in T._held_arrays(loss) if a.shape in _stack_shapes([u])] == []
     # x, the output, the recipe and the shared features: under half the stack
     assert T.tape_census(loss)["mix_softmax_stack"] < n * s * n * 4 // 2
+
+
+# -- remakes ----------------------------------------------------------------------
+
+# Wide enough rows that a remake runs over several row blocks and a ragged last one.
+WIDE = 2 * (T._CHUNK // 8 + 38)
+
+
+def _leaf(rng, shape, dtype, scale=4.0):
+    return Tensor((rng.standard_normal(shape) * scale).astype(dtype), requires_grad=True)
+
+
+def _gelu_input(rng, shape, dtype):
+    x = _leaf(rng, shape, dtype)
+    big = 1e30 if dtype == np.float32 else 1e300
+    x.data.reshape(-1)[:8] = [0.0, -0.0, 1e-40, -1e-40, big, -big, 12.0, -0.68]
+    return T.scale(x, 1.0)
+
+
+def _producers(dtype):
+    """Name -> a taped result whose op can remake it, from operands that require a gradient."""
+    rng = np.random.default_rng(11)
+    gain, shift = _leaf(rng, 6, dtype), _leaf(rng, 6, dtype)
+    return {
+        "gelu": lambda: T.gelu(_gelu_input(rng, (3, 5, WIDE), dtype)),
+        "gelu_split": lambda: T.split(T.gelu(_gelu_input(rng, (3, 5, WIDE), dtype)), 2)[1],
+        "gelu_split_axis1": lambda: T.split(T.gelu(_gelu_input(rng, (2, 6, 77), dtype)), 3,
+                                            axis=1)[2],
+        "mul": lambda: T.mul(T.scale(_leaf(rng, (2, 4, 6), dtype), 1.0),
+                             T.scale(_leaf(rng, (2, 4, 6), dtype), 1.0)),
+        "gate": lambda: T.mul(T.scale(_leaf(rng, (1, 3, 10), dtype), 1.0),
+                              T.split(T.gelu(_gelu_input(rng, (1, 3, 20), dtype)), 2)[1]),
+        "layer_norm": lambda: T.layer_norm(T.scale(_leaf(rng, (2, 4, 6), dtype), 1.0),
+                                           gain, shift, groups=2),
+        "layer_norm_split": lambda: T.split(
+            T.layer_norm(T.scale(_leaf(rng, (2, 4, 6), dtype), 1.0), gain, shift), 3)[2],
+    }
+
+
+PRODUCERS = list(_producers(np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_a_remake_has_its_results_bits(name, dtype):
+    out = _producers(dtype)[name]()
+    assert out._remake is not None
+    whole = out._remake()
+    assert whole.dtype == dtype and whole.shape == out.shape
+    assert whole.tobytes() == out.data.tobytes()
+    for sl in [(0,), (slice(None), slice(1, 3)), (Ellipsis, slice(2, None))]:
+        np.testing.assert_array_equal(out._remake(sl).view(np.uint8),
+                                      np.ascontiguousarray(out.data[sl]).view(np.uint8))
+
+
+def test_an_untaped_result_has_no_remake():
+    x = Tensor(np.ones((2, 4)))
+    gain, shift = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    outs = [T.gelu(x), T.mul(x, x), T.layer_norm(x, gain, shift), *T.split(T.gelu(x), 2)]
+    assert all(o._node is None and o._remake is None for o in outs)
+    # a mul whose rule keeps only one operand cannot remake its result
+    assert T.mul(Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3)))._remake is None
+
+
+def _consumers(rng, width, dtype):
+    w = _leaf(rng, (width, 2), dtype, scale=1.0)
+    b = _leaf(rng, 2, dtype, scale=1.0)
+    return {"linear": lambda y: T.linear(y, w, b),
+            "mul": lambda y: T.mul(y, _leaf(rng, y.shape, dtype, scale=1.0))}
+
+
+@pytest.mark.parametrize("consumer", ["linear", "mul"])
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_keeping_a_remake_leaves_the_tape_census_unchanged(name, consumer):
+    out = _producers(np.float32)[name]()
+    use = _consumers(np.random.default_rng(5), out.shape[-1], np.float32)[consumer]
+    assert T.tape_census(use(out)) == T.tape_census(out)
+
+
+@pytest.mark.parametrize("consumer", ["linear", "mul"])
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_a_rule_reading_a_remake_gives_the_kept_arrays_gradient(name, consumer):
+    grads = []
+    for remade in (True, False):
+        out = _producers(np.float64)[name]()
+        if not remade:
+            out._remake = None
+        use = _consumers(np.random.default_rng(5), out.shape[-1], np.float64)[consumer]
+        y = use(out)
+        leaves = [n for n in T._topo_order(y) if isinstance(n, Tensor)]
+        backward(T.weighted_sum(y, np.random.default_rng(6).standard_normal(y.shape)))
+        grads.append([leaf.grad for leaf in leaves])
+    for got, want in zip(*grads):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_gate_operand_is_remade_once_per_backward():
+    # The gate half is read by mul's rule and by mul's remake, which the
+    # out-projection's rule calls: one remake serves both.
+    rng = np.random.default_rng(2)
+    z = T.scale(_leaf(rng, (1, 3, 10), np.float32), 1.0)
+    half = T.split(T.gelu(_gelu_input(rng, (1, 3, 20), np.float32)), 2)[1]
+    calls = []
+    remake = half._remake
+
+    def counting(sl=...):
+        calls.append(sl)
+        return remake(sl)
+
+    half._remake = counting
+    gated = T.mul(z, half)
+    y = _consumers(rng, 10, np.float32)["linear"](gated)
+    backward(T.sum_all(y))
+    assert calls == [Ellipsis]
+
+
+def test_a_t_training_tape_holds_no_gate_or_projection_input():
+    # PosMLP-T 224^2, batch 1: every linear and mul input the backward reads
+    # is remade.  What those ops still hold is the pooled features the head
+    # reads and each ggqpe unit's (s, 5) constant coefficients.
+    m = M.build_model(M.variant_config("T"), rng=np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((1, 224, 224, 3)).astype(np.float32))
+    loss = T.cross_entropy_mean(m.forward(x), np.array([7]))
+    held = [(op, a.shape) for op, a in T._held_arrays(loss) if op in ("linear", "mul")]
+    coeffs = [("mul", (blk.unit.config.groups, 5)) for blocks in m.stages for blk in blocks]
+    assert sorted(held) == sorted(coeffs + [("linear", (1, m.config.stages[3].dim))])
+    assert sum(T.tape_census(loss).values()) <= 120 * 2 ** 20

@@ -130,7 +130,11 @@ def test_two_steps_match_reference(rng):
 
 
 class AdamWPerTensor:
-    """The unchunked per-tensor update, whole-array temporaries and all."""
+    """The unchunked per-tensor update, whole-array temporaries and all.
+
+    Its moments are allocated up front, so it is also the oracle for moments
+    that appear only at a parameter's first gradient.
+    """
 
     def __init__(self, params, config):
         self.params, self.config, self.step_count = params, config, 0
@@ -143,6 +147,8 @@ class AdamWPerTensor:
         bc2 = 1.0 - TR.ADAM_BETA2 ** self.step_count
         wd = self.config.weight_decay
         for name, p in self.params.items():
+            if p.grad is None:
+                continue
             g, m, v = p.grad, self.m[name], self.v[name]
             m *= TR.ADAM_BETA1
             m += (1.0 - TR.ADAM_BETA1) * g
@@ -156,7 +162,9 @@ class AdamWPerTensor:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-def test_chunked_adamw_matches_the_per_tensor_update_bitwise(rng, dtype, weight_decay):
+@pytest.mark.parametrize("late", [(), ("a.bias", "c.weight")])
+def test_chunked_adamw_matches_the_per_tensor_update_bitwise(rng, dtype, weight_decay, late):
+    # The ``late`` parameters get their first gradient at the third step.
     c = T._CHUNK
     shapes = {"a.weight": (3, 5), "a.bias": (c,), "b.weight": (c // 8, 8),
               "b.gamma": (2 * c + 37,), "c.weight": (3, c + 1), "d.weight": (40, 30)}
@@ -169,13 +177,16 @@ def test_chunked_adamw_matches_the_per_tensor_update_bitwise(rng, dtype, weight_
     d_weight = params["d.weight"].data
     cfg = TR.TrainConfig(weight_decay=weight_decay)
     opt, want = TR.AdamW(params, cfg), AdamWPerTensor(oracle, cfg)
-    for lr in (1e-2, 3e-3, 1e-3, 5e-4):
+    assert opt.m == {} and opt.v == {}
+    for i, lr in enumerate((1e-2, 3e-3, 1e-3, 5e-4)):
         for k, s in shapes.items():
             g = (rng.standard_normal(s) * rng.choice([1e-6, 1.0, 1e3])).astype(dtype)
-            params[k].grad, oracle[k].grad = g, g.copy()
+            if i >= 2 or k not in late:
+                params[k].grad, oracle[k].grad = g, g.copy()
         opt.step(lr)
         want.step(lr)
-        for k in shapes:
+        assert sorted(opt.m) == sorted(opt.v) == sorted(k for k in shapes if i >= 2 or k not in late)
+        for k in opt.m:
             for got, exp in ((params[k].data, oracle[k].data), (opt.m[k], want.m[k]),
                              (opt.v[k], want.v[k])):
                 assert got.dtype == dtype
