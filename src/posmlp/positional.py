@@ -104,10 +104,6 @@ class LrpeTable:
         self.values = Tensor(trunc_normal(rng, (self.group_count, n_entries), 0.02, dtype),
                              requires_grad=True)
 
-    @property
-    def entries_per_group(self):
-        return self.values.shape[1]
-
 
 class WeightStack:
     """The s token-mixing matrices of a gating unit as one ``(N, s, N)`` tensor.
@@ -147,27 +143,21 @@ class WeightStack:
         return self.weights.data[:, group]
 
 
-def _lrpe_indices(table):
-    """``(N, s, N)`` flat indices of every group's entries in ``table.values``."""
-    offsets = table.entries_per_group * np.arange(table.group_count)
-    grid = displacement_grid(table.window_side)
-    return lrpe_index_map(grid)[:, None, :] + offsets[None, :, None]
-
-
 def lrpe_weight_stack(table):
-    """Look every group's displacement table up into one weight stack."""
-    idx = _lrpe_indices(table)
-    return WeightStack(T.take(table.values, idx, idx.shape))
+    """Every group's displacement table copied out into one weight stack, a window per row."""
+    return WeightStack(T.window_stack(table.values, table.window_side))
 
 
 def lrpe_weight_matrix(table):
-    """Look a one-group table up into an ``N x N`` mixing matrix.
+    """A one-group table's stack as an ``N x N`` mixing matrix; more groups are refused.
 
-    No softmax is applied; the lookup value is used directly as the weight.
-    ``take`` refuses a table of more groups, whose indices overfill the matrix.
+    No softmax is applied; the table value is used directly as the weight.
     """
+    groups = table.values.shape[0]
+    if groups != 1:
+        raise T.ShapeError(f"lrpe_weight_matrix: expected a table of one group, got {groups}")
     n = table.window_side ** 2
-    return T.take(table.values, _lrpe_indices(table), (n, n))
+    return T.reshape(T.window_stack(table.values, table.window_side), (n, n))
 
 
 class GqpeParams:

@@ -930,13 +930,58 @@ def _table_windows(table, k):
     with no gather.  One strided copy first forms
     ``by_row[g, iy, a, jy] = table[g, a, k-1-iy+jy]``, in which each row's
     window is one run of N entries; the view reads
-    ``by_row[g, iy, k-1-ix+jx, jy]``.
+    ``by_row[g, iy, k-1-ix+jx, jy]``.  It is the one reader of the table
+    layout: ``_copy_windows`` copies it out for ``window_stack`` and
+    ``softmax_stack``, and ``StackRecipe.write`` divides it out.
     """
     c, dtype, e, side = table.shape[0], table.dtype, table.itemsize, 2 * k - 1
     by_row = np.ndarray((c, k, side, k), dtype, table, (k - 1) * e,
                         (side * side * e, -e, side * e, e)).copy()
     return np.ndarray((c, k, k, k, k), dtype, by_row, (k - 1) * k * e,
                       (k * side * k * e, -k * e, side * k * e, k * e, e))
+
+
+def _copy_windows(table, k, out):
+    """c groups' ``(c, (2k-1)^2)`` tables copied into the ``(N, c, N)`` stack ``out``.
+
+    Entry ``[i, g, j]`` of ``out`` becomes group g's entry for the pair of
+    query i and key j: row i of group g is g's window for query i.
+    """
+    c = table.shape[0]
+    np.copyto(out.reshape(k, k, c, k, k), _table_windows(table, k).transpose(1, 2, 0, 3, 4))
+
+
+def window_stack(table, k):
+    """The ``(N, s, N)`` stack of s displacement tables of a k x k window (N = k^2).
+
+    ``table`` is ``(s, (2k-1)^2)``: entry ``(dx + k - 1) * (2k - 1) +
+    (dy + k - 1)`` of row g is group g's value for displacement (dx, dy).
+    Entry ``[i, g, j]`` of the stack is group g's value for the displacement
+    from query token i to key token j, copied out through strided views of
+    the table (``_table_windows``), with no index array.
+
+    The gradient starts from zeros and adds each row's window back into the
+    table, row by row in order, so each table entry sums its pairs in the
+    order ``np.add.at`` over the pairs' flat indices does, bit for bit.  The
+    rule holds no array.
+    """
+    k = check_int("window_stack: k", k, error=ShapeError)
+    side = 2 * k - 1
+    if table.ndim != 2 or table.shape[1] != side * side:
+        raise ShapeError(f"window_stack: expected (s, {side * side}) tables of a {k} x {k} "
+                         f"window, got {table.shape}")
+    s, n = table.shape[0], k * k
+    data = np.empty((n, s, n), dtype=table.dtype)
+    _copy_windows(table.data, k, data)
+
+    def vjp(g):
+        gt = np.zeros((s, side, side), dtype=g.dtype)
+        for i in range(n):
+            a, b = k - 1 - i // k, k - 1 - i % k
+            gt[:, a:a + k, b:b + k] += g[i].reshape(s, k, k)
+        return (gt.reshape(s, side * side),)
+
+    return _result(data, (table,), vjp, "window_stack")
 
 
 class StackRecipe:
@@ -1037,7 +1082,7 @@ def softmax_stack(x, pairs):
         return stack, StackRecipe(stack.shape, dense=stack.data)
     table -= top
     _cut_exp(table)
-    np.copyto(y.reshape(k, k, s, k, k), _table_windows(table, k).transpose(1, 2, 0, 3, 4))
+    _copy_windows(table, k, y)
     own = rows[g, i]
     own -= row_max[g, i, None]
     _cut_exp(own)
@@ -1086,7 +1131,7 @@ def layer_norm(x, gain, shift, groups=1):
         y += np.broadcast_to(sd, shape)[sl]
         return y
 
-    out = _result(out.astype(xd.dtype, copy=False), (x, gain, shift), vjp, "layer_norm")
+    out = _result(out, (x, gain, shift), vjp, "layer_norm")
     if out._node is not None:
         out._remake = remake
     return out

@@ -155,6 +155,11 @@ def test_lrpe_onehot_center_is_scaled_identity():
     np.testing.assert_array_equal(w.data, 3.0 * np.eye(9))
 
 
+def test_lrpe_weight_matrix_refuses_a_table_of_more_groups():
+    with pytest.raises(T.ShapeError, match="^lrpe_weight_matrix: .* one group, got 2$"):
+        P.lrpe_weight_matrix(P.LrpeTable(3, 2, dtype=np.float64))
+
+
 def test_lrpe_equal_displacements_equal_entries(rng):
     k = 3
     g = P.displacement_grid(k)

@@ -51,6 +51,7 @@ def _ops(rng):
         "softmax_stack": (by_pair, lambda h: T.softmax_stack(h, grid.pairs)[0]),
         "split": ((4, 6), lambda h: T.split(h, 3)),
         "take": ((4, 6), lambda h: T.take(h, [0, 5, 5, 23], (2, 2))),
+        "window_stack": ((3, 25), lambda h: T.window_stack(h, 3)),
         "permute_flat": ((4, 6), lambda h: T.permute_flat(h, (2, 2, 6), (2, 0, 1), (6, 4))),
         "concat": ((4, 6), lambda h: T.concat([h, other])),
         "sum_all": ((4, 6), lambda h: T.sum_all(h)),
@@ -324,6 +325,12 @@ def test_gelu_holds_exactly_its_input_and_erf_half(monkeypatch):
     assert T.tape_census(T.gelu(T.scale(leaf, 2.0))) == {"gelu": 2 * x.data.nbytes}
 
 
+def test_a_window_stack_rule_holds_no_array():
+    table = T.scale(Tensor(np.random.default_rng(0).standard_normal((3, 25)), requires_grad=True),
+                    2.0)
+    assert T._held_arrays(T.window_stack(table, 3)) == []
+
+
 def _stack_shapes(units):
     """Every layout a unit's (N, s, N) stack takes; one-token windows' stacks are trivial."""
     shapes = set()
@@ -479,3 +486,19 @@ def test_a_t_training_tape_holds_no_gate_or_projection_input():
     coeffs = [("mul", (blk.unit.config.groups, 5)) for blocks in m.stages for blk in blocks]
     assert sorted(held) == sorted(coeffs + [("linear", (1, m.config.stages[3].dim))])
     assert sum(T.tape_census(loss).values()) <= 120 * 2 ** 20
+
+
+def test_a_t_glrpe_training_tape_holds_no_lookup_indices():
+    # PosMLP-T 224^2, batch 1, group-wise lookup units: each stack is a
+    # strided copy of its table, so the one integer array the tape holds is
+    # the loss's label; the int64 (N, s, N) lookup indices held 185.2 of
+    # 404.5 MiB.
+    m = M.build_model(M.variant_config("T", gating_kind=G.GatingKind.GLRPE),
+                      rng=np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((1, 224, 224, 3)).astype(np.float32))
+    loss = T.cross_entropy_mean(m.forward(x), np.array([7]))
+    census = T.tape_census(loss)
+    assert "take" not in census
+    held = [(op, a.shape) for op, a in T._held_arrays(loss) if a.dtype.kind in "iub"]
+    assert held == [("cross_entropy_mean", (1,))]
+    assert sum(census.values()) <= 225 * 2 ** 20

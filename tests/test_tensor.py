@@ -8,6 +8,7 @@ from scipy.special import erf
 
 from posmlp import tensor as T
 from posmlp.gradcheck import gradcheck, gradcheck_directional
+from posmlp.positional import displacement_grid, lrpe_index_map
 from posmlp.tensor import Tensor, backward
 
 
@@ -677,6 +678,39 @@ def test_take_rejects_an_index_outside_x(idx):
         T.take(Tensor(np.ones(3)), idx, (2,))
 
 
+def window_stack_indices(k, s):
+    """The oracle's ``(N, s, N)`` flat indices of every pair's entry in an ``(s, (2k-1)^2)`` table."""
+    offsets = (2 * k - 1) ** 2 * np.arange(s)
+    return lrpe_index_map(displacement_grid(k))[:, None, :] + offsets[None, :, None]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("s", [1, 5, 32])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 14])
+def test_window_stack_is_the_index_gather_and_its_gradient_the_indexed_sum(k, s, dtype):
+    rng = np.random.default_rng(100 * k + s)
+    values = rng.standard_normal((s, (2 * k - 1) ** 2)).astype(dtype)
+    idx = window_stack_indices(k, s)
+    out = T.window_stack(Tensor(values, requires_grad=True), k)
+    assert out.dtype == dtype
+    assert out.data.tobytes() == values.reshape(-1)[idx].tobytes()
+    g = rng.standard_normal(out.shape).astype(dtype)
+    # Displacement (k-1, k-1) has one pair, so its table entry sums -0.0
+    # alone: +0.0 from a zero start, as np.add.at gives.
+    g[0, :, -1] = -0.0
+    want = np.zeros(values.size, dtype=dtype)
+    np.add.at(want, idx.reshape(-1), g.reshape(-1))
+    got = out._vjp(g)[0]
+    assert got.shape == values.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, k", [((2, 8), 2), ((9,), 2), ((2, 9), 3), ((1, 1), 0),
+                                      ((1, 9), 2.0)])
+def test_window_stack_refuses_a_table_of_another_window(shape, k):
+    with pytest.raises(T.ShapeError, match="^window_stack"):
+        T.window_stack(t64(np.ones(shape)), k)
+
+
 @pytest.mark.parametrize("labels, match", [([0, 3], "out of range"), ([0, -1], "out of range"),
                                            ([0.9, 1], "must be integers")])
 def test_cross_entropy_refuses_a_label_that_is_no_class(labels, match):
@@ -722,6 +756,13 @@ def test_checked_mode_rejects_an_operand_made_nonfinite_in_place():
     x.data[3] = np.nan
     with pytest.raises(FloatingPointError, match="take"):
         T.take(x, [0, 1], (2,))
+
+
+def test_checked_mode_names_window_stack_for_a_nonfinite_table():
+    x = Tensor(np.zeros((2, 9)))
+    x.data[1, 4] = np.inf
+    with pytest.raises(FloatingPointError, match="^window_stack"):
+        T.window_stack(x, 2)
 
 
 def test_grad_matches_shape(rng):

@@ -58,6 +58,9 @@ def test_tracer_installs_over_a_training_step_and_restores_every_patch(monkeypat
     assert rows["gating"]["calls"] == sum(st.depth for st in cfg.stages)
     if kind in (GatingKind.GGQPE, GatingKind.LRPE_M):
         assert rows["positional"]["calls"] > 0 and tracer.matrices > 0
+    # Only ggqpe's (s, 5) vector gather goes through take; a lookup kind
+    # copies its stacks out of the table.
+    assert ("tensor.take" in rows) == (kind is GatingKind.GGQPE)
 
 
 @pytest.mark.parametrize("batch, macs", [(1, 1_070_688), (2, 1_949_792)])
