@@ -109,7 +109,11 @@ class WeightStack:
     """The s token-mixing matrices of a gating unit as one ``(N, s, N)`` tensor.
 
     ``weights[:, g]`` is group g's ``N x N`` matrix: the leading axis is the
-    query token and ``len`` is the group count.  A softmax stack is
+    query token and ``len`` is the group count.  The stacks of
+    ``tensor.softmax_stack`` and ``tensor.window_stack`` are group-major:
+    ``weights.data`` is the ``(N, s, N)`` view of ``(s, N, N)`` memory, so
+    each group's matrix, ``matrix(g)`` included, is one contiguous run and
+    ``tensor.mix_tokens`` reads it as it is.  A softmax stack is
     ``tensor.softmax_stack`` of its logits, bit for bit their row softmax,
     and also carries the ``(s, 5)`` logit ``vectors``, the constant
     ``(5, N^2)`` ``features`` it was generated from and its ``recipe``, the
@@ -280,7 +284,7 @@ def group_weight_stack(params, grid):
 
     All groups share the displacement features: one product forms the
     group-major ``(s, N^2)`` logits and ``tensor.softmax_stack`` normalizes
-    their rows into the ``(N, s, N)`` stack.  Since a logit depends on its
+    their rows into the group-major ``(N, s, N)`` stack.  Since a logit depends on its
     pair only through the displacement, the softmax reads each group's
     (2k-1)^2 distinct logits at ``grid.pairs``, exponentiates them once and
     copies them out to the rows that share the group's maximum, with the

@@ -104,13 +104,17 @@ def _validate_finite(name, *arrays):
 class Tensor:
     """A dense n-dimensional array with an optional gradient tape node.
 
-    ``data`` is always a C-contiguous float32 or float64 ndarray.  Leaves
-    created with ``requires_grad=True`` receive a ``grad`` buffer of the same
-    shape when ``backward`` runs.  A tensor created by an operation that
-    needs a gradient carries a ``_Node``; the nodes are the tape.  Such a
-    tensor may also carry ``_remake(sl=...)``, which returns ``data[sl]``
-    afresh, bit for bit, from arrays its op's rule holds; it is set after
-    ``_result`` returns.
+    ``data`` is a float32 or float64 ndarray.  The constructor copies its
+    input to C-contiguous memory, and most ops form fresh contiguous
+    results; two kinds of op result are views instead: ``split``'s parts,
+    slices of their input, and the group-major stacks of ``softmax_stack``
+    and ``window_stack``, whose ``(N, s, N)`` data is the axis-swapped view
+    of ``(s, N, N)`` memory.  Leaves created with ``requires_grad=True``
+    receive a ``grad`` buffer of the same shape when ``backward`` runs.  A
+    tensor created by an operation that needs a gradient carries a
+    ``_Node``; the nodes are the tape.  Such a tensor may also carry
+    ``_remake(sl=...)``, which returns ``data[sl]`` afresh, bit for bit,
+    from arrays its op's rule holds; it is set after ``_result`` returns.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node", "_remake")
@@ -212,20 +216,29 @@ def _result(data, parents, vjp, op_name):
     ``ShapeError`` (numpy promotes a result computed from mixed dtypes, so
     a mixed operand never matches it), and in checked mode the result and
     every operand are finite, else ``FloatingPointError`` naming the op.
-    Op outputs are always freshly computed contiguous arrays, so this skips
-    the defensive conversions of the public constructor.
+    Op outputs are freshly computed arrays or the views the ``Tensor``
+    docstring names, so this skips the defensive conversions of the public
+    constructor.
     """
     for p in parents:
         if p.dtype != data.dtype:
             raise ShapeError(f"{op_name}: dtype mismatch {p.dtype} vs {data.dtype}")
     _validate_finite(op_name, data, *(p.data for p in parents))
     links = tuple((p._node or p) if p.requires_grad else None for p in parents)
-    needs = any(link is not None for link in links)
+    out = _untaped(data)
+    if any(link is not None for link in links):
+        out.requires_grad = True
+        out._node = _Node(links, vjp, op_name)
+    return out
+
+
+def _untaped(data):
+    """``data`` as a tensor that needs no gradient, without the constructor's copy to contiguous."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = needs
+    out.requires_grad = False
     out.grad = None
-    out._node = _Node(links, vjp, op_name) if needs else None
+    out._node = None
     out._remake = None
     return out
 
@@ -351,9 +364,14 @@ def mix_tokens(w, x):
     numpy carries each out as one BLAS call per (window, group) on that
     pair's strided matrices alone.  So each window's result is bitwise
     identical to processing that window alone, and each group's to mixing
-    that group's channels on their own.  ``mix_softmax_stack`` mixes
-    through this op on untaped operands, and forms its stack gradient in
-    the same window order without this op's full ``(N, s, N)`` one.
+    that group's channels on their own.  The stacks of ``softmax_stack``
+    and ``window_stack`` are group-major, so their ``(s, N, N)`` view is
+    contiguous and each group's matrix is read in one run; any other
+    layout of w, and an x that is a view (a ``split`` part), give the same
+    bits.  The weight gradient is formed group-major too and returned as
+    its ``(N, s, N)`` view.  ``mix_softmax_stack`` mixes through this op on
+    untaped operands, and forms its stack gradient in the same window
+    order without this op's full ``(N, s, N)`` one.
     """
     if w.ndim != 3 or w.shape[0] != w.shape[2]:
         raise ShapeError(f"mix_tokens: expected an (N, s, N) stack, got {w.shape}")
@@ -363,7 +381,7 @@ def mix_tokens(w, x):
     xshape, dtype = x.shape, x.dtype
     bsz = xshape[0]
     wg = w.data.transpose(1, 0, 2)
-    out = np.empty_like(x.data)
+    out = np.empty(xshape, dtype=dtype)
     np.matmul(wg, _by_group(x.data, s), out=_by_group(out, s))
     # The weight gradient reads x, the input gradient the weights.
     xk = _kept(x) if w.requires_grad else None
@@ -375,12 +393,11 @@ def mix_tokens(w, x):
         if xk is not None:
             xg = _by_group(_read(xk), s)
             # The first window's products are written in place; the others add on.
-            gws = np.empty((n, s, n), dtype=dtype)
-            acc = gws.transpose(1, 0, 2)
+            acc = np.empty((s, n, n), dtype=dtype)
             np.matmul(gg[0], xg[0].transpose(0, 2, 1), out=acc)
             for b in range(1, bsz):
                 acc += np.matmul(gg[b], xg[b].transpose(0, 2, 1))
-            gw = gws
+            gw = acc.transpose(1, 0, 2)
         if wgt is not None:
             gx = np.empty(xshape, dtype=dtype)
             np.matmul(wgt, gg, out=_by_group(gx, s))
@@ -436,7 +453,7 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
     for t in (stack, features):
         if t.dtype != vectors.dtype:
             raise ShapeError(f"mix_softmax_stack: dtype mismatch {t.dtype} vs {vectors.dtype}")
-    out = mix_tokens(Tensor(stack.data), Tensor(x.data)).data
+    out = mix_tokens(_untaped(stack.data), _untaped(x.data)).data
     if bias is not None:
         out += bias.data[:, None]
     xshape, dtype = x.shape, stack.dtype
@@ -579,11 +596,22 @@ def transpose2(x):
 
 
 def split(x, parts, axis=-1):
-    """Split into ``parts`` equal contiguous slices along ``axis``.
+    """Split into ``parts`` equal contiguous slices along ``axis``, each a view of x.
 
-    Returns a list of tensors.  ``concat(split(x, n), axis)`` reproduces x
-    exactly.  The parts of an input that can be remade can be remade too,
-    each on its own slice.
+    Returns a list of tensors whose data are slices of x's data, so x's
+    memory lives as long as any part does.  ``concat(split(x, n), axis)``
+    reproduces x exactly.  The parts of an input that can be remade can be
+    remade too, each on its own slice.
+
+    The parts' rules fill one input-sized gradient buffer, allocated by
+    the first to fire: each writes ``g + 0.0`` into its own slice.  The
+    parts link to x through one node of their own, which the buffer
+    reaches only from them and which passes it on once they have all
+    fired; that node zero-fills the slices of parts that never fired and,
+    if only one part fired, rewrites its slice with the gradient as it
+    came, which the rule held until then.  So each entry has the bits of
+    zero-filling a gradient per part and summing them: ``0.0 + g`` turns a
+    -0.0 into +0.0 wherever a second part fired.
     """
     axis = _axis("split", axis, x.ndim)
     check_int("split: parts", parts, error=ShapeError)
@@ -592,18 +620,41 @@ def split(x, parts, axis=-1):
         raise ShapeError(f"split: axis extent {extent} not divisible into {parts} parts")
     step = extent // parts
     shape = x.shape
-    outs = []
+    slices = []
     for i in range(parts):
         sl = [slice(None)] * x.ndim
         sl[axis] = slice(i * step, (i + 1) * step)
-        sl = tuple(sl)
+        slices.append(tuple(sl))
+    # The buffer, the slices filled so far, and the first part's gradient,
+    # held while it is the only one.
+    fill = [None, [], None]
 
+    def pass_on(g):
+        buf, filled, alone = fill
+        if alone is not None:
+            buf[filled[0]] = alone
+        for sl in slices:
+            if sl not in filled:
+                buf[sl] = 0.0
+        fill[:] = None, [], None
+        return (g,)
+
+    whole = _Node(((x._node or x),), pass_on, "split") if x.requires_grad else None
+    outs = []
+    for sl in slices:
         def vjp(g, _sl=sl):
-            gx = np.zeros(shape, dtype=g.dtype)
-            gx[_sl] = g
-            return (gx,)
+            buf, filled, _ = fill
+            first = buf is None
+            if first:
+                buf = fill[0] = np.empty(shape, dtype=g.dtype)
+            fill[2] = g if first else None
+            np.add(g, 0.0, out=buf[_sl])
+            filled.append(_sl)
+            return (buf if first else None,)
 
-        part = _result(np.ascontiguousarray(x.data[sl]), (x,), vjp, "split")
+        part = _result(x.data[sl], (x,), vjp, "split")
+        if whole is not None:
+            part._node._parents = (whole,)
         if x._remake is not None:
             part._remake = _part_remake(x._remake, sl)
         outs.append(part)
@@ -888,7 +939,8 @@ def softmax_rows(x, shape=None, axes=None):
     y = np.empty(view.shape, dtype=view.dtype)
     np.subtract(view, view.max(axis=-1, keepdims=True), out=y)
     _cut_exp(y)
-    return _normalized(y, y.sum(axis=-1, keepdims=True), x, inv, "softmax_rows")
+    y /= y.sum(axis=-1, keepdims=True)
+    return _softmax_result(y, x, inv, "softmax_rows")
 
 
 def _cut_exp(y):
@@ -900,23 +952,26 @@ def _cut_exp(y):
     np.exp(y, out=y)
 
 
-def _normalized(y, sums, x, inv, op_name):
-    """Numerators y divided in place by their row sums, as the op's result on x.
+def _softmax_result(y, x, inv, op_name, swap=False):
+    """Row softmaxes y of x's data as the op's result on x.
 
     The gradient is the softmax's, returned in x's own layout: ``inv``
-    permutes y's axes back to those of x's view, whose data x holds.
+    permutes y's axes back to those of x's view, whose data x holds.  With
+    ``swap`` the result is the view of 3-D y with its first two axes
+    swapped, and the rule reads its gradient through the same swap.
     """
-    y /= sums
     shape = x.shape
 
     def vjp(g):
+        if swap:
+            g = g.transpose(1, 0, 2)
         gx = g - (g * y).sum(axis=-1, keepdims=True)
         gx *= y
         if inv is not None:
             gx = np.ascontiguousarray(gx.transpose(inv))
         return (gx.reshape(shape),)
 
-    return _result(y, (x,), vjp, op_name)
+    return _result(y.transpose(1, 0, 2) if swap else y, (x,), vjp, op_name)
 
 
 def _table_windows(table, k):
@@ -932,7 +987,8 @@ def _table_windows(table, k):
     window is one run of N entries; the view reads
     ``by_row[g, iy, k-1-ix+jx, jy]``.  It is the one reader of the table
     layout: ``_copy_windows`` copies it out for ``window_stack`` and
-    ``softmax_stack``, and ``StackRecipe.write`` divides it out.
+    ``softmax_stack``, and ``StackRecipe.write`` divides it out.  Its
+    ``(c, N, N)`` reshape is the group-major stack itself.
     """
     c, dtype, e, side = table.shape[0], table.dtype, table.itemsize, 2 * k - 1
     by_row = np.ndarray((c, k, side, k), dtype, table, (k - 1) * e,
@@ -942,13 +998,12 @@ def _table_windows(table, k):
 
 
 def _copy_windows(table, k, out):
-    """c groups' ``(c, (2k-1)^2)`` tables copied into the ``(N, c, N)`` stack ``out``.
+    """c groups' ``(c, (2k-1)^2)`` tables copied into the group-major ``(c, N, N)`` stack ``out``.
 
-    Entry ``[i, g, j]`` of ``out`` becomes group g's entry for the pair of
+    Entry ``[g, i, j]`` of ``out`` becomes group g's entry for the pair of
     query i and key j: row i of group g is g's window for query i.
     """
-    c = table.shape[0]
-    np.copyto(out.reshape(k, k, c, k, k), _table_windows(table, k).transpose(1, 2, 0, 3, 4))
+    np.copyto(out.reshape(table.shape[0], k, k, k, k), _table_windows(table, k))
 
 
 def window_stack(table, k):
@@ -958,7 +1013,9 @@ def window_stack(table, k):
     (dy + k - 1)`` of row g is group g's value for displacement (dx, dy).
     Entry ``[i, g, j]`` of the stack is group g's value for the displacement
     from query token i to key token j, copied out through strided views of
-    the table (``_table_windows``), with no index array.
+    the table (``_table_windows``), with no index array.  The stack is
+    group-major: its data is the ``(N, s, N)`` view of ``(s, N, N)``
+    memory, so each group's matrix is one contiguous run.
 
     The gradient starts from zeros and adds each row's window back into the
     table, row by row in order, so each table entry sums its pairs in the
@@ -971,7 +1028,7 @@ def window_stack(table, k):
         raise ShapeError(f"window_stack: expected (s, {side * side}) tables of a {k} x {k} "
                          f"window, got {table.shape}")
     s, n = table.shape[0], k * k
-    data = np.empty((n, s, n), dtype=table.dtype)
+    data = np.empty((s, n, n), dtype=table.dtype)
     _copy_windows(table.data, k, data)
 
     def vjp(g):
@@ -981,18 +1038,19 @@ def window_stack(table, k):
             gt[:, a:a + k, b:b + k] += g[i].reshape(s, k, k)
         return (gt.reshape(s, side * side),)
 
-    return _result(data, (table,), vjp, "window_stack")
+    return _result(data.transpose(1, 0, 2), (table,), vjp, "window_stack")
 
 
 class StackRecipe:
     """What a softmax stack is rebuilt from, some groups at a time, with its bits.
 
-    ``softmax_stack`` returns one with the ``(N, s, N)`` stack it forms.  On
-    its table path the recipe is that path's small arrays: each group's
-    (2k-1)^2 exponentiated logits (``table``); the groups, rows and
-    numerators of the rows that miss their group's peak (``off_peak``); and
-    every row's sum, group-major (``sums``).  Where the op fell back to
-    ``softmax_rows``, ``dense`` is the stack itself.  A PosMLP-T stage-2
+    ``softmax_stack`` returns one with the ``(N, s, N)`` stack it forms;
+    ``shape`` is that stack's shape.  On its table path the recipe is that
+    path's small arrays: each group's (2k-1)^2 exponentiated logits
+    (``table``); the groups, rows and numerators of the rows that miss
+    their group's peak (``off_peak``); and every row's sum, group-major
+    (``sums``).  Where the op fell back to a row-by-row softmax, ``dense``
+    is the stack's group-major ``(s, N, N)`` memory.  A PosMLP-T stage-2
     recipe at initialisation holds 170 KB (70 off-peak rows), against the
     stack's 4.9 MB.
     """
@@ -1014,7 +1072,7 @@ class StackRecipe:
         row sum, so it has the stack's bits.  Returns ``out``.
         """
         if self.dense is not None:
-            np.copyto(out, self.dense.transpose(1, 0, 2)[lo:hi])
+            np.copyto(out, self.dense[lo:hi])
             return out
         k = math.isqrt(self.shape[0])
         sums = self.sums[lo:hi]
@@ -1029,7 +1087,7 @@ class StackRecipe:
 
 
 def softmax_stack(x, pairs):
-    """``softmax_rows(x, (s, N, N), (1, 0, 2))`` of logits that depend only on displacement.
+    """The ``(N, s, N)`` view of ``softmax_rows(x, (s, N, N))``, for logits of displacement alone.
 
     x is the group-major ``(s, N^2)`` product of s logit vectors with the
     features of a k x k window (N = k^2): entry ``i * N + j`` of row g is
@@ -1037,10 +1095,12 @@ def softmax_stack(x, pairs):
     query token i.  ``pairs`` is the window's ``DisplacementGrid.pairs``:
     the flat indices of the first and the last pair of each of the
     (2k-1)^2 displacements, entry ``(dx + k - 1) * (2k - 1) + (dy + k - 1)``
-    for displacement (dx, dy).  Returns the ``(N, s, N)`` stack of row
-    softmaxes, bit for bit ``softmax_rows``' and with its gradient returned
-    in x's layout, and the stack's ``StackRecipe``, from which
-    ``mix_softmax_stack``'s rule rebuilds the stack without keeping it.
+    for displacement (dx, dy).  Returns the stack of row softmaxes, bit for
+    bit ``softmax_rows``' and with its gradient returned in x's layout, and
+    the stack's ``StackRecipe``, from which ``mix_softmax_stack``'s rule
+    rebuilds the stack without keeping it.  The stack is group-major, like
+    x: its data is the ``(N, s, N)`` view of ``(s, N, N)`` memory, so each
+    group's matrix is one contiguous run.
 
     Every row's maximum is taken from x, in one exact pass.  A group's
     (2k-1)^2 distinct logits are read at the first pairs.  The rows whose
@@ -1059,8 +1119,8 @@ def softmax_stack(x, pairs):
     equal columns alike wherever they sit in the product.  The op checks it
     at the first and the last pair of each displacement, and where they
     differ in any group (a NaN among them included) it returns
-    ``softmax_rows`` of x, whose recipe is the stack itself.  Pairs in
-    between are not checked.
+    ``softmax_rows(x, (s, N, N))``'s data, whose recipe is the stack
+    itself.  Pairs in between are not checked.
     """
     n = math.isqrt(x.shape[-1])
     k = math.isqrt(n)
@@ -1075,21 +1135,23 @@ def softmax_stack(x, pairs):
     g, i = np.nonzero(row_max != top)
     # The stack is allocated before the table and its check: in the other
     # order the t224_infer benchmark's peak RSS read 2.7 MB higher.
-    y = np.empty((n, s, n), dtype=dtype)
+    y = np.empty((s, n, n), dtype=dtype)
     table = x.data.take(pairs[0], axis=1)
-    if not np.array_equal(table, x.data.take(pairs[1], axis=1)):
-        stack = softmax_rows(x, (s, n, n), (1, 0, 2))
-        return stack, StackRecipe(stack.shape, dense=stack.data)
-    table -= top
-    _cut_exp(table)
-    _copy_windows(table, k, y)
-    own = rows[g, i]
-    own -= row_max[g, i, None]
-    _cut_exp(own)
-    y[i, g] = own
-    sums = y.sum(axis=-1, keepdims=True)
-    recipe = StackRecipe(y.shape, table, (g, i, own), sums.transpose(1, 0, 2))
-    return _normalized(y, sums, x, (1, 0, 2), "softmax_stack"), recipe
+    if np.array_equal(table, x.data.take(pairs[1], axis=1)):
+        table -= top
+        _cut_exp(table)
+        _copy_windows(table, k, y)
+        own = rows[g, i]
+        own -= row_max[g, i, None]
+        _cut_exp(own)
+        y[g, i] = own
+        sums = y.sum(axis=-1, keepdims=True)
+        y /= sums
+        recipe = StackRecipe((n, s, n), table, (g, i, own), sums)
+    else:
+        y = softmax_rows(_untaped(x.data), (s, n, n)).data
+        recipe = StackRecipe((n, s, n), dense=y)
+    return _softmax_result(y, x, None, "softmax_stack", swap=True), recipe
 
 
 def layer_norm(x, gain, shift, groups=1):
@@ -1214,19 +1276,28 @@ def _conv_shape(op, x, w, stride):
     return k, (x.shape[1] - 1) // stride + 1, (x.shape[2] - 1) // stride + 1
 
 
-def _im2col(x, k, stride, ho, wo):
-    """(B, H, W, C) -> (B, ho*wo, k*k, C) patches of the batch zero-padded by k // 2."""
+def _taps(x, k, stride, ho, wo):
+    """The k*k taps of (B, H, W, C) x zero-padded by k // 2, in tap order.
+
+    Tap ``di * k + dj`` is the strided ``(B, ho, wo, C)`` view of the padded
+    batch that each output position reads at kernel offset (di, dj).
+    """
     bsz, h, w, c = x.shape
     pad = k // 2
     if pad:
         xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         xp[:, pad:pad + h, pad:pad + w] = x
         x = xp
+    return [x[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
+            for di in range(k) for dj in range(k)]
+
+
+def _im2col(x, k, stride, ho, wo):
+    """(B, H, W, C) -> (B, ho*wo, k*k, C) patches of the batch zero-padded by k // 2."""
+    bsz, _, _, c = x.shape
     cols = np.empty((bsz, ho, wo, k * k, c), dtype=x.dtype)
-    for di in range(k):
-        for dj in range(k):
-            cols[:, :, :, di * k + dj] = x[:, di:di + stride * ho:stride,
-                                           dj:dj + stride * wo:stride]
+    for t, tap in enumerate(_taps(x, k, stride, ho, wo)):
+        cols[:, :, :, t] = tap
     return cols.reshape(bsz, ho * wo, k * k, c)
 
 
@@ -1293,42 +1364,69 @@ def conv2d_depthwise(x, w, b, stride):
     x: (B, H, W, C); w: (k, k, C, M) with k odd; b: (C*M,).  Output channel
     ``c*M + m`` is produced from input channel ``c`` alone; M=2 realizes the
     stride-2 patch-merging doubling.  As in ``conv2d``, the output is
-    ``ceil(H / stride) x ceil(W / stride)`` and the whole batch is convolved
-    in one op (one ``einsum``), the weight and bias gradients are summed
-    per image, then over the images in image order, and the rule keeps the
-    input and re-cuts its patches for the weight gradient.
+    ``ceil(H / stride) x ceil(W / stride)``, the whole batch is convolved
+    in one op, the weight and bias gradients are summed per image, then
+    over the images in image order, and the rule keeps the input.
 
-    The patch gradient is formed as broadcast products ``g[..., m] * w[..., m]``
-    added in m order, not by an ``einsum`` over m.  For M <= 2 (the only M the
-    model builds) that is the einsum's result bit for bit; for M >= 3 the
-    summation order can differ from the einsum's in the last bit.
+    No patch array is cut.  The forward reads the k² taps as strided views
+    of the padded input (``_taps``) and, once per multiplier m, sums their
+    products with the tap's weights in tap order, then adds 0.0 as it
+    writes the sum out; the weight gradient reduces each tap's product
+    with g over the positions with ``np.add.reduce``, which starts from
+    0.0 too.  Both are the ``einsum`` over the patches, bit for bit, -0.0
+    sums included.  The patch gradient is formed as broadcast products
+    ``g[..., m] * w[..., m]`` added in m order, not by an ``einsum`` over m.
+    For M <= 2 (the only M the model builds) that is the einsum's result bit
+    for bit; for M >= 3 the summation order can differ from the einsum's in
+    the last bit.
     """
     k, ho, wo = _conv_shape("conv2d_depthwise", x, w, stride)
     bsz, _, _, c = x.shape
     m = w.shape[3]
     if b.shape != (c * m,):
         raise ShapeError(f"conv2d_depthwise: bias {b.shape} is not ({c * m},)")
+    dtype = x.dtype
     wtaps = w.data.reshape(k * k, c, m)
-    cols = _im2col(x.data, k, stride, ho, wo)
-    out = np.einsum("bptc,tcm->bpcm", cols, wtaps).reshape(bsz, ho, wo, c * m)
-    del cols
+    taps = _taps(x.data, k, stride, ho, wo)
+    out = np.empty((bsz, ho, wo, c, m), dtype=dtype)
+    acc, prod = np.empty((2, bsz, ho, wo, c), dtype=dtype)
+    for j in range(m):
+        np.multiply(taps[0], wtaps[0, :, j], out=acc)
+        for t in range(1, k * k):
+            np.multiply(taps[t], wtaps[t, :, j], out=prod)
+            acc += prod
+        np.add(acc, 0.0, out=out[..., j])
+    del taps, acc, prod
+    out = out.reshape(bsz, ho, wo, c * m)
     out += b.data
     xd = _kept(x) if w.requires_grad else None
     to_x, to_b, xshape = x.requires_grad, b.requires_grad, x.shape
 
     def vjp(g):
-        g = g.reshape(bsz, ho * wo, c, m)
+        g = g.reshape(bsz, ho, wo, c, m)
         gx = gw = gb = None
         if xd is not None:
-            patches = _im2col(_read(xd), k, stride, ho, wo)
-            gw = np.einsum("bptc,bpcm->btcm", patches, g).sum(axis=0).reshape(k, k, c, m)
-            del patches
+            taps = _taps(_read(xd), k, stride, ho, wo)
+            prod = np.empty((ho, wo, c), dtype=dtype)
+            for i in range(bsz):
+                gi = np.empty((k * k, c, m), dtype=dtype)
+                for t, tap in enumerate(taps):
+                    for j in range(m):
+                        np.multiply(tap[i], g[i, ..., j], out=prod)
+                        np.add.reduce(prod.reshape(ho * wo, c), axis=0, out=gi[t, :, j])
+                if gw is None:
+                    gw = gi
+                else:
+                    gw += gi
+            gw = gw.reshape(k, k, c, m)
+            del taps
         if to_b:
             gb = g.reshape(bsz, ho * wo, c * m).sum(axis=1).sum(axis=0)
         if to_x:
-            gcols = g[:, :, None, :, 0] * wtaps[:, :, 0]
+            gm = g.reshape(bsz, ho * wo, c, m)
+            gcols = gm[:, :, None, :, 0] * wtaps[:, :, 0]
             for j in range(1, m):
-                gcols += g[:, :, None, :, j] * wtaps[:, :, j]
+                gcols += gm[:, :, None, :, j] * wtaps[:, :, j]
             gx = _col2im(gcols, xshape, k, stride, ho, wo)
         return gx, gw, gb
 
@@ -1415,6 +1513,14 @@ def tape_census(root):
     return census
 
 
+def _fresh(g, results):
+    """Per result of a rule given g: a writeable array sharing no memory with g or the others?"""
+    return [isinstance(r, np.ndarray) and r.flags.writeable and not np.may_share_memory(r, g)
+            and not any(j != i and q is not None and np.may_share_memory(r, q)
+                        for j, q in enumerate(results))
+            for i, r in enumerate(results)]
+
+
 def backward(loss):
     """Run reverse-mode differentiation from a scalar loss.
 
@@ -1426,6 +1532,17 @@ def backward(loss):
     on a non-scalar, on a tensor with no recorded operations, or through
     any node an earlier backward consumed is an error, raised before any
     gradient is deposited.
+
+    A node's gradient is the sum of what its consumers' rules return, in
+    the order they fire.  The sum is formed in place, with ``+=`` or into
+    the arriving array, whenever one of the two arrays is owned: an array
+    that backward allocated, or one that a rule returned sharing no memory
+    with the gradient the rule was given or with its other results.  Rules
+    return arrays they made or views of the gradient they were given (the
+    residual ``add`` hands that same array to both operands), so an owned
+    array is held by nothing but backward; a view, and a leaf's ``grad``,
+    which belongs to the caller, are never added into.  Either way each
+    entry is the same ``+`` of the same two values, bit for bit.
     """
     if loss.ndim != 0:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -1435,8 +1552,11 @@ def backward(loss):
     if any(node._vjp is _consumed for node in order):
         _consumed()
     grads = {id(loss._node): np.ones((), dtype=loss.dtype)}
+    owned = set()  # keys of the sums that backward may add into in place
     for node in reversed(order):
-        g = grads.pop(id(node), None)
+        key = id(node)
+        g = grads.pop(key, None)
+        owned.discard(key)
         vjp = node._vjp
         if vjp is None:
             # requires-grad leaf: deposit.
@@ -1448,13 +1568,25 @@ def backward(loss):
         if g is None:
             continue
         parent_grads = vjp(g)
+        fresh = _fresh(g, parent_grads)
         del g, vjp
-        for p, pg in zip(parents, parent_grads):
+        for p, pg, new in zip(parents, parent_grads, fresh):
             if p is None or pg is None:
                 continue
             key = id(p)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
+            acc = grads.get(key)
+            if acc is None:
                 grads[key] = pg
-        parent_grads = pg = None
+                if new:
+                    owned.add(key)
+            elif key in owned:
+                acc += pg
+            elif new:
+                grads[key] = np.add(acc, pg, out=pg)
+                owned.add(key)
+            else:
+                grads[key] = acc + pg
+                # A sum of 0-d arrays is a numpy scalar, which += would rebind.
+                if isinstance(grads[key], np.ndarray):
+                    owned.add(key)
+        parent_grads = pg = acc = None

@@ -155,6 +155,45 @@ def test_depthwise_matches_the_per_image_loop_bit_for_bit(rng, dtype, shape):
                  loop_conv2d_depthwise(x, w, b, shape[5], 1, g))
 
 
+def einsum_depthwise(x, w, b, stride, g):
+    """The batched depthwise op as once written: one patch array, contracted by ``einsum``."""
+    k = w.shape[0]
+    bsz, h, wd_, c = x.shape
+    m = w.shape[3]
+    ho, wo = (h - 1) // stride + 1, (wd_ - 1) // stride + 1
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = np.empty((bsz, ho, wo, k * k, c), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            cols[:, :, :, di * k + dj] = xp[:, di:di + stride * ho:stride,
+                                            dj:dj + stride * wo:stride]
+    cols = cols.reshape(bsz, ho * wo, k * k, c)
+    wtaps = w.reshape(k * k, c, m)
+    out = np.einsum("bptc,tcm->bpcm", cols, wtaps).reshape(bsz, ho, wo, c * m) + b
+    gw = np.einsum("bptc,bpcm->btcm", cols, g.reshape(bsz, ho * wo, c, m)).sum(axis=0)
+    return out, gw.reshape(w.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("side, c", [(56, 96), (28, 192), (14, 384)])
+def test_depthwise_taps_match_the_patch_einsum_bit_for_bit(rng, dtype, m, bsz, side, c):
+    # PosMLP-T's three patch merges.  The forward sums strided tap views and
+    # the weight gradient reduces tap products, with no patch array; both
+    # must keep the einsum's bits, including the +0.0 it gives where every
+    # product is -0.0 (a zero image channel under negative weights).
+    x, w, b, g = _depthwise_case(rng, dtype, (bsz, side, side, c, m, 2))
+    x[:, :, :, 0] = 0.0
+    w[:, :, 0] = -np.abs(w[:, :, 0])
+    g[..., :m] = -np.abs(g[..., :m])
+    b[:m] = -0.0
+    out, _, gw, _ = _run(T.conv2d_depthwise, x, w, b, 2, g)
+    want_out, want_gw = einsum_depthwise(x, w, b, 2, g)
+    assert not np.signbit(want_out[..., :m]).any() and not np.signbit(want_gw[:, :, 0]).any()
+    _assert_bits((out, gw), (want_out, want_gw))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("op,case,shape", [
     (T.conv2d, _conv2d_case, (5, 16, 16, 8, 16, 2)),

@@ -505,3 +505,49 @@ def test_shared_stack_gradients_match_two_built_stacks(rng, monkeypatch):
     # which the two forwards' contributions are summed differs.
     for (name, p), q in zip(cached.parameters().items(), uncached.parameters().values()):
         np.testing.assert_allclose(p.grad, q.grad, rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+def _leaf_view(data):
+    """A leaf that requires a gradient and reads ``data`` as it is, view or not."""
+    t = T._untaped(data)
+    t.requires_grad = True
+    return t
+
+
+def _bits(arrays):
+    return [None if a is None else (a.shape, a.dtype, np.ascontiguousarray(a).tobytes())
+            for a in arrays]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, k, groups", [(kind, 3, 4 if kind.grouped else 1)
+                                             for kind in G.GatingKind]
+                         + [(G.GatingKind.GLRPE, 7, 8), (G.GatingKind.GGQPE, 14, 32)])
+def test_a_mixing_stack_is_group_major_and_mixes_as_a_contiguous_copy(rng, kind, k, groups,
+                                                                      dtype):
+    # Each group's matrix is one contiguous run, and mixing a half that is
+    # a view of the unit's input, as the unit does, gives the bits that an
+    # (N, s, N)-contiguous copy of the stack gives on a contiguous copy of
+    # the half: outputs and both gradients.  The last two cases are
+    # PosMLP-T's stage-1 window with more groups and its stage-2 unit.
+    n, width = k * k, 8 * groups
+    u = unit(kind, k=k, width=width, groups=groups, dtype=dtype, seed=3)
+    stack = u.mixing_stack()
+    w = stack.weights
+    assert w.shape == (n, groups, n) and w.data.transpose(1, 0, 2).flags.c_contiguous
+    half = T.split(Tensor(rng.standard_normal((2, n, width)).astype(dtype)), 2)[0]
+    assert not half.data.flags.c_contiguous
+    g = rng.standard_normal((2, n, width // 2)).astype(dtype)
+    copy, half_copy = np.ascontiguousarray(w.data), np.ascontiguousarray(half.data)
+
+    got = T.mix_tokens(_leaf_view(w.data), _leaf_view(half.data))
+    want = T.mix_tokens(Tensor(copy, requires_grad=True), Tensor(half_copy, requires_grad=True))
+    assert _bits([got.data, *got._vjp(g)]) == _bits([want.data, *want._vjp(g)])
+    if kind is G.GatingKind.GGQPE:
+        def mixed(weights, x):
+            out = T.mix_softmax_stack(weights, stack.recipe, stack.vectors, stack.features,
+                                      x, u.bias)
+            return [out.data, *out._vjp(g)]
+
+        assert _bits(mixed(w, _leaf_view(half.data))) == \
+            _bits(mixed(Tensor(copy), Tensor(half_copy, requires_grad=True)))

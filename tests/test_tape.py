@@ -69,9 +69,11 @@ def _ops(rng):
     }
 
 
-# The convolutions' rules read their input, so it is not among the freed.
+# The convolutions' rules read their input, so it is not among the freed;
+# nor is a split input, whose parts are its memory.
 CONVS = ["conv2d", "conv2d_depthwise"]
-OPS = [name for name in _ops(np.random.default_rng(0)) if name not in CONVS]
+VIEWS = ["split"]
+OPS = [name for name in _ops(np.random.default_rng(0)) if name not in CONVS + VIEWS]
 
 
 def _loss(outs, rng):
@@ -126,6 +128,83 @@ def _holds_its_input_only(out, data):
     assert all(a is data or np.shares_memory(a, weight.data) for a in arrays)
 
 
+def test_split_parts_are_views_that_alone_keep_their_input():
+    # The parts are slices of the input's memory: they keep it alive, and
+    # dropping them frees it; the tape's nodes hold no value.
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
+    h = T.scale(x, 1.5)
+    ref = weakref.ref(h.data)
+    parts = T.split(h, 3)
+    loss = _loss(parts, rng)
+    del h
+    gc.collect()
+    assert ref() is not None
+    assert all(np.shares_memory(p.data, ref()) for p in parts)
+    assert all(p.data.base is ref() for p in parts)
+    del parts
+    gc.collect()
+    assert ref() is None
+    backward(loss)
+    assert x.grad.shape == x.shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("used, parts, axis", [((0, 1), 2, -1), ((1, 0), 2, -1),
+                                               ((0,), 2, -1), ((2, 0, 1), 3, 1),
+                                               ((1, 2), 3, 0)])
+def test_a_split_gradient_has_the_bits_of_zero_filled_parts_summed(dtype, used, parts, axis):
+    # The oracle is the rule split once had: each part's gradient zero-filled
+    # to the input's shape, summed over the parts in the order their rules
+    # fire, which adds 0.0 to every entry a second part reaches.  The
+    # weights' -0.0 entries give -0.0 gradient entries.
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((3, 6, 6)).astype(dtype), requires_grad=True)
+    outs = T.split(T.scale(x, 1.0), parts, axis=axis)
+    weights = [rng.standard_normal(o.shape).astype(dtype) for o in outs]
+    for w in weights:
+        w.reshape(-1)[:3] = [-0.0, 0.0, -0.0]
+    loss = None
+    for i in used:
+        term = T.weighted_sum(outs[i], weights[i])
+        loss = term if loss is None else T.add(loss, term)
+    backward(loss)
+
+    want = None
+    for i in reversed(used):  # the loss adds the terms in order; rules fire in reverse
+        full = np.zeros(x.shape, dtype)
+        sl = [slice(None)] * x.ndim
+        step = x.shape[axis] // parts
+        sl[axis] = slice(i * step, (i + 1) * step)
+        full[tuple(sl)] = weights[i]
+        want = full if want is None else want + full
+    assert ((want == 0) & np.signbit(want)).any() == (len(used) == 1)
+    assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
+
+
+def test_a_split_backward_allocates_one_input_sized_array():
+    # PosMLP-T stage 2's gating input.  The parts' rules share one buffer;
+    # zero-filling a gradient per part and summing them took three.
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((1, 196, 1536)), requires_grad=True, dtype=np.float32)
+    a, b = T.split(x, 2)
+    ga, gb = (rng.standard_normal(a.shape).astype(np.float32) for _ in range(2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        (buf,) = a._vjp(ga)
+        assert b._vjp(gb) == (None,)
+        (passed,) = a._node._parents[0]._vjp(buf)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert passed is buf and buf.shape == x.shape
+    assert x.data.nbytes <= peak - before < 1.1 * x.data.nbytes
+    assert current - before >= x.data.nbytes
+    np.testing.assert_array_equal(buf, np.concatenate([ga, gb], axis=-1))
+
+
 @pytest.mark.parametrize("name", CONVS)
 def test_a_convolution_keeps_its_input_not_its_patches(name):
     grad, alive = _gradient(name, hold=False, check=_holds_its_input_only)
@@ -152,6 +231,30 @@ def test_a_convolution_retains_about_its_input():
     finally:
         tracemalloc.stop()
     assert x.data.nbytes <= retained < 1.5 * x.data.nbytes
+
+
+@pytest.mark.parametrize("taped", [True, False])
+def test_a_depthwise_merge_cuts_no_patch_array(taped):
+    # PosMLP-T's first patch merge: 1.2 MB of input, whose 3 x 3 patches at
+    # stride 2 take 2.7 MB.  The forward holds the padded input, the output,
+    # two sums of one multiplier's channels (half the output together) and
+    # numpy's ufunc buffers; cutting the patches held them on top of the
+    # padded input and the output.
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((1, 56, 56, 96)), requires_grad=taped, dtype=np.float32)
+    w = Tensor(rng.standard_normal((3, 3, 96, 2)), requires_grad=taped, dtype=np.float32)
+    b = Tensor(np.zeros(192), requires_grad=taped, dtype=np.float32)
+    patches = 9 * 28 * 28 * 96 * 4
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d_depthwise(x, w, b, stride=2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    padded = 58 * 58 * 96 * 4
+    assert peak < padded + 2 * out.data.nbytes + 2 ** 18 < padded + patches + out.data.nbytes
 
 
 def _stack_gradients(form, frozen, hold):
@@ -196,6 +299,7 @@ def test_micro_records_as_many_tape_nodes_as_before(monkeypatch, dtype):
     # in place of mix_tokens + add_token_bias.  That node's inner mix_tokens
     # result is untaped, and its gradient reaches the logit vectors directly,
     # so the stack's softmax and logit product are off the loss's path.
+    # Each block's split adds the one node its two parts link through.
     taped = []
     result = T._result
 
@@ -211,7 +315,8 @@ def test_micro_records_as_many_tape_nodes_as_before(monkeypatch, dtype):
     assert len(taped) == 120 and sum(taped) == 120 - 5
     loss = T.cross_entropy_mean(logits, np.array([0, 3]))
     order = T._topo_order(loss)
-    assert sum(node._vjp is not None for node in order) == 115 + 1 - 2 * 5
+    assert sum(node._vjp is not None for node in order) == 115 + 1 - 2 * 5 + 5
+    assert sum(isinstance(node, T._Node) and node.op == "split" for node in order) == 3 * 5
     assert sum(node._vjp is None for node in order) == 61
     backward(loss)
     assert all(p.grad is not None for p in m.parameters().values())
@@ -354,10 +459,13 @@ def test_a_t_stage_ggqpe_unit_tape_holds_its_stacks_recipe_not_the_stack():
     u = G.GatingUnit(cfg, st.dim * st.expansion, rng=np.random.default_rng(0))
     n, s = cfg.n_tokens, cfg.groups
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((1, n, u.width)).astype(np.float32))
+    # The unit's input is a GELU output, as in a block: the mixed half is a
+    # view of it, and the mixing rule keeps the half's remake.
+    x = T.gelu(Tensor(rng.standard_normal((1, n, u.width)).astype(np.float32),
+                      requires_grad=True))
     loss = T.weighted_sum(u.forward(x), rng.standard_normal((1, n, u.width // 2)))
     assert [a.shape for _, a in T._held_arrays(loss) if a.shape in _stack_shapes([u])] == []
-    # x, the output, the recipe and the shared features: under half the stack
+    # the output, the recipe and the shared features: under half the stack
     assert T.tape_census(loss)["mix_softmax_stack"] < n * s * n * 4 // 2
 
 

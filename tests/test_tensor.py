@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from posmlp import model as M
 from posmlp import tensor as T
 from posmlp.gradcheck import gradcheck, gradcheck_directional
 from posmlp.positional import displacement_grid, lrpe_index_map
@@ -409,6 +410,114 @@ def test_backward_visits_each_node_once(rng):
     backward(T.sum_all(T.mul(s, s)))
     assert len(calls) == 1
     np.testing.assert_allclose(x.grad, 8 * x.data, atol=1e-12)
+
+
+def oracle_backward(loss):
+    """Reverse accumulation as ``backward`` once did it: every sum a new array, acc + pg."""
+    order = T._topo_order(loss)
+    grads = {id(loss._node): np.ones((), dtype=loss.dtype)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        vjp = node._vjp
+        if vjp is None:
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        parents = node._parents
+        node._vjp, node._parents = T._consumed, ()
+        if g is None:
+            continue
+        for p, pg in zip(parents, vjp(g)):
+            if p is not None and pg is not None:
+                grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
+
+
+def _fan_in_graph(dtype):
+    """A loss whose nodes sum shared, viewed and fresh gradients; x holds a caller's grad."""
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((4, 6)).astype(dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 6)).astype(dtype), requires_grad=True)
+    x.grad = np.full((4, 6), 0.5, dtype=dtype)
+    held = x.grad
+    h = T.scale(x, 1.5)
+    twice = T.add(h, h)                                 # the same array to h twice
+    viewed = T.reshape(T.reshape(h, (6, 4)), (4, 6))    # views of the gradient
+    fresh = T.mul(T.add(twice, viewed), h)              # a fresh array to h
+    res = T.add(T.matmul(fresh, w), x)                  # the residual's g to x and on
+    mixed = T.concat(T.split(T.gelu(res), 2), axis=-1)
+    weights = rng.standard_normal((4, 6)).astype(dtype)
+    weights[0, :3] = -0.0
+    loss = T.add(T.weighted_sum(mixed, weights), T.weighted_sum(T.scale(res, -0.0), weights))
+    return loss, (x, w), held
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_sums_in_place_with_the_bits_of_new_arrays(dtype):
+    loss, leaves, held = _fan_in_graph(dtype)
+    want_loss, want_leaves, _ = _fan_in_graph(dtype)
+    backward(loss)
+    oracle_backward(want_loss)
+    for got, want in zip(leaves, want_leaves):
+        assert got.grad.tobytes() == want.grad.tobytes()
+    # The leaf's earlier gradient belongs to the caller: it is added to, not into.
+    assert not np.shares_memory(leaves[0].grad, held)
+    np.testing.assert_array_equal(held, np.full((4, 6), 0.5, dtype=dtype))
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("passed_on", [True, False])
+def test_a_gradient_handed_to_two_operands_is_added_into_by_neither(first, passed_on):
+    # s = a + b hands one array to a and b; a, or the operand p that a's
+    # rule passes that array on to, then gets a fresh term from q = p * b,
+    # whose rule fires before b's, so the term must not reach b.
+    grads = []
+    for run in (backward, oracle_backward):
+        x = t64(np.arange(6.0).reshape(2, 3), grad=True)
+        p, b = T.scale(x, 2.0), T.scale(x, 3.0)
+        a = T.add_scalar(p, 1.0) if passed_on else p
+        s, q = T.add(a, b), T.mul(p, b)
+        run(T.sum_all(T.add(s, q) if first else T.add(q, s)))
+        grads.append(x.grad)
+    np.testing.assert_array_equal(grads[0], 5.0 + 12.0 * x.data)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_a_scalar_node_sums_every_gradient_it_gets():
+    # The sum of two 0-d gradients is a numpy scalar, not an array to add into.
+    x = t64([1.0, 2.0], grad=True)
+    s = T.weighted_sum(x, np.ones(2))
+    backward(T.add(T.add(s, s), T.add(s, s)))
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+
+
+def test_backward_adds_a_fresh_gradient_into_the_sum_in_place(rng):
+    # Three consumers' rules return fresh arrays for h; the sum h's rule
+    # receives is the first of them, added into, not a new array.
+    x = t64(rng.standard_normal((3, 4)), grad=True)
+    h = T.scale(x, 1.0)
+    parts = [T.scale(h, c) for c in (2.0, 3.0, 4.0)]
+    returned, received = [], []
+    for part in parts:
+        rule = part._vjp
+        part._vjp = lambda g, rule=rule: returned.append(rule(g)[0]) or (returned[-1],)
+    rule = h._vjp
+    h._vjp = lambda g: received.append(g) or rule(g)
+    backward(T.sum_all(T.add(T.add(parts[0], parts[1]), parts[2])))
+    assert len(returned) == 3 and received[0] is returned[0]
+    np.testing.assert_array_equal(x.grad, np.full((3, 4), 9.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["sgu", "lrpe_m", "lrpe", "glrpe", "ggqpe"])
+def test_backward_of_a_micro_loss_has_the_bits_of_new_arrays(kind, dtype):
+    grads = []
+    for run in (backward, oracle_backward):
+        m = M.build_model(M.variant_config("MICRO", gating_kind=kind),
+                          rng=np.random.default_rng(0), dtype=dtype)
+        x = Tensor(np.random.default_rng(1).standard_normal((2, 32, 32, 3)), dtype=dtype)
+        run(T.cross_entropy_mean(m.forward(x), np.array([0, 3])))
+        grads.append([p.grad.tobytes() for p in m.parameters().values()])
+    assert grads[0] == grads[1]
 
 
 def test_composite_gradcheck(rng):

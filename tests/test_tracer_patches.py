@@ -63,10 +63,24 @@ def test_tracer_installs_over_a_training_step_and_restores_every_patch(monkeypat
     assert ("tensor.take" in rows) == (kind is GatingKind.GGQPE)
 
 
+def _traced_forward_macs(tracer_mod, cfg, model, x):
+    """The MACs per op of one traced forward, and the span names it recorded."""
+    with tracer_mod.Tracer({st.dim: i for i, st in enumerate(cfg.stages)}) as tracer:
+        model.forward(x)
+    rows, _, _ = tracer.table()
+    return {op: rows.get(f"tensor.{op}", {}).get("macs", 0) for op in tracer_mod.MAC_OPS}, rows
+
+
 @pytest.mark.parametrize("batch, macs", [(1, 1_070_688), (2, 1_949_792)])
-def test_a_fresh_micro_forward_executes_the_closed_form_macs(monkeypatch, batch, macs):
+def test_a_fresh_micro_forward_executes_the_closed_form_macs(monkeypatch, tmp_path, batch, macs):
     # The benchmark counts MACs only where the tracer wraps tensor.mix_tokens
     # and tensor.matmul; a dense product that bypasses them shows up here.
+    # A checkpoint-loaded model, as t224_infer times it, executes the same
+    # count on its second forward, which builds the stacks it then keeps.
+    # Its third forward mixes with the kept stacks and skips only the
+    # stacks' generation: every other op's count stays, so a kept-stack
+    # path that bypassed mix_tokens, or handed it an (s, N, N) stack whose
+    # leading extent the tracer would read as N, fails here.
     had_cache = (PERFBENCH / "__pycache__").exists()
     tracer_mod = load_perfbench(monkeypatch, "tracer", "perfbench_tracer")
     monkeypatch.setitem(sys.modules, "tracer", tracer_mod)  # harness imports it by name
@@ -75,10 +89,20 @@ def test_a_fresh_micro_forward_executes_the_closed_form_macs(monkeypatch, batch,
     model = M.build_model(cfg, rng=np.random.default_rng(0))
     x = T.Tensor(np.random.default_rng(1).standard_normal(
         (batch, cfg.image_side, cfg.image_side, 3)).astype(np.float32))
-    with tracer_mod.Tracer({st.dim: i for i, st in enumerate(cfg.stages)}) as tracer:
-        model.forward(x)
-    rows, _, _ = tracer.table()
-    executed = sum(rows.get(f"tensor.{op}", {}).get("macs", 0) for op in tracer_mod.MAC_OPS)
+    fresh, _ = _traced_forward_macs(tracer_mod, cfg, model, x)
+    executed = sum(fresh.values())
     assert executed == harness.reconcile_macs(cfg, batch, executed)["code_convention_macs"]
     assert executed == macs
+
+    path = tmp_path / "micro.pmlp"
+    M.save_checkpoint(model, path)
+    loaded = M.load_checkpoint(path)
+    loaded.forward(x)
+    second, rows = _traced_forward_macs(tracer_mod, cfg, loaded, x)
+    assert second == fresh and rows["positional"]["calls"] == sum(st.depth for st in cfg.stages)
+    # The positional spans hold every matmul: the logits and the 2 x 2
+    # precision algebra.
+    kept, rows = _traced_forward_macs(tracer_mod, cfg, loaded, x)
+    assert "positional" not in rows and "tensor.matmul" not in rows
+    assert kept == dict(fresh, matmul=0) and kept["mix_tokens"] > 0
     assert (PERFBENCH / "__pycache__").exists() == had_cache
