@@ -159,8 +159,9 @@ def default_windows(variant, image_side):
     windows = []
     for i in range(4):
         cap = min(ref[i], side)
-        w = max(d for d in range(1, cap + 1) if side % d == 0)
-        windows.append(w)
+        # A side the merges have halved to 0 takes window 1, so that
+        # ModelConfig reports the side that no merge can halve.
+        windows.append(max((d for d in range(1, cap + 1) if side % d == 0), default=1))
         side //= 2
     return tuple(windows)
 

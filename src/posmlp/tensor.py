@@ -27,10 +27,11 @@ Batched matrix products go through ``np.matmul`` over the leading batch
 axes, which numpy carries out as one BLAS call per matrix, so every batch
 element sees the byte-identical BLAS call it would see alone; this is what
 makes the window weight-sharing tests exact instead of merely close.  The
-convolutions follow the same rule: each convolves the whole batch in one
-op, with one BLAS call per image, and sums its weight and bias gradients
-per image, then over the images in image order, as a loop over the images
-would.
+convolutions keep the same results: each convolves the whole batch in one
+op with the bits of one BLAS call per image, though ``conv2d`` splits that
+call into blocks (its docstring names the splits and where their bits are
+checked), and sums its weight and bias gradients per image, then over the
+images in image order, as a loop over the images would.
 
 Every op checks its own operands' shapes before it computes, and forms its
 result through ``_result``, which enforces the rest of the operand
@@ -577,7 +578,7 @@ def add_token_bias(x, b):
     return _result(out, (x, b), vjp, "add_token_bias")
 
 
-# -- shape ops (copying; no views) ------------------------------------------
+# -- shape ops (copies, except split's views of its input) ------------------
 
 def reshape(x, shape):
     shape = tuple(check_int("reshape: extent", s, error=ShapeError) for s in shape)
@@ -1277,10 +1278,13 @@ def _conv_shape(op, x, w, stride):
 
 
 def _taps(x, k, stride, ho, wo):
-    """The k*k taps of (B, H, W, C) x zero-padded by k // 2, in tap order.
+    """The taps of (B, H, W, C) x zero-padded by k // 2, as one strided view.
 
-    Tap ``di * k + dj`` is the strided ``(B, ho, wo, C)`` view of the padded
-    batch that each output position reads at kernel offset (di, dj).
+    ``taps[:, :, :, di, dj]`` is the ``(B, ho, wo, C)`` view that each
+    output position reads at kernel offset (di, dj), and ``taps[b, i, j]``
+    is output (i, j)'s ``(k, k, C)`` patch.  It is the convolutions' one
+    reader of patches: they copy blocks of it (``_conv_blocks``) or
+    multiply its taps.
     """
     bsz, h, w, c = x.shape
     pad = k // 2
@@ -1288,55 +1292,121 @@ def _taps(x, k, stride, ho, wo):
         xp = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         xp[:, pad:pad + h, pad:pad + w] = x
         x = xp
-    return [x[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-            for di in range(k) for dj in range(k)]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
-def _im2col(x, k, stride, ho, wo):
-    """(B, H, W, C) -> (B, ho*wo, k*k, C) patches of the batch zero-padded by k // 2."""
-    bsz, _, _, c = x.shape
-    cols = np.empty((bsz, ho, wo, k * k, c), dtype=x.dtype)
-    for t, tap in enumerate(_taps(x, k, stride, ho, wo)):
-        cols[:, :, :, t] = tap
-    return cols.reshape(bsz, ho * wo, k * k, c)
+# Bytes per image of a convolution block: output rows for the forward's
+# patch copy and conv2d's patch-gradient product, kernel rows for its
+# weight gradient's patch copy.  Blocks split the rows evenly and hold at
+# least this much unless one block holds them all.  Whether a block's BLAS
+# product has the bits of the whole product is a property of the BLAS:
+# OpenBLAS 0.3.31 (SkylakeX kernels) rounds products below about 10^6
+# multiply-adds differently, and 1 MB keeps the row blocks above that for
+# Cout >= 4 in float32 and >= 8 in float64.  A sweep of other shapes found
+# the kernel-row split off in the last bit for some convolutions of Cout
+# <= 16 whose patches exceed one block; the default-size models have none.
+# Each of MICRO's maps is one block.
+_CONV_BLOCK_BYTES = 1 << 20
 
 
-def _col2im(gcols, shape, k, stride, ho, wo):
-    """Scatter (B, ho*wo, k*k, C) patch gradients back onto (B, H, W, C) images."""
+def _conv_blocks(n, unit_bytes):
+    """Slices of range(n) in blocks of at least ``_CONV_BLOCK_BYTES``, and the largest block's length."""
+    parts = max(1, n // -(-_CONV_BLOCK_BYTES // unit_bytes))
+    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)], -(-n // parts)
+
+
+def _scatter_taps(tap_grads, blocks, shape, dtype, k, stride, wo):
+    """The (B, H, W, C) input gradient from per-tap gradients of blocks of output rows.
+
+    ``tap_grads(rows)`` yields, in tap order, the ``(B, len(rows), wo, C)``
+    gradient that output rows ``rows`` send through each tap; they are added
+    into the zero-padded gradient tap by tap.  The blocks go from the last
+    output row to the first: a padded row is reached from a later output
+    row through an earlier kernel row, so every element receives its
+    additions in tap order, as from one whole-map scatter.  Going first to
+    last would change bits at block boundaries.
+    """
     bsz, h, w, c = shape
     pad = k // 2
-    gpad = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c), dtype=gcols.dtype)
-    gc = gcols.reshape(bsz, ho, wo, k * k, c)
-    for di in range(k):
-        for dj in range(k):
-            gpad[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride] += gc[:, :, :, di * k + dj]
+    gpad = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c), dtype=dtype)
+    for rows in reversed(blocks):
+        lo, hi = stride * rows.start, stride * rows.stop
+        for t, gt in enumerate(tap_grads(rows)):
+            di, dj = divmod(t, k)
+            gpad[:, di + lo:di + hi:stride, dj:dj + stride * wo:stride] += gt
     return gpad[:, pad:pad + h, pad:pad + w].copy() if pad else gpad
+
+
+def _conv2d_weight_grad(x, g, k, stride, ho, wo):
+    """conv2d's (k, k, Cin, Cout) weight gradient from input x and (B, ho*wo, Cout) g.
+
+    Per image, g multiplies one block of kernel rows' contiguous patch copy
+    at a time into those rows of the ``(k*k*Cin, Cout)`` product; the
+    images' products are then summed in image order.
+    """
+    bsz, _, _, cin = x.shape
+    cout, dtype, row = g.shape[2], x.dtype, k * cin
+    taps = _taps(x, k, stride, ho, wo)
+    blocks, most = _conv_blocks(k, ho * wo * row * dtype.itemsize)
+    buf = np.empty(bsz * ho * wo * most * row, dtype=dtype)
+    gw = np.empty((bsz, k * row, cout), dtype=dtype)
+    for r in blocks:
+        n = r.stop - r.start
+        patches = buf[:bsz * ho * wo * n * row].reshape(bsz, ho, wo, n, k, cin)
+        patches[...] = taps[:, :, :, r]
+        np.matmul(patches.reshape(bsz, ho * wo, n * row).transpose(0, 2, 1), g,
+                  out=gw[:, r.start * row:r.stop * row])
+    return gw.sum(axis=0).reshape(k, k, cin, cout)
 
 
 def conv2d(x, w, b, stride):
     """Square odd-kernel convolution on channel-last images, zero-padded by k // 2.
 
     x: (B, H, W, Cin); w: (k, k, Cin, Cout); b: (Cout,).  The output is
-    ``ceil(H / stride) x ceil(W / stride)``.  The whole batch is
-    convolved in one op: its patches are cut once and contracted with the
-    weight by one ``np.matmul``, one BLAS call per image, so batch
-    independence is exact.  The weight and bias gradients are summed per
-    image, then over the images in image order.
+    ``ceil(H / stride) x ceil(W / stride)``.  The whole batch is convolved
+    in one op and no patch matrix or patch gradient is formed.  Every
+    result has the bits of one ``(ho*wo, k*k*Cin)`` patch matrix per image
+    multiplied by one BLAS call, with the weight and bias gradients summed
+    per image, then over the images in image order.  Three splits of those
+    products keep the bits (``_CONV_BLOCK_BYTES`` sizes their blocks and
+    says where the first two, properties of the BLAS, stop holding):
 
-    When the weight needs a gradient the rule keeps the input, not the
-    patches (k²/stride² times larger): it re-cuts the same patches just
-    before the weight-gradient product and drops them after, so the
-    gradient is the one the forward's patches would give, bit for bit.
+    - the forward copies one block of output rows' patches at a time from
+      the strided taps (``_taps``) into a reused buffer and multiplies it
+      by the weight into those rows: a row split of each image's product;
+    - the weight gradient multiplies g by one block of kernel rows'
+      contiguous ``(ho*wo, rows*k*Cin)`` patch copy at a time, a split of
+      the product's output rows (one kernel row per block on PosMLP-T);
+    - the input gradient forms row blocks of ``g @ wmat.T`` and adds them
+      into the padded gradient tap by tap, last block first
+      (``_scatter_taps``), so every element sums in the whole-map order.
+
+    ``tests/test_conv.py`` checks all three against a per-image loop over
+    whole patch matrices, in float32 and float64, at MICRO's and PosMLP-T's
+    stem shapes and at shapes of several unequal blocks.  When the weight
+    needs a gradient the rule keeps the input, not its patches (k²/stride²
+    times larger).
     """
     k, ho, wo = _conv_shape("conv2d", x, w, stride)
     bsz, _, _, cin = x.shape
     cout = w.shape[3]
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias {b.shape} is not ({cout},)")
-    wmat = w.data.reshape(k * k * cin, cout)
-    cols = _im2col(x.data, k, stride, ho, wo).reshape(bsz, ho * wo, k * k * cin)
-    out = np.matmul(cols, wmat)
-    del cols
+    dtype = x.dtype
+    kk = k * k * cin
+    wmat = w.data.reshape(kk, cout)
+    # Blocks of output rows, for the forward and the input gradient.
+    blocks, most = _conv_blocks(ho, wo * kk * dtype.itemsize)
+    taps = _taps(x.data, k, stride, ho, wo)
+    buf = np.empty(bsz * most * wo * kk, dtype=dtype)
+    out = np.empty((bsz, ho * wo, cout), dtype=dtype)
+    for r in blocks:
+        n = r.stop - r.start
+        patches = buf[:bsz * n * wo * kk].reshape(bsz, n, wo, k, k, cin)
+        patches[...] = taps[:, r]
+        np.matmul(patches.reshape(bsz, n * wo, kk), wmat, out=out[:, r.start * wo:r.stop * wo])
+    del taps, buf, patches
     out += b.data
     # The weight gradient reads the input, the input gradient the weight.
     xd = _kept(x) if w.requires_grad else None
@@ -1346,16 +1416,47 @@ def conv2d(x, w, b, stride):
         g = g.reshape(bsz, ho * wo, cout)
         gx = gw = gb = None
         if xd is not None:
-            patches = _im2col(_read(xd), k, stride, ho, wo).reshape(bsz, ho * wo, k * k * cin)
-            gw = np.matmul(patches.transpose(0, 2, 1), g).sum(axis=0).reshape(k, k, cin, cout)
-            del patches
+            gw = _conv2d_weight_grad(_read(xd), g, k, stride, ho, wo)
         if to_b:
             gb = g.sum(axis=1).sum(axis=0)
         if to_x:
-            gx = _col2im(np.matmul(g, wmat.T), xshape, k, stride, ho, wo)
+            buf = np.empty(bsz * most * wo * kk, dtype=dtype)
+
+            def tap_grads(r):
+                n = r.stop - r.start
+                pg = buf[:bsz * n * wo * kk].reshape(bsz, n * wo, kk)
+                np.matmul(g[:, r.start * wo:r.stop * wo], wmat.T, out=pg)
+                pg = pg.reshape(bsz, n, wo, k * k, cin)
+                return (pg[:, :, :, t] for t in range(k * k))
+
+            gx = _scatter_taps(tap_grads, blocks, xshape, dtype, k, stride, wo)
         return gx, gw, gb
 
     return _result(out.reshape(bsz, ho, wo, cout), (x, w, b), vjp, "conv2d")
+
+
+def _depthwise_weight_grad(x, g, k, stride):
+    """conv2d_depthwise's (k, k, C, M) weight gradient from input x and (B, ho, wo, C, M) g.
+
+    Per image, each tap's product with g is reduced over the positions;
+    the images' gradients are then summed in image order.
+    """
+    bsz, ho, wo, c, m = g.shape
+    taps = _taps(x, k, stride, ho, wo).transpose(3, 4, 0, 1, 2, 5)
+    prod = np.empty((ho, wo, c), dtype=x.dtype)
+    gw = None
+    for i in range(bsz):
+        gi = np.empty((k * k, c, m), dtype=x.dtype)
+        for t in range(k * k):
+            tap = taps[divmod(t, k)]
+            for j in range(m):
+                np.multiply(tap[i], g[i, ..., j], out=prod)
+                np.add.reduce(prod.reshape(ho * wo, c), axis=0, out=gi[t, :, j])
+        if gw is None:
+            gw = gi
+        else:
+            gw += gi
+    return gw.reshape(k, k, c, m)
 
 
 def conv2d_depthwise(x, w, b, stride):
@@ -1368,17 +1469,20 @@ def conv2d_depthwise(x, w, b, stride):
     in one op, the weight and bias gradients are summed per image, then
     over the images in image order, and the rule keeps the input.
 
-    No patch array is cut.  The forward reads the k² taps as strided views
-    of the padded input (``_taps``) and, once per multiplier m, sums their
-    products with the tap's weights in tap order, then adds 0.0 as it
-    writes the sum out; the weight gradient reduces each tap's product
-    with g over the positions with ``np.add.reduce``, which starts from
-    0.0 too.  Both are the ``einsum`` over the patches, bit for bit, -0.0
-    sums included.  The patch gradient is formed as broadcast products
-    ``g[..., m] * w[..., m]`` added in m order, not by an ``einsum`` over m.
-    For M <= 2 (the only M the model builds) that is the einsum's result bit
-    for bit; for M >= 3 the summation order can differ from the einsum's in
-    the last bit.
+    No patch array and no patch gradient is formed.  The forward reads the
+    k² taps as strided views of the padded input (``_taps``) and, once per
+    multiplier m, sums their products with the tap's weights in tap order,
+    then adds 0.0 as it writes the sum out; the weight gradient reduces
+    each tap's product with g over the positions with ``np.add.reduce``,
+    which starts from 0.0 too.  Both are the ``einsum`` over the patches,
+    bit for bit, -0.0 sums included.  Each tap's input gradient is the
+    broadcast products ``g[..., m] * w[t, :, m]`` added in m order, not an
+    ``einsum`` over m; for M <= 2 (the only M the model builds) that is the
+    einsum's result bit for bit, for M >= 3 the summation order can differ
+    from the einsum's in the last bit.  The taps' gradients are added into
+    the padded gradient tap by tap, in blocks of output rows taken last
+    first as in ``conv2d`` (``_scatter_taps``); at PosMLP-T's merges one
+    block covers the map.
     """
     k, ho, wo = _conv_shape("conv2d_depthwise", x, w, stride)
     bsz, _, _, c = x.shape
@@ -1387,13 +1491,13 @@ def conv2d_depthwise(x, w, b, stride):
         raise ShapeError(f"conv2d_depthwise: bias {b.shape} is not ({c * m},)")
     dtype = x.dtype
     wtaps = w.data.reshape(k * k, c, m)
-    taps = _taps(x.data, k, stride, ho, wo)
+    taps = _taps(x.data, k, stride, ho, wo).transpose(3, 4, 0, 1, 2, 5)
     out = np.empty((bsz, ho, wo, c, m), dtype=dtype)
     acc, prod = np.empty((2, bsz, ho, wo, c), dtype=dtype)
     for j in range(m):
-        np.multiply(taps[0], wtaps[0, :, j], out=acc)
+        np.multiply(taps[0, 0], wtaps[0, :, j], out=acc)
         for t in range(1, k * k):
-            np.multiply(taps[t], wtaps[t, :, j], out=prod)
+            np.multiply(taps[divmod(t, k)], wtaps[t, :, j], out=prod)
             acc += prod
         np.add(acc, 0.0, out=out[..., j])
     del taps, acc, prod
@@ -1406,28 +1510,20 @@ def conv2d_depthwise(x, w, b, stride):
         g = g.reshape(bsz, ho, wo, c, m)
         gx = gw = gb = None
         if xd is not None:
-            taps = _taps(_read(xd), k, stride, ho, wo)
-            prod = np.empty((ho, wo, c), dtype=dtype)
-            for i in range(bsz):
-                gi = np.empty((k * k, c, m), dtype=dtype)
-                for t, tap in enumerate(taps):
-                    for j in range(m):
-                        np.multiply(tap[i], g[i, ..., j], out=prod)
-                        np.add.reduce(prod.reshape(ho * wo, c), axis=0, out=gi[t, :, j])
-                if gw is None:
-                    gw = gi
-                else:
-                    gw += gi
-            gw = gw.reshape(k, k, c, m)
-            del taps
+            gw = _depthwise_weight_grad(_read(xd), g, k, stride)
         if to_b:
             gb = g.reshape(bsz, ho * wo, c * m).sum(axis=1).sum(axis=0)
         if to_x:
-            gm = g.reshape(bsz, ho * wo, c, m)
-            gcols = gm[:, :, None, :, 0] * wtaps[:, :, 0]
-            for j in range(1, m):
-                gcols += gm[:, :, None, :, j] * wtaps[:, :, j]
-            gx = _col2im(gcols, xshape, k, stride, ho, wo)
+            def tap_grads(r):
+                gr = g[:, r]
+                for t in range(k * k):
+                    gt = gr[..., 0] * wtaps[t, :, 0]
+                    for j in range(1, m):
+                        gt += gr[..., j] * wtaps[t, :, j]
+                    yield gt
+
+            blocks, _ = _conv_blocks(ho, wo * c * dtype.itemsize)
+            gx = _scatter_taps(tap_grads, blocks, xshape, dtype, k, stride, wo)
         return gx, gw, gb
 
     return _result(out, (x, w, b), vjp, "conv2d_depthwise")

@@ -336,6 +336,19 @@ def test_bad_model_setting_exits_2_and_writes_nothing(tmp_path, capsys, flags, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side, reason", [
+    ("30", "image side 30 must be divisible by 4"),
+    ("8", "stage 1: feature side 1 is odd; the merge halves it"),
+])
+def test_a_too_small_image_side_exits_2_with_the_configs_reason(tmp_path, capsys, side, reason):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "describe", "--variant", "MICRO", "--image-side", side,
+                       "--out", str(out))
+    assert code == 2
+    assert err.strip() == f"configuration error: {reason}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--query", "999"], ["--query", "-1"], ["--query", "2"], ["--layers", "99"],
     ["--layers", "0,99"], ["--layers", "-1"], ["--groups", "99"], ["--groups", "0,-1"],

@@ -1,9 +1,24 @@
 """The batched convolutions against the per-image loop they replaced.
 
 ``loop_conv2d`` and ``loop_conv2d_depthwise`` convolve one image at a time,
-forward and backward, exactly as the library once did.  The batched ops make
-the same BLAS call per image and sum the weight and bias gradients in the
-same order, so every output and gradient must match the loop bit for bit.
+forward and backward, exactly as the library once did: a whole patch matrix
+per image, one BLAS product with it, and its patch gradient scattered back
+tap by tap.  The ops form no patch matrix.  ``conv2d`` splits each of those
+products into blocks and relies on three bit identities, all checked here
+against the loop, bit for bit:
+
+- a row split of each image's forward product: blocks of output rows'
+  patches multiplied one at a time;
+- a split of the weight gradient's product into blocks of kernel rows;
+- the patch gradient's row blocks scattered last block first, which adds
+  into every input element in the whole-map order.
+
+The stem and merge shapes are MICRO's, where each map is one block, and
+PosMLP-T's, where the stem's maps split into several; the block shapes
+split into several unequal blocks at batch 2, stride 1 and 2 and odd
+sides.  The depthwise op's input gradient goes through the same scatter.
+The first two identities are properties of the BLAS these tests run on,
+not of the arithmetic (see ``tensor._CONV_BLOCK_BYTES``).
 """
 
 import numpy as np
@@ -22,6 +37,11 @@ MERGE_SHAPES = [
     (32, 8, 8, 16, 2, 2), (32, 4, 4, 32, 2, 2), (32, 2, 2, 64, 2, 2),
     (1, 56, 56, 96, 2, 2), (1, 28, 28, 192, 2, 2), (1, 14, 14, 384, 2, 2),
 ]
+# Shapes of several unequal output-row blocks, at batch 2, stride 1 and 2,
+# odd sides and PosMLP-T's widths; the stride-1 conv2d shape also splits
+# the weight gradient into one block per kernel row.
+BLOCK_CONV_SHAPES = [(2, 75, 77, 48, 48, 1), (2, 77, 75, 48, 96, 2)]
+BLOCK_DEPTHWISE_SHAPES = [(2, 127, 125, 48, 1, 1), (2, 153, 149, 96, 2, 2)]
 
 
 def _pad_hw(img, pad):
@@ -138,7 +158,7 @@ def _depthwise_case(rng, dtype, shape):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", STEM_SHAPES)
+@pytest.mark.parametrize("shape", STEM_SHAPES + BLOCK_CONV_SHAPES)
 def test_conv2d_matches_the_per_image_loop_bit_for_bit(rng, dtype, shape):
     x, w, b, g = _conv2d_case(rng, dtype, shape)
     assert x.shape[0] == 1 or not np.array_equal(x[0], x[1])
@@ -147,12 +167,37 @@ def test_conv2d_matches_the_per_image_loop_bit_for_bit(rng, dtype, shape):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", MERGE_SHAPES)
+@pytest.mark.parametrize("shape", MERGE_SHAPES + BLOCK_DEPTHWISE_SHAPES)
 def test_depthwise_matches_the_per_image_loop_bit_for_bit(rng, dtype, shape):
     x, w, b, g = _depthwise_case(rng, dtype, shape)
     assert x.shape[0] == 1 or not np.array_equal(x[0], x[1])
     _assert_bits(_run(T.conv2d_depthwise, x, w, b, shape[5], g),
                  loop_conv2d_depthwise(x, w, b, shape[5], 1, g))
+
+
+def _row_blocks(shape, row_elements, dtype):
+    ho, wo = (shape[1] - 1) // shape[5] + 1, (shape[2] - 1) // shape[5] + 1
+    blocks, _ = T._conv_blocks(ho, wo * row_elements * np.dtype(dtype).itemsize)
+    return [r.stop - r.start for r in blocks]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_block_shapes_split_into_unequal_blocks(dtype):
+    # The oracle tests above cover these splits only while these hold.
+    for shape in BLOCK_CONV_SHAPES:
+        lengths = _row_blocks(shape, 9 * shape[3], dtype)
+        assert len(lengths) >= 2 and len(set(lengths)) == 2
+    for shape in BLOCK_DEPTHWISE_SHAPES:
+        lengths = _row_blocks(shape, shape[3], dtype)
+        assert len(lengths) >= 2 and len(set(lengths)) == 2
+    # T's conv2 splits into row blocks and into one block per kernel row;
+    # MICRO's conv2 at batch 32 is one block of each.
+    t, micro = (1, 112, 112, 48, 48, 1), (32, 16, 16, 8, 8, 1)
+    itemsize = np.dtype(dtype).itemsize
+    assert len(_row_blocks(t, 9 * 48, dtype)) > 2
+    assert len(T._conv_blocks(3, 112 * 112 * 3 * 48 * itemsize)[0]) == 3
+    assert _row_blocks(micro, 9 * 8, dtype) == [16]
+    assert len(T._conv_blocks(3, 16 * 16 * 3 * 8 * itemsize)[0]) == 1
 
 
 def einsum_depthwise(x, w, b, stride, g):

@@ -248,6 +248,18 @@ def test_config_refuses_an_odd_feature_side_before_a_merge():
         M.variant_config("MICRO", image_side=36)
 
 
+@pytest.mark.parametrize("side, reason", [
+    (30, "image side 30 must be divisible by 4"),
+    (8, "stage 1: feature side 1 is odd; the merge halves it"),
+    (16, "stage 2: feature side 1 is odd; the merge halves it"),
+])
+def test_default_windows_leave_a_too_small_side_to_the_config_checks(side, reason):
+    # The merges halve these sides to 0 before the last stage; choosing its
+    # window must not fail first with an empty max().
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        M.variant_config("MICRO", image_side=side)
+
+
 def test_micro_forward_finite_logits(rng):
     m = micro()
     x = Tensor(rng.standard_normal((2, 32, 32, 3)).astype(np.float32))

@@ -6,8 +6,11 @@ them.  The retention tests drop every reference to an intermediate but
 the op's output, check through a weak reference that its array is gone,
 and check that the gradient equals the one computed with it held.  The
 convolutions' rules read their input, so for them the input must stay
-alive, as the one array the node keeps besides views of the weight, in
-place of the patch matrix.  A backward pass consumes the nodes it runs
+alive, as the one array the node keeps besides views of the weight; no
+patch matrix is kept, and the memory tests check that none is formed
+either: the stem's conv2 copies patches one block of output rows or one
+kernel row at a time and scatters its patch gradient block by block, last
+block first, and a merge's backward adds one tap's gradient at a time.  A backward pass consumes the nodes it runs
 through, so what the rules read is freed during the pass and a second pass
 through them is an error.  A rule that reads a result its op can remake
 keeps the remake instead: the remake tests check its bits, that keeping it
@@ -255,6 +258,59 @@ def test_a_depthwise_merge_cuts_no_patch_array(taped):
         tracemalloc.stop()
     padded = 58 * 58 * 96 * 4
     assert peak < padded + 2 * out.data.nbytes + 2 ** 18 < padded + patches + out.data.nbytes
+
+
+def test_the_t_stem_conv2_never_allocates_its_patch_matrix():
+    # PosMLP-T's stem conv2: 21.7 MB of patches from a 2.4 MB input.  The
+    # forward holds the padded input, its output and one block of patches;
+    # the weight gradient adds one kernel row's patch copy (a third of the
+    # patches) to the padded input, and the input gradient one block of the
+    # patch gradient to the padded gradient and the gradient itself.
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((1, 112, 112, 48)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.standard_normal((3, 3, 48, 48)), requires_grad=True, dtype=np.float32)
+    b = Tensor(np.zeros(48), requires_grad=True, dtype=np.float32)
+    g = rng.standard_normal((1, 112, 112, 48)).astype(np.float32)
+    patches = 112 * 112 * 9 * 48 * 4
+    padded = 114 * 114 * 48 * 4
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d(x, w, b, stride=1)
+        forward = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        grads = out._vjp(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [x.shape, w.shape, b.shape]
+    assert forward < padded + out.data.nbytes + 2 * T._CONV_BLOCK_BYTES
+    assert peak < out.data.nbytes + padded + patches // 3 + 2 ** 20 < patches
+
+
+def test_a_merge_backward_forms_no_patch_gradient():
+    # PosMLP-T's first patch merge: its (1, 784, 9, 96) patch gradient takes
+    # 2.7 MB.  The rule holds the padded gradient, then its cropped copy,
+    # and one tap's gradient and product at a time.
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((1, 56, 56, 96)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.standard_normal((3, 3, 96, 2)), requires_grad=True, dtype=np.float32)
+    b = Tensor(np.zeros(192), requires_grad=True, dtype=np.float32)
+    out = T.conv2d_depthwise(x, w, b, stride=2)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    patch_grad = 9 * 28 * 28 * 96 * 4
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = out._vjp(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [x.shape, w.shape, b.shape]
+    padded, tap = 58 * 58 * 96 * 4, 28 * 28 * 96 * 4
+    assert peak < padded + x.data.nbytes + 2 * tap < patch_grad + padded
 
 
 def _stack_gradients(form, frozen, hold):
