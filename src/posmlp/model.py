@@ -506,7 +506,9 @@ def load_checkpoint(path):
     record must share that float dtype, which becomes the model's.  Each
     record's bytes are then read straight into its parameter, or into its
     row of a quadratic unit's block, so a load holds one copy of the
-    parameters.  No path may appear twice, and every parameter must be read.
+    parameters.  No path may appear twice, every parameter must be read,
+    and every value must be finite: a NaN or inf record is refused as soon
+    as it is read.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -544,7 +546,10 @@ def load_checkpoint(path):
             if tuple(shape) != tuple(want):
                 raise CheckpointError(
                     f"shape mismatch for {name!r}: file has {tuple(shape)}, model needs {tuple(want)}")
-            _read_into(fh, p.data if row is None else p.data[row], name)
+            out = p.data if row is None else p.data[row]
+            _read_into(fh, out, name)
+            if not np.isfinite(out).all():
+                raise CheckpointError(f"parameter {name!r} holds a non-finite value")
             seen.add(name)
     if model is None:
         model = PosMlpModel(config, rng=ZeroDraws(), dtype=np.float32)

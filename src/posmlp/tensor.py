@@ -26,12 +26,12 @@ remade values, as it changes every rule that reads that parameter.
 Batched matrix products go through ``np.matmul`` over the leading batch
 axes, which numpy carries out as one BLAS call per matrix, so every batch
 element sees the byte-identical BLAS call it would see alone; this is what
-makes the window weight-sharing tests exact instead of merely close.  The
-convolutions keep the same results: each convolves the whole batch in one
-op with the bits of one BLAS call per image, though ``conv2d`` splits that
-call into blocks (its docstring names the splits and where their bits are
-checked), and sums its weight and bias gradients per image, then over the
-images in image order, as a loop over the images would.
+makes the window weight-sharing tests exact instead of merely close.  A
+weight shared by windows or images sums its gradient's products in order
+through one helper, ``_window_sum``.  The convolutions convolve the whole
+batch in one op with the bits of one BLAS call per image, though
+``conv2d`` splits that call into blocks (its docstring names the splits
+and where their bits are checked).
 
 Every op checks its own operands' shapes before it computes, and forms its
 result through ``_result``, which enforces the rest of the operand
@@ -348,10 +348,29 @@ def matmul(a, b):
     return _result(out, (a, b), vjp, "matmul")
 
 
+def _window_sum(a, b, out, part=None):
+    """Sum a shared weight's gradient, Σ_w ``a[w] @ b[w]``, into out in w order; return out.
+
+    The first product is written into out and each later one is formed
+    (into part, when given) and added, so an exactly -0.0 sum stays -0.0
+    where adding into a zero-filled matrix would give +0.0.  Each product
+    is one ``np.matmul``: one BLAS call per matrix of a stacked pair.
+    """
+    np.matmul(a[0], b[0], out=out)
+    for i in range(1, len(a)):
+        out += np.matmul(a[i], b[i], out=part)
+    return out
+
+
 def _by_group(a, s):
     """(B, N, C) array as the (B, s, N, c) view of its s channel groups."""
     b, n, c = a.shape
     return a.reshape(b, n, s, c // s).transpose(0, 2, 1, 3)
+
+
+def _mix_input_grad(w, gg, out):
+    """``mix_tokens``' input gradient: the (s, N, N) stack w, transposed, times the group view gg, into out."""
+    np.matmul(w.transpose(0, 2, 1), gg, out=out)
 
 
 def mix_tokens(w, x):
@@ -361,18 +380,18 @@ def mix_tokens(w, x):
     channel groups; one matrix is the stack ``w[:, None]`` of s = 1.  The
     forward and the input gradient are each one ``np.matmul`` of the
     stack's ``(s, N, N)`` view with the ``(B, s, N, c)`` view of every
-    window's channel groups, and the weight gradient is one per window;
-    numpy carries each out as one BLAS call per (window, group) on that
-    pair's strided matrices alone.  So each window's result is bitwise
-    identical to processing that window alone, and each group's to mixing
-    that group's channels on their own.  The stacks of ``softmax_stack``
-    and ``window_stack`` are group-major, so their ``(s, N, N)`` view is
+    window's channel groups, and the weight gradient is one per window,
+    summed over the windows in window order by ``_window_sum``; numpy
+    carries each out as one BLAS call per (window, group) on that pair's
+    strided matrices alone.  So each window's result is bitwise identical
+    to processing that window alone, and each group's to mixing that
+    group's channels on their own.  The stacks of ``softmax_stack`` and
+    ``window_stack`` are group-major, so their ``(s, N, N)`` view is
     contiguous and each group's matrix is read in one run; any other
     layout of w, and an x that is a view (a ``split`` part), give the same
     bits.  The weight gradient is formed group-major too and returned as
-    its ``(N, s, N)`` view.  ``mix_softmax_stack`` mixes through this op on
-    untaped operands, and forms its stack gradient in the same window
-    order without this op's full ``(N, s, N)`` one.
+    its ``(N, s, N)`` view.  ``mix_softmax_stack``'s rule forms its
+    products with the same ``_mix_input_grad`` and ``_window_sum`` calls.
     """
     if w.ndim != 3 or w.shape[0] != w.shape[2]:
         raise ShapeError(f"mix_tokens: expected an (N, s, N) stack, got {w.shape}")
@@ -380,28 +399,22 @@ def mix_tokens(w, x):
     if x.ndim != 3 or x.shape[1] != n or x.shape[2] % s != 0:
         raise ShapeError(f"mix_tokens: weights {w.shape} do not fit input {x.shape}")
     xshape, dtype = x.shape, x.dtype
-    bsz = xshape[0]
     wg = w.data.transpose(1, 0, 2)
     out = np.empty(xshape, dtype=dtype)
     np.matmul(wg, _by_group(x.data, s), out=_by_group(out, s))
     # The weight gradient reads x, the input gradient the weights.
     xk = _kept(x) if w.requires_grad else None
-    wgt = wg.transpose(0, 2, 1) if x.requires_grad else None
+    wk = wg if x.requires_grad else None
 
     def vjp(g):
         gw = gx = None
         gg = _by_group(g, s)
         if xk is not None:
-            xg = _by_group(_read(xk), s)
-            # The first window's products are written in place; the others add on.
-            acc = np.empty((s, n, n), dtype=dtype)
-            np.matmul(gg[0], xg[0].transpose(0, 2, 1), out=acc)
-            for b in range(1, bsz):
-                acc += np.matmul(gg[b], xg[b].transpose(0, 2, 1))
-            gw = acc.transpose(1, 0, 2)
-        if wgt is not None:
+            xgt = _by_group(_read(xk), s).transpose(0, 1, 3, 2)
+            gw = _window_sum(gg, xgt, np.empty((s, n, n), dtype=dtype)).transpose(1, 0, 2)
+        if wk is not None:
             gx = np.empty(xshape, dtype=dtype)
-            np.matmul(wgt, gg, out=_by_group(gx, s))
+            _mix_input_grad(wk, gg, _by_group(gx, s))
         return gw, gx
 
     return _result(out, (w, x), vjp, "mix_tokens")
@@ -427,18 +440,17 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
     place, so the output is bitwise that of ``mix_tokens`` followed by
     ``add_token_bias``.  The node keeps the recipe, x and its own output,
     not the stack: its rule rebuilds the stack from the recipe in chunks of
-    groups that stay in L2, with the stack's bits, and uses each chunk for
-    both gradients.  The chunk's input gradient is ``mix_tokens``' product,
-    so it has the same bits.  The vectors' gradient never forms the
-    ``(N, s, N)`` stack gradient.  The softmax's row term r comes from the
-    output: r_i = sum of G_i * (Z_i - b_i) over the windows and a group's
-    channels, which equals the row sum of the stack gradient times the
-    stack.  The chunk's stack gradient is formed window by window, in
-    ``mix_tokens``' order, less r, and multiplies the chunk, which was
-    rebuilt straight into the group-major ``(s, N^2)`` logit gradient.
-    One product with the features' transpose, the one ``matmul``'s rule
-    forms, ends the rule.  That product takes the whole logit gradient:
-    split into row blocks, OpenBLAS rounds it differently.
+    groups that stay in L2, with the stack's bits, and forms the chunk's
+    input gradient and stack gradient with ``mix_tokens``' own calls,
+    ``_mix_input_grad`` and ``_window_sum``.  The vectors' gradient never
+    forms the ``(N, s, N)`` stack gradient.  The softmax's row term r comes
+    from the output: r_i = sum of G_i * (Z_i - b_i) over the windows and a
+    group's channels, which equals the row sum of the stack gradient times
+    the stack.  The chunk's stack gradient, less r, multiplies the chunk,
+    which was rebuilt straight into the group-major ``(s, N^2)`` logit
+    gradient.  One product with the features' transpose, the one
+    ``matmul``'s rule forms, ends the rule.  That product takes the whole
+    logit gradient: split into row blocks, OpenBLAS rounds it differently.
     """
     if stack.ndim != 3 or stack.shape[0] != stack.shape[2]:
         raise ShapeError(f"mix_softmax_stack: expected an (N, s, N) stack, got {stack.shape}")
@@ -458,8 +470,7 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
     if bias is not None:
         out += bias.data[:, None]
     xshape, dtype = x.shape, stack.dtype
-    bsz = xshape[0]
-    grouped = (bsz, n, s, xshape[2] // s)
+    grouped = (xshape[0], n, s, xshape[2] // s)
     step = max(1, _STACK_CHUNK_BYTES // (n * n * dtype.itemsize))
     chunk = (min(step, s), n, n)
 
@@ -479,9 +490,9 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
             z = zd if bd is None else zd - bd[:, None]
             r = np.einsum("bnsc,bnsc->sn", g.reshape(grouped), z.reshape(grouped))
             del z
-            xg = _by_group(_read(xk), s)
+            xgt = _by_group(_read(xk), s).transpose(0, 1, 3, 2)
             gw = np.empty(chunk, dtype=dtype)
-            part = np.empty(chunk, dtype=dtype) if bsz > 1 else None
+            part = np.empty(chunk, dtype=dtype) if xshape[0] > 1 else None
         if to_x:
             gx = np.empty(xshape, dtype=dtype)
         if to_vectors or to_x:
@@ -492,15 +503,10 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
                 hi = min(lo + step, s)
                 y = recipe.write(lo, hi, ys[lo:hi] if to_vectors else ys[:hi - lo])
                 if to_x:
-                    np.matmul(y.transpose(0, 2, 1), gg[:, lo:hi], out=_by_group(gx, s)[:, lo:hi])
+                    _mix_input_grad(y, gg[:, lo:hi], _by_group(gx, s)[:, lo:hi])
                 if to_vectors:
-                    w = gw[:hi - lo]
-                    # The first window's products are written in place; the others add on.
-                    np.matmul(gg[0, lo:hi], xg[0, lo:hi].transpose(0, 2, 1), out=w)
-                    for b in range(1, bsz):
-                        np.matmul(gg[b, lo:hi], xg[b, lo:hi].transpose(0, 2, 1),
-                                  out=part[:hi - lo])
-                        w += part[:hi - lo]
+                    w = _window_sum(gg[:, lo:hi], xgt[:, lo:hi], gw[:hi - lo],
+                                    None if part is None else part[:hi - lo])
                     w -= r[lo:hi, :, None]
                     y *= w
         if to_vectors:
@@ -516,22 +522,17 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
 def linear(x, w, b):
     """Channel projection ``y = x @ w + b`` over the last axis of 2/3-D x.
 
-    A 3-D x goes through one ``np.matmul``, one BLAS call per leading index,
-    and the bias is added in place.  The weight gradient starts from the
-    first index's product and adds the others in order, so a product of
-    exactly -0.0 stays -0.0 where adding it to a zero-filled matrix would
-    give +0.0.
+    The forward is one ``np.matmul``, one BLAS call per leading index of a
+    3-D x, and the bias is added in place.  The weight gradient sums the
+    leading indices' products in index order with ``_window_sum`` (a 2-D x
+    is one index).
     """
     if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: cannot apply {w.shape} weight to input {x.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} does not match width {w.shape[1]}")
     xd, wd = x.data, w.data
-    if x.ndim == 2:
-        out = xd @ wd
-    else:
-        out = np.empty(xd.shape[:2] + (wd.shape[1],), dtype=xd.dtype)
-        np.matmul(xd, wd, out=out)
+    out = xd @ wd
     out += b.data
     # The input gradient reads the weight, the weight gradient the input.
     wt = wd.T if x.requires_grad else None
@@ -543,12 +544,9 @@ def linear(x, w, b):
         gw = None
         if xk is not None:
             xs = _read(xk)
-            if xs.ndim == 2:
-                gw = xs.T @ g
-            else:
-                gw = xs[0].T @ g[0]
-                for i in range(1, xs.shape[0]):
-                    gw += xs[i].T @ g[i]
+            xs = xs.reshape((-1,) + xs.shape[-2:])
+            gw = _window_sum(xs.transpose(0, 2, 1), g.reshape(xs.shape[:2] + (-1,)),
+                             np.empty((xs.shape[2], g.shape[-1]), dtype=g.dtype))
         return gx, gw, g.sum(axis=tuple(range(g.ndim - 1))) if bias_grad else None
 
     return _result(out, (x, w, b), vjp, "linear")
@@ -1341,23 +1339,24 @@ def _scatter_taps(tap_grads, blocks, shape, dtype, k, stride, wo):
 def _conv2d_weight_grad(x, g, k, stride, ho, wo):
     """conv2d's (k, k, Cin, Cout) weight gradient from input x and (B, ho*wo, Cout) g.
 
-    Per image, g multiplies one block of kernel rows' contiguous patch copy
-    at a time into those rows of the ``(k*k*Cin, Cout)`` product; the
-    images' products are then summed in image order.
+    g multiplies one block of kernel rows' contiguous patch copy at a time,
+    and ``_window_sum`` sums the images' products in image order straight
+    into those rows of the ``(k*k*Cin, Cout)`` gradient.
     """
     bsz, _, _, cin = x.shape
     cout, dtype, row = g.shape[2], x.dtype, k * cin
     taps = _taps(x, k, stride, ho, wo)
     blocks, most = _conv_blocks(k, ho * wo * row * dtype.itemsize)
     buf = np.empty(bsz * ho * wo * most * row, dtype=dtype)
-    gw = np.empty((bsz, k * row, cout), dtype=dtype)
+    part = np.empty((most * row, cout), dtype=dtype)
+    gw = np.empty((k * row, cout), dtype=dtype)
     for r in blocks:
         n = r.stop - r.start
         patches = buf[:bsz * ho * wo * n * row].reshape(bsz, ho, wo, n, k, cin)
         patches[...] = taps[:, :, :, r]
-        np.matmul(patches.reshape(bsz, ho * wo, n * row).transpose(0, 2, 1), g,
-                  out=gw[:, r.start * row:r.stop * row])
-    return gw.sum(axis=0).reshape(k, k, cin, cout)
+        _window_sum(patches.reshape(bsz, ho * wo, n * row).transpose(0, 2, 1), g,
+                    gw[r.start * row:r.stop * row], part[:n * row])
+    return gw.reshape(k, k, cin, cout)
 
 
 def conv2d(x, w, b, stride):
@@ -1367,9 +1366,10 @@ def conv2d(x, w, b, stride):
     ``ceil(H / stride) x ceil(W / stride)``.  The whole batch is convolved
     in one op and no patch matrix or patch gradient is formed.  Every
     result has the bits of one ``(ho*wo, k*k*Cin)`` patch matrix per image
-    multiplied by one BLAS call, with the weight and bias gradients summed
-    per image, then over the images in image order.  Three splits of those
-    products keep the bits (``_CONV_BLOCK_BYTES`` sizes their blocks and
+    multiplied by one BLAS call; the weight gradient sums the images'
+    products in image order with ``_window_sum``, and the bias gradient
+    sums per image, then over the images.  Three splits of those products
+    keep the bits (``_CONV_BLOCK_BYTES`` sizes their blocks and
     says where the first two, properties of the BLAS, stop holding):
 
     - the forward copies one block of output rows' patches at a time from
@@ -1439,7 +1439,8 @@ def _depthwise_weight_grad(x, g, k, stride):
     """conv2d_depthwise's (k, k, C, M) weight gradient from input x and (B, ho, wo, C, M) g.
 
     Per image, each tap's product with g is reduced over the positions;
-    the images' gradients are then summed in image order.
+    the images' gradients are then summed in image order as by
+    ``_window_sum``, which cannot take these non-BLAS reductions.
     """
     bsz, ho, wo, c, m = g.shape
     taps = _taps(x, k, stride, ho, wo).transpose(3, 4, 0, 1, 2, 5)
@@ -1467,7 +1468,8 @@ def conv2d_depthwise(x, w, b, stride):
     stride-2 patch-merging doubling.  As in ``conv2d``, the output is
     ``ceil(H / stride) x ceil(W / stride)``, the whole batch is convolved
     in one op, the weight and bias gradients are summed per image, then
-    over the images in image order, and the rule keeps the input.
+    over the images in image order (the weight's as ``_window_sum`` sums),
+    and the rule keeps the input.
 
     No patch array and no patch gradient is formed.  The forward reads the
     k² taps as strided views of the padded input (``_taps``) and, once per

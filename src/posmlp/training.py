@@ -96,6 +96,11 @@ class AdamW:
     def step(self, lr):
         if all(p.grad is None for p in self.params.values()):
             return
+        # Every gradient is checked before anything changes, so a refused
+        # step leaves the count, the moments and every parameter as they were.
+        for p in self.params.values():
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise T.ShapeError(f"gradient shape {p.grad.shape} != parameter {p.data.shape}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
@@ -114,8 +119,6 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if g.shape != p.data.shape:
-                raise T.ShapeError(f"gradient shape {g.shape} != parameter {p.data.shape}")
             data = p.data
             if data.dtype not in scratch:
                 scratch[data.dtype] = np.empty((2, T._CHUNK), data.dtype)

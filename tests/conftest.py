@@ -1,3 +1,4 @@
+import os
 import tempfile
 
 import numpy as np
@@ -18,6 +19,36 @@ settings.load_profile("posmlp")
 
 def pytest_unconfigure(config):
     _HYPOTHESIS_HOME.cleanup()
+
+
+# Tests never write into the working tree.  The checkout's paths are listed
+# when the session starts; a path that appears by its end fails the run.
+_CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_NOT_LISTED = {"__pycache__", ".git"}
+_PATHS_AT_START = pytest.StashKey()
+
+
+def _checkout_paths():
+    paths = set()
+    for top, dirs, files in os.walk(_CHECKOUT):
+        dirs[:] = [d for d in dirs if d not in _NOT_LISTED]
+        paths.update(os.path.relpath(os.path.join(top, name), _CHECKOUT) for name in dirs + files)
+    return paths
+
+
+def pytest_sessionstart(session):
+    session.config.stash[_PATHS_AT_START] = _checkout_paths()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    before = session.config.stash.get(_PATHS_AT_START, None)
+    if before is None:
+        return
+    new = sorted(_checkout_paths() - before)
+    if new:
+        session.config.get_terminal_writer().line(
+            "\ntests wrote into the working tree: " + ", ".join(new), red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(autouse=True)

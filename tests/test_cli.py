@@ -272,6 +272,24 @@ def test_load_corrupt_config_is_io_error(tmp_path, capsys):
     assert code == 3 and "__config__" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("command", ["load", "eval", "attn"])
+def test_non_finite_checkpoint_is_io_error(tmp_path, capsys, command, bad):
+    ckpt = tmp_path / "m.pmlp"
+    assert run(capsys, "save", "--variant", "MICRO", "--checkpoint", str(ckpt),
+               "--out", str(tmp_path))[0] == 0
+    blob = bytearray(ckpt.read_bytes())
+    # head.bias is a rank-1 float32 record: dtype tag, rank, one extent, data.
+    at = blob.find(b"head.bias") + len(b"head.bias") + 2 + 4
+    blob[at:at + 4] = np.float32(bad).tobytes()
+    ckpt.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--checkpoint", str(ckpt), "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert err.startswith("i/o error:") and "'head.bias'" in err and "non-finite" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_attn_missing_checkpoint_is_io_error(tmp_path, capsys):
     # a mistyped checkpoint path must not silently export a fresh model
     code, _, err = run(capsys, "attn", "--variant", "MICRO",

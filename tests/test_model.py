@@ -598,6 +598,22 @@ def test_checkpoint_corrupt_shape_names_parameter(tmp_path):
     assert "head.bias" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("record", ["head.bias", "stages.1.blocks.0.unit.gqpe.3.gamma"])
+def test_checkpoint_non_finite_value_names_its_record(tmp_path, record, bad):
+    m = micro()
+    records = file_records(m)
+    i = [name for name, _ in records].index(record)
+    arr = records[i][1].copy()
+    arr.reshape(-1)[-1] = bad
+    records[i] = (record, arr)
+    path = tmp_path / "bad.pmlp"
+    _write_checkpoint(path, m.config, records)
+    with pytest.raises(M.CheckpointError, match="non-finite") as err:
+        M.load_checkpoint(path)
+    assert repr(record) in str(err.value)
+
+
 def test_checkpoint_float64_roundtrip(tmp_path, rng):
     m = micro(dtype=np.float64, seed=13)
     path = tmp_path / "f64.pmlp"

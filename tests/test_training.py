@@ -245,12 +245,29 @@ def test_a_step_with_no_gradient_is_not_counted(rng):
     assert runs[1] == runs[0]
 
 
+def _optimizer_state(opt):
+    params = opt.params.values()
+    return ([p.data.tobytes() for p in params], [p.grad.tobytes() for p in params],
+            {k: v.tobytes() for k, v in opt.m.items()}, {k: v.tobytes() for k, v in opt.v.items()})
+
+
 def test_shape_mismatch_rejected():
-    p = Tensor(np.zeros(3), requires_grad=True)
-    p.grad = np.zeros(4)
-    opt = TR.AdamW({"w": p}, TR.TrainConfig())
-    with pytest.raises(T.ShapeError):
-        opt.step(lr=0.1)
+    # The bad gradient comes second, for a fresh optimizer and after a step:
+    # the refused step must not have counted a step, made or moved a moment,
+    # or applied or dropped the first parameter's gradient.
+    for earlier_steps in (0, 1):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        opt = TR.AdamW({"a": a, "b": b}, TR.TrainConfig())
+        for _ in range(earlier_steps):
+            a.grad, b.grad = np.full(3, 0.5), np.full(3, -0.5)
+            opt.step(lr=0.1)
+        a.grad, b.grad = np.full(3, 2.0), np.zeros(4)
+        before = _optimizer_state(opt)
+        with pytest.raises(T.ShapeError, match=r"gradient shape \(4,\) != parameter \(3,\)"):
+            opt.step(lr=0.1)
+        assert opt.step_count == earlier_steps
+        assert _optimizer_state(opt) == before
 
 
 # -- synthetic dataset -----------------------------------------------------------------
