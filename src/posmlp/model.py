@@ -478,14 +478,23 @@ def _records(params):
 
 
 def save_checkpoint(model, path):
-    """Write magic, version, config record, then every parameter buffer."""
+    """Write magic, version, config record, then every parameter buffer.
+
+    A NaN or inf parameter, which ``load_checkpoint`` would refuse, is
+    refused before the file is opened, so no file is written.
+    """
     cfg_bytes = json.dumps(model.config.to_json_dict(), sort_keys=True).encode("utf-8")
+    buffers = {name: p.data if row is None else p.data[row]
+               for name, (p, row) in _records(model.parameters()).items()}
+    for name, arr in buffers.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {name!r} holds a non-finite value; not saved")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         _write_record(fh, "__config__", np.frombuffer(cfg_bytes, dtype=np.uint8))
-        for name, (p, row) in _records(model.parameters()).items():
-            _write_record(fh, name, p.data if row is None else p.data[row])
+        for name, arr in buffers.items():
+            _write_record(fh, name, arr)
 
 
 def _decode_config(arr):

@@ -79,6 +79,11 @@ def check_int(name, value, least=1, error=ValueError):
     return int(value)
 
 
+def _extents(op, shape):
+    """``shape`` as a tuple of ints, each at least 1; else a ``ShapeError`` naming ``op``."""
+    return tuple(check_int(f"{op}: extent", s, error=ShapeError) for s in shape)
+
+
 def _axis(op, axis, ndim):
     """``axis`` of an ndim-D operand counted from 0; refuses one outside [-ndim, ndim)."""
     if check_int(f"{op}: axis", axis, least=-ndim, error=ShapeError) >= ndim:
@@ -105,10 +110,11 @@ def _validate_finite(name, *arrays):
 class Tensor:
     """A dense n-dimensional array with an optional gradient tape node.
 
-    ``data`` is a float32 or float64 ndarray.  The constructor copies its
-    input to C-contiguous memory, and most ops form fresh contiguous
-    results; two kinds of op result are views instead: ``split``'s parts,
-    slices of their input, and the group-major stacks of ``softmax_stack``
+    ``data`` is a float32 or float64 ndarray; any other ``dtype`` is
+    refused with a ``ShapeError``.  The constructor copies its input to
+    C-contiguous memory, and most ops form fresh contiguous results; two
+    kinds of op result are views instead: ``split``'s parts, slices of
+    their input, and the group-major stacks of ``softmax_stack``
     and ``window_stack``, whose ``(N, s, N)`` data is the axis-swapped view
     of ``(s, N, N)`` memory.  Leaves created with ``requires_grad=True``
     receive a ``grad`` buffer of the same shape when ``backward`` runs.  A
@@ -123,6 +129,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
+            if np.dtype(dtype) not in (np.float32, np.float64):
+                raise ShapeError(f"tensor dtype must be float32 or float64, got {np.dtype(dtype)}")
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
@@ -579,7 +587,7 @@ def add_token_bias(x, b):
 # -- shape ops (copies, except split's views of its input) ------------------
 
 def reshape(x, shape):
-    shape = tuple(check_int("reshape: extent", s, error=ShapeError) for s in shape)
+    shape = _extents("reshape", shape)
     if np.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     old = x.shape
@@ -688,11 +696,15 @@ def concat(parts, axis=-1):
 
 
 def take(x, flat_indices, out_shape):
-    """Gather ``x.flat[idx]`` into ``out_shape``; duplicates accumulate on backward."""
+    """Gather ``x.flat[idx]`` into ``out_shape``; duplicates accumulate on backward.
+
+    ``out_shape`` follows ``reshape``'s extent rule, so an empty gather is refused.
+    """
     idx = _integers("take: indices", flat_indices, ShapeError)
+    out_shape = _extents("take", out_shape)
     if np.prod(out_shape) != idx.size:
-        raise ShapeError(f"take: {idx.size} indices do not fill {tuple(out_shape)}")
-    if idx.size and not 0 <= idx.min() <= idx.max() < x.size:
+        raise ShapeError(f"take: {idx.size} indices do not fill {out_shape}")
+    if not 0 <= idx.min() <= idx.max() < x.size:
         raise ShapeError(f"take: an index lies outside the {x.size} elements of {x.shape}")
     data = x.data.reshape(-1)[idx].reshape(out_shape)
     shape, size = x.shape, x.size
@@ -709,6 +721,7 @@ def _permuted_view(op, x, shape, axes):
     """x's data read as ``shape`` with its axes permuted by ``axes``, and the inverse axes."""
     view = x.data
     if shape is not None:
+        shape = _extents(op, shape)
         if np.prod(shape) != x.size:
             raise ShapeError(f"{op}: {shape} does not hold the {x.size} elements of {x.shape}")
         view = view.reshape(shape)
@@ -725,8 +738,9 @@ def permute_flat(x, shape, axes, out_shape):
     if axes is None:
         raise ShapeError("permute_flat: axes are required; reshape is the op for a pure reshape")
     view, inv = _permuted_view("permute_flat", x, shape, axes)
+    out_shape = _extents("permute_flat", out_shape)
     if np.prod(out_shape) != x.size:
-        raise ShapeError(f"permute_flat: {tuple(out_shape)} does not hold the {x.size} "
+        raise ShapeError(f"permute_flat: {out_shape} does not hold the {x.size} "
                          f"elements of {x.shape}")
     data = view.copy().reshape(out_shape)
     view_shape, shape = view.shape, x.shape
@@ -1611,14 +1625,6 @@ def tape_census(root):
     return census
 
 
-def _fresh(g, results):
-    """Per result of a rule given g: a writeable array sharing no memory with g or the others?"""
-    return [isinstance(r, np.ndarray) and r.flags.writeable and not np.may_share_memory(r, g)
-            and not any(j != i and q is not None and np.may_share_memory(r, q)
-                        for j, q in enumerate(results))
-            for i, r in enumerate(results)]
-
-
 def backward(loss):
     """Run reverse-mode differentiation from a scalar loss.
 
@@ -1632,15 +1638,9 @@ def backward(loss):
     gradient is deposited.
 
     A node's gradient is the sum of what its consumers' rules return, in
-    the order they fire.  The sum is formed in place, with ``+=`` or into
-    the arriving array, whenever one of the two arrays is owned: an array
-    that backward allocated, or one that a rule returned sharing no memory
-    with the gradient the rule was given or with its other results.  Rules
-    return arrays they made or views of the gradient they were given (the
-    residual ``add`` hands that same array to both operands), so an owned
-    array is held by nothing but backward; a view, and a leaf's ``grad``,
-    which belongs to the caller, are never added into.  Either way each
-    entry is the same ``+`` of the same two values, bit for bit.
+    the order they fire, each sum a new array ``acc + pg``.  Backward never
+    writes into an array a rule returned or into a leaf's earlier ``grad``,
+    so a rule may return a view or a buffer it keeps.
     """
     if loss.ndim != 0:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -1650,11 +1650,8 @@ def backward(loss):
     if any(node._vjp is _consumed for node in order):
         _consumed()
     grads = {id(loss._node): np.ones((), dtype=loss.dtype)}
-    owned = set()  # keys of the sums that backward may add into in place
     for node in reversed(order):
-        key = id(node)
-        g = grads.pop(key, None)
-        owned.discard(key)
+        g = grads.pop(id(node), None)
         vjp = node._vjp
         if vjp is None:
             # requires-grad leaf: deposit.
@@ -1666,25 +1663,9 @@ def backward(loss):
         if g is None:
             continue
         parent_grads = vjp(g)
-        fresh = _fresh(g, parent_grads)
         del g, vjp
-        for p, pg, new in zip(parents, parent_grads, fresh):
-            if p is None or pg is None:
-                continue
-            key = id(p)
-            acc = grads.get(key)
-            if acc is None:
-                grads[key] = pg
-                if new:
-                    owned.add(key)
-            elif key in owned:
-                acc += pg
-            elif new:
-                grads[key] = np.add(acc, pg, out=pg)
-                owned.add(key)
-            else:
-                grads[key] = acc + pg
-                # A sum of 0-d arrays is a numpy scalar, which += would rebind.
-                if isinstance(grads[key], np.ndarray):
-                    owned.add(key)
-        parent_grads = pg = acc = None
+        for p, pg in zip(parents, parent_grads):
+            if p is not None and pg is not None:
+                key = id(p)
+                grads[key] = grads[key] + pg if key in grads else pg
+        parent_grads = pg = None

@@ -614,6 +614,19 @@ def test_checkpoint_non_finite_value_names_its_record(tmp_path, record, bad):
     assert repr(record) in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("record", ["head.bias", "stages.1.blocks.0.unit.gqpe.3.gamma"])
+def test_save_refuses_a_non_finite_parameter_and_writes_no_file(tmp_path, record, bad):
+    m = micro()
+    p, row = M._records(m.parameters())[record]
+    (p.data if row is None else p.data[row]).reshape(-1)[-1] = bad
+    path = tmp_path / "bad.pmlp"
+    with pytest.raises(M.CheckpointError, match="non-finite") as err:
+        M.save_checkpoint(m, path)
+    assert repr(record) in str(err.value)
+    assert not path.exists()
+
+
 def test_checkpoint_float64_roundtrip(tmp_path, rng):
     m = micro(dtype=np.float64, seed=13)
     path = tmp_path / "f64.pmlp"

@@ -413,7 +413,7 @@ def test_backward_visits_each_node_once(rng):
 
 
 def oracle_backward(loss):
-    """Reverse accumulation as ``backward`` once did it: every sum a new array, acc + pg."""
+    """Reverse accumulation by ``backward``'s one rule: every sum a new array, acc + pg."""
     order = T._topo_order(loss)
     grads = {id(loss._node): np.ones((), dtype=loss.dtype)}
     for node in reversed(order):
@@ -483,28 +483,34 @@ def test_a_gradient_handed_to_two_operands_is_added_into_by_neither(first, passe
 
 
 def test_a_scalar_node_sums_every_gradient_it_gets():
-    # The sum of two 0-d gradients is a numpy scalar, not an array to add into.
+    # The sum of two 0-d gradients is a numpy scalar, which s's rule takes as its g.
     x = t64([1.0, 2.0], grad=True)
     s = T.weighted_sum(x, np.ones(2))
     backward(T.add(T.add(s, s), T.add(s, s)))
     np.testing.assert_array_equal(x.grad, [4.0, 4.0])
 
 
-def test_backward_adds_a_fresh_gradient_into_the_sum_in_place(rng):
-    # Three consumers' rules return fresh arrays for h; the sum h's rule
-    # receives is the first of them, added into, not a new array.
-    x = t64(rng.standard_normal((3, 4)), grad=True)
-    h = T.scale(x, 1.0)
-    parts = [T.scale(h, c) for c in (2.0, 3.0, 4.0)]
-    returned, received = [], []
-    for part in parts:
-        rule = part._vjp
-        part._vjp = lambda g, rule=rule: returned.append(rule(g)[0]) or (returned[-1],)
-    rule = h._vjp
-    h._vjp = lambda g: received.append(g) or rule(g)
-    backward(T.sum_all(T.add(T.add(parts[0], parts[1]), parts[2])))
-    assert len(returned) == 3 and received[0] is returned[0]
-    np.testing.assert_array_equal(x.grad, np.full((3, 4), 9.0))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_writes_into_no_array_a_rule_returned(dtype):
+    # Every rule's results are copied as they are returned; backward sums
+    # them into new arrays, so each still holds those bytes afterwards.
+    # split's part rules are left out: they fill the one buffer the first
+    # of them returned, which that rule keeps until its node passes it on.
+    loss, (x, _), held = _fan_in_graph(dtype)
+    returned = []
+    for node in T._topo_order(loss):
+        if node._vjp is not None and node.op != "split":
+            def wrapped(g, rule=node._vjp):
+                results = rule(g)
+                returned.extend((r, r.copy()) for r in results if isinstance(r, np.ndarray))
+                return results
+            node._vjp = wrapped
+    backward(loss)
+    assert len(returned) > 10
+    for array, copy in returned:
+        assert array.tobytes() == copy.tobytes()
+    np.testing.assert_array_equal(held, np.full((4, 6), 0.5, dtype=dtype))
+    assert x.grad is not held
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -829,6 +835,12 @@ def test_cross_entropy_refuses_a_label_that_is_no_class(labels, match):
 
 @pytest.mark.parametrize("call, match", [
     (lambda x: T.reshape(x, (2.5, 4.9)), r"^reshape: extent .* got 2\.5$"),
+    (lambda x: T.take(x, [0, 1], (-2, -3)), r"^take: extent .* got -2$"),
+    (lambda x: T.take(x, np.zeros(0, dtype=int), (0,)), r"^take: extent .* got 0$"),
+    (lambda x: T.permute_flat(x, (3, 4), (1, 0), (-2, -3)), r"^permute_flat: extent .* got -2$"),
+    (lambda x: T.permute_flat(x, (2.0, 6), (1, 0), (12,)), r"^permute_flat: extent .* got 2\.0$"),
+    (lambda x: T.permute_flat(x, (3, 4), (1, 0), (2.0, 6)), r"^permute_flat: extent .* got 2\.0$"),
+    (lambda x: T.softmax_rows(x, (-2, -3)), r"^softmax_rows: extent .* got -2$"),
     (lambda x: T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)), groups=0),
      r"^layer_norm: groups .* got 0$"),
     (lambda x: T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)), groups=2.0),
@@ -883,6 +895,14 @@ def test_grad_matches_shape(rng):
 def test_default_dtype_is_float32():
     assert Tensor([1, 2, 3]).dtype == np.float32
     assert Tensor(np.array([1.0, 2.0])).dtype == np.float64  # preserved
+    assert Tensor([1, 2], dtype=np.float64).dtype == np.float64
+    assert Tensor(np.array([1.0, 2.0]), dtype=np.float32).dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, bool])
+def test_tensor_refuses_a_dtype_other_than_float32_or_float64(dtype):
+    with pytest.raises(T.ShapeError, match=f"got {np.dtype(dtype)}$"):
+        Tensor([1.0, 2.0], dtype=dtype)
 
 
 # -- bitwise oracles: the formulas with full-size temporaries --------------------
