@@ -157,12 +157,6 @@ class Tensor:
         """The vector-Jacobian rule of this tensor's tape node, or None."""
         return None if self._node is None else self._node._vjp
 
-    @_vjp.setter
-    def _vjp(self, vjp):
-        if self._node is None:
-            raise GradError("only a result recorded on the tape has a vjp to replace")
-        self._node._vjp = vjp
-
     @property
     def consumed(self):
         """True once a backward pass has run through this tensor's tape node."""
@@ -717,27 +711,21 @@ def take(x, flat_indices, out_shape):
     return _result(data, (x,), vjp, "take")
 
 
-def _permuted_view(op, x, shape, axes):
-    """x's data read as ``shape`` with its axes permuted by ``axes``, and the inverse axes."""
-    view = x.data
-    if shape is not None:
-        shape = _extents(op, shape)
-        if np.prod(shape) != x.size:
-            raise ShapeError(f"{op}: {shape} does not hold the {x.size} elements of {x.shape}")
-        view = view.reshape(shape)
-    if axes is None:
-        return view, None
-    axes = tuple(check_int(f"{op}: axis", a, least=0, error=ShapeError) for a in axes)
-    if sorted(axes) != list(range(view.ndim)):
-        raise ShapeError(f"{op}: {axes} is not a permutation of the axes of {view.shape}")
-    return view.transpose(axes), tuple(np.argsort(axes).tolist())
-
-
 def permute_flat(x, shape, axes, out_shape):
-    """x read as ``shape``, axes permuted by ``axes``, copied out as ``out_shape``."""
+    """x read as ``shape`` (its own if None), axes permuted by ``axes``, copied out as ``out_shape``."""
     if axes is None:
         raise ShapeError("permute_flat: axes are required; reshape is the op for a pure reshape")
-    view, inv = _permuted_view("permute_flat", x, shape, axes)
+    view = x.data
+    if shape is not None:
+        shape = _extents("permute_flat", shape)
+        if np.prod(shape) != x.size:
+            raise ShapeError(f"permute_flat: {shape} does not hold the {x.size} "
+                             f"elements of {x.shape}")
+        view = view.reshape(shape)
+    axes = tuple(check_int("permute_flat: axis", a, least=0, error=ShapeError) for a in axes)
+    if sorted(axes) != list(range(view.ndim)):
+        raise ShapeError(f"permute_flat: {axes} is not a permutation of the axes of {view.shape}")
+    view, inv = view.transpose(axes), tuple(np.argsort(axes).tolist())
     out_shape = _extents("permute_flat", out_shape)
     if np.prod(out_shape) != x.size:
         raise ShapeError(f"permute_flat: {out_shape} does not hold the {x.size} "
@@ -926,14 +914,8 @@ def softplus(x):
     return _result(out.astype(xd.dtype, copy=False), (x,), vjp, "softplus")
 
 
-def softmax_rows(x, shape=None, axes=None):
+def softmax_rows(x):
     """Softmax over the last axis, stabilized by max subtraction.
-
-    With ``shape`` and ``axes`` the rows are read from a view of x: its data
-    reshaped to ``shape``, then with the axes permuted by ``axes``.  The
-    output is a fresh contiguous array in the permuted layout, bitwise equal
-    to copying x into that layout first, and the gradient is returned in x's
-    own layout.  No permuted copy of x is made or kept.
 
     An entry whose logit lies more than ln(eps/tiny) below its row's maximum
     (71.39 in float32, 672.35 in float64) gets weight exactly 0: one masked
@@ -946,14 +928,13 @@ def softmax_rows(x, shape=None, axes=None):
     puts several percent of its float32 weights where such products are
     subnormal, and each mixing product and its gradient slows on common CPUs.
     """
-    view, inv = _permuted_view("softmax_rows", x, shape, axes)
-    if view.ndim < 2:
-        raise ShapeError(f"softmax_rows expects a matrix or a stack of rows, got {view.shape}")
-    y = np.empty(view.shape, dtype=view.dtype)
-    np.subtract(view, view.max(axis=-1, keepdims=True), out=y)
+    if x.ndim < 2:
+        raise ShapeError(f"softmax_rows expects a matrix or a stack of rows, got {x.shape}")
+    y = np.empty(x.shape, dtype=x.dtype)
+    np.subtract(x.data, x.data.max(axis=-1, keepdims=True), out=y)
     _cut_exp(y)
     y /= y.sum(axis=-1, keepdims=True)
-    return _softmax_result(y, x, inv, "softmax_rows")
+    return _softmax_result(y, x, "softmax_rows")
 
 
 def _cut_exp(y):
@@ -965,13 +946,12 @@ def _cut_exp(y):
     np.exp(y, out=y)
 
 
-def _softmax_result(y, x, inv, op_name, swap=False):
+def _softmax_result(y, x, op_name, swap=False):
     """Row softmaxes y of x's data as the op's result on x.
 
-    The gradient is the softmax's, returned in x's own layout: ``inv``
-    permutes y's axes back to those of x's view, whose data x holds.  With
-    ``swap`` the result is the view of 3-D y with its first two axes
-    swapped, and the rule reads its gradient through the same swap.
+    The gradient is the softmax's, returned in x's shape.  With ``swap`` the
+    result is the view of 3-D y with its first two axes swapped, and the
+    rule reads its gradient through the same swap.
     """
     shape = x.shape
 
@@ -980,8 +960,6 @@ def _softmax_result(y, x, inv, op_name, swap=False):
             g = g.transpose(1, 0, 2)
         gx = g - (g * y).sum(axis=-1, keepdims=True)
         gx *= y
-        if inv is not None:
-            gx = np.ascontiguousarray(gx.transpose(inv))
         return (gx.reshape(shape),)
 
     return _result(y.transpose(1, 0, 2) if swap else y, (x,), vjp, op_name)
@@ -1058,35 +1036,30 @@ class StackRecipe:
     """What a softmax stack is rebuilt from, some groups at a time, with its bits.
 
     ``softmax_stack`` returns one with the ``(N, s, N)`` stack it forms;
-    ``shape`` is that stack's shape.  On its table path the recipe is that
-    path's small arrays: each group's (2k-1)^2 exponentiated logits
-    (``table``); the groups, rows and numerators of the rows that miss
-    their group's peak (``off_peak``); and every row's sum, group-major
-    (``sums``).  Where the op fell back to a row-by-row softmax, ``dense``
-    is the stack's group-major ``(s, N, N)`` memory.  A PosMLP-T stage-2
-    recipe at initialisation holds 170 KB (70 off-peak rows), against the
-    stack's 4.9 MB.
+    ``shape`` is that stack's shape.  The recipe is the op's small arrays:
+    each group's (2k-1)^2 exponentiated logits (``table``); the groups,
+    rows and numerators of the rows that miss their group's peak
+    (``off_peak``); and every row's sum, group-major (``sums``).  A
+    PosMLP-T stage-2 recipe at initialisation holds 170 KB (70 off-peak
+    rows), against the stack's 4.9 MB.  Where the op found unequal pairs,
+    every row is off peak and the numerators are the stack's size.
     """
 
-    __slots__ = ("shape", "table", "off_peak", "sums", "dense")
+    __slots__ = ("shape", "table", "off_peak", "sums")
 
-    def __init__(self, shape, table=None, off_peak=None, sums=None, dense=None):
+    def __init__(self, shape, table, off_peak, sums):
         self.shape = shape
         self.table = table
         self.off_peak = off_peak
         self.sums = sums
-        self.dense = dense
 
     def write(self, lo, hi, out):
         """Groups lo to hi of the stack, group-major, written into ``(hi - lo, N, N)`` ``out``.
 
-        Each entry is the stack's numerator, copied out through the table
-        path's strided views or from its off-peak row, divided by the same
+        Each entry is the stack's numerator, copied out through the table's
+        strided views or from its off-peak row, divided by the same
         row sum, so it has the stack's bits.  Returns ``out``.
         """
-        if self.dense is not None:
-            np.copyto(out, self.dense[lo:hi])
-            return out
         k = math.isqrt(self.shape[0])
         sums = self.sums[lo:hi]
         # Each numerator is divided as it is copied out; an off-peak row's
@@ -1100,7 +1073,7 @@ class StackRecipe:
 
 
 def softmax_stack(x, pairs):
-    """The ``(N, s, N)`` view of ``softmax_rows(x, (s, N, N))``, for logits of displacement alone.
+    """The ``(N, s, N)`` view of x's ``(s, N, N)`` row softmaxes, for logits of displacement alone.
 
     x is the group-major ``(s, N^2)`` product of s logit vectors with the
     features of a k x k window (N = k^2): entry ``i * N + j`` of row g is
@@ -1109,11 +1082,11 @@ def softmax_stack(x, pairs):
     the flat indices of the first and the last pair of each of the
     (2k-1)^2 displacements, entry ``(dx + k - 1) * (2k - 1) + (dy + k - 1)``
     for displacement (dx, dy).  Returns the stack of row softmaxes, bit for
-    bit ``softmax_rows``' and with its gradient returned in x's layout, and
-    the stack's ``StackRecipe``, from which ``mix_softmax_stack``'s rule
-    rebuilds the stack without keeping it.  The stack is group-major, like
-    x: its data is the ``(N, s, N)`` view of ``(s, N, N)`` memory, so each
-    group's matrix is one contiguous run.
+    bit ``softmax_rows`` of x's ``(s, N, N)`` view and with its gradient
+    returned in x's layout, and the stack's ``StackRecipe``, from which
+    ``mix_softmax_stack``'s rule rebuilds the stack without keeping it.
+    The stack is group-major, like x: its data is the ``(N, s, N)`` view of
+    ``(s, N, N)`` memory, so each group's matrix is one contiguous run.
 
     Every row's maximum is taken from x, in one exact pass.  A group's
     (2k-1)^2 distinct logits are read at the first pairs.  The rows whose
@@ -1126,14 +1099,15 @@ def softmax_stack(x, pairs):
     values, and the row sums and the division are ``softmax_rows``'.  The
     recipe keeps the table, the off-peak numerators and the row sums.
 
-    The bits rest on pairs of equal displacement holding equal logits.  In
-    exact arithmetic a product with equal feature columns gives them, but
-    in floating point it is an assumption about the BLAS: that it rounds
-    equal columns alike wherever they sit in the product.  The op checks it
-    at the first and the last pair of each displacement, and where they
-    differ in any group (a NaN among them included) it returns
-    ``softmax_rows(x, (s, N, N))``'s data, whose recipe is the stack
-    itself.  Pairs in between are not checked.
+    The table rests on pairs of equal displacement holding equal logits.
+    In exact arithmetic a product with equal feature columns gives them,
+    but in floating point it is an assumption about the BLAS: that it
+    rounds equal columns alike wherever they sit in the product.  The op
+    checks it at the first and the last pair of each displacement, and
+    where they differ in any group (a NaN among them included) it marks
+    every row off peak, so each is exponentiated from its own logits,
+    which is ``softmax_rows``' computation, and the recipe's numerators are
+    the whole stack's.  Pairs in between are not checked.
     """
     n = math.isqrt(x.shape[-1])
     k = math.isqrt(n)
@@ -1150,21 +1124,20 @@ def softmax_stack(x, pairs):
     # order the t224_infer benchmark's peak RSS read 2.7 MB higher.
     y = np.empty((s, n, n), dtype=dtype)
     table = x.data.take(pairs[0], axis=1)
-    if np.array_equal(table, x.data.take(pairs[1], axis=1)):
-        table -= top
-        _cut_exp(table)
-        _copy_windows(table, k, y)
-        own = rows[g, i]
-        own -= row_max[g, i, None]
-        _cut_exp(own)
-        y[g, i] = own
-        sums = y.sum(axis=-1, keepdims=True)
-        y /= sums
-        recipe = StackRecipe((n, s, n), table, (g, i, own), sums)
-    else:
-        y = softmax_rows(_untaped(x.data), (s, n, n)).data
-        recipe = StackRecipe((n, s, n), dense=y)
-    return _softmax_result(y, x, None, "softmax_stack", swap=True), recipe
+    if not np.array_equal(table, x.data.take(pairs[1], axis=1)):
+        # Every row is off peak, exponentiated from its own logits.
+        g, i = np.divmod(np.arange(s * n), n)
+    table -= top
+    _cut_exp(table)
+    _copy_windows(table, k, y)
+    own = rows[g, i]
+    own -= row_max[g, i, None]
+    _cut_exp(own)
+    y[g, i] = own
+    sums = y.sum(axis=-1, keepdims=True)
+    y /= sums
+    recipe = StackRecipe((n, s, n), table, (g, i, own), sums)
+    return _softmax_result(y, x, "softmax_stack", swap=True), recipe
 
 
 def layer_norm(x, gain, shift, groups=1):

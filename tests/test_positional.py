@@ -487,7 +487,7 @@ def per_group_stack(groups, grid):
     coeffs = np.repeat(np.array([1.0, 1.0, -0.5, -0.5, -1.0])[:, None], s, axis=1)
     v = T.mul(T.take(blocks, idx, (5, s)), Tensor(coeffs.astype(blocks.dtype)))
     logits = T.matmul(Tensor(grid.features(v.dtype).data.T), v)
-    return T.softmax_rows(logits, (n, n, s), (0, 2, 1))
+    return T.softmax_rows(T.permute_flat(logits, (n, n, s), (0, 2, 1), (n, s, n)))
 
 
 # Forming the logits group-major, (s, 5) @ (5, N^2), sums each vector
@@ -579,8 +579,9 @@ def same_bits(a, b):
 def test_displacement_softmax_matches_the_row_softmax(k, s, dtype, monkeypatch):
     # softmax_stack exponentiates each displacement once for the rows at
     # their group's maximum and each entry of the others; the oracle is
-    # softmax_rows over every entry, in the same layout.  The stack rebuilt
-    # from its recipe, in chunks of any number of groups, has the same bits.
+    # softmax_rows over every entry of the logits copied into the same
+    # layout.  The stack rebuilt from its recipe, in chunks of any number
+    # of groups, has the same bits.
     rng = np.random.default_rng(k * 100 + s)
     n, side = k * k, 2 * k - 1
     grid = P.displacement_grid(k)
@@ -592,15 +593,19 @@ def test_displacement_softmax_matches_the_row_softmax(k, s, dtype, monkeypatch):
     for i, j in zip(*np.divmod(grid.pairs, n)):
         np.testing.assert_array_equal(grid.dx[i, j], np.repeat(d, side))
         np.testing.assert_array_equal(grid.dy[i, j], np.tile(d, side))
-    oracle, fallbacks = T.softmax_rows, []
-    monkeypatch.setattr(T, "softmax_rows", lambda *a: fallbacks.append(a) or oracle(*a))
+    oracle, row_calls = T.softmax_rows, []
+    monkeypatch.setattr(T, "softmax_rows", lambda *a: row_calls.append(a) or oracle(*a))
 
     def check(name, x):
         got, recipe = T.softmax_stack(Tensor(x, requires_grad=True), grid.pairs)
-        want = oracle(Tensor(x, requires_grad=True), (s, n, n), (1, 0, 2))
+        assert not row_calls, name
+        by_row = T.permute_flat(Tensor(x, requires_grad=True), (s, n, n), (1, 0, 2), (n, s, n))
+        want = oracle(by_row)
         assert got.shape == want.shape == recipe.shape == (n, s, n) and got.dtype == dtype
         assert same_bits(got.data, want.data), name
-        assert (recipe.dense is not None) == (name == "unequal pairs"), name
+        if name == "unequal pairs":
+            every_row = np.ravel_multi_index(recipe.off_peak[:2], (s, n))
+            np.testing.assert_array_equal(every_row, np.arange(s * n))
         by_group = np.ascontiguousarray(want.data.transpose(1, 0, 2))
         for step in {1, 3, max(1, T._STACK_CHUNK_BYTES // (n * n * x.itemsize))}:
             rebuilt = np.full((s, n, n), np.nan, dtype=dtype)
@@ -608,7 +613,7 @@ def test_displacement_softmax_matches_the_row_softmax(k, s, dtype, monkeypatch):
                 recipe.write(lo, min(lo + step, s), rebuilt[lo:lo + step])
             assert same_bits(rebuilt, by_group), (name, step)
         g = rng.standard_normal((n, s, n)).astype(dtype)
-        (gx,), (want_gx,) = got._vjp(g), want._vjp(g)
+        (gx,), (want_gx,) = got._vjp(g), by_row._vjp(*want._vjp(g))
         assert gx.shape == x.shape and same_bits(gx, want_gx), name
         return want.data
 
@@ -619,17 +624,38 @@ def test_displacement_softmax_matches_the_row_softmax(k, s, dtype, monkeypatch):
         off_peak[name] = np.mean(row_max != row_max.max(axis=-1, keepdims=True))
         if name == "sharp" and k > 1:
             assert np.mean(want == 0.0) > 0.5
-    # No case fell back to softmax_rows.  Every group has a row at its peak,
-    # so the table path always ran; the corner centres put most rows off it.
-    assert not fallbacks
+    # Every group has a row at its peak; the corner centres put most rows off it.
     if k > 1:
         assert off_peak["corner"] > 0.5, off_peak
         # A last pair of displacement (0, 0) that differs from its first by
-        # one ulp sends the whole stack to softmax_rows.
+        # one ulp puts every row of the stack off peak.
         last = grid.pairs[1, side * side // 2]
         x[-1, last] = np.nextafter(x[-1, last], dtype(np.inf))
         check("unequal pairs", x)
-        assert len(fallbacks) == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_nan_logit_puts_every_row_off_peak(dtype):
+    # A NaN at a first pair makes that displacement's two pairs differ, so
+    # every row is exponentiated from its own logits: the NaN row is NaN, as
+    # softmax_rows has it, and every other row keeps softmax_rows' bits.
+    T.set_checked(False)  # a NaN operand is this test's input
+    k, s = 14, 8
+    n, grid = k * k, P.displacement_grid(k)
+    x = _displacement_logit_cases(k, s, dtype, np.random.default_rng(5))[0][1].copy()
+    first = grid.pairs[0, 100]
+    x[3, first] = np.nan
+    got, recipe = T.softmax_stack(Tensor(x), grid.pairs)
+    want = T.softmax_rows(T.permute_flat(Tensor(x), (s, n, n), (1, 0, 2), (n, s, n))).data
+    np.testing.assert_array_equal(np.ravel_multi_index(recipe.off_peak[:2], (s, n)),
+                                  np.arange(s * n))
+    nan_rows = np.isnan(want).any(axis=-1)
+    np.testing.assert_array_equal(np.argwhere(nan_rows), [[first // n, 3]])
+    np.testing.assert_array_equal(np.isnan(got.data), np.isnan(want))
+    assert same_bits(got.data[~nan_rows], want[~nan_rows])
+    rebuilt = recipe.write(0, s, np.empty((s, n, n), dtype=dtype)).transpose(1, 0, 2)
+    np.testing.assert_array_equal(np.isnan(rebuilt), np.isnan(want))
+    assert same_bits(rebuilt[~nan_rows], want[~nan_rows])
 
 
 @pytest.mark.parametrize("form, frozen", FORMS)
@@ -752,7 +778,7 @@ def test_one_node_mixing_refuses_a_stack_its_vectors_cannot_generate():
 # -- the mixing rule that rebuilds its stack from the recipe -------------------------
 
 def _recipe_cases(k, s, dtype, rng):
-    """``_displacement_logit_cases`` plus logits whose unequal pairs send the op to softmax_rows."""
+    """``_displacement_logit_cases`` plus logits whose unequal pairs put every row off peak."""
     cases = _displacement_logit_cases(k, s, dtype, rng)
     if k > 1:
         x = cases[0][1].copy()

@@ -50,7 +50,6 @@ def _ops(rng):
     by_pair = np.random.default_rng(1).standard_normal((2, 25))[:, P.lrpe_index_map(grid).ravel()]
     return {
         "softmax_rows": ((4, 6), lambda h: T.softmax_rows(h)),
-        "softmax_rows_layout": ((2, 9), lambda h: T.softmax_rows(h, (2, 3, 3), (1, 0, 2))),
         "softmax_stack": (by_pair, lambda h: T.softmax_stack(h, grid.pairs)[0]),
         "split": ((4, 6), lambda h: T.split(h, 3)),
         "take": ((4, 6), lambda h: T.take(h, [0, 5, 5, 23], (2, 2))),
@@ -384,7 +383,7 @@ def test_a_leaf_or_untaped_result_has_no_vjp_to_assign():
     assert x._vjp is None and untaped._vjp is None
     assert not x._parents and not untaped._parents
     for t in (x, untaped):
-        with pytest.raises(T.GradError):
+        with pytest.raises(AttributeError):
             t._vjp = lambda g: (g,)
 
 
