@@ -50,6 +50,8 @@ def _ops(rng):
     by_pair = np.random.default_rng(1).standard_normal((2, 25))[:, P.lrpe_index_map(grid).ravel()]
     return {
         "softmax_rows": ((4, 6), lambda h: T.softmax_rows(h)),
+        "permute_flat_softmax_rows": ((2, 9), lambda h: T.softmax_rows(
+            T.permute_flat(h, (2, 3, 3), (1, 0, 2), (3, 2, 3)))),
         "softmax_stack": (by_pair, lambda h: T.softmax_stack(h, grid.pairs)[0]),
         "split": ((4, 6), lambda h: T.split(h, 3)),
         "take": ((4, 6), lambda h: T.take(h, [0, 5, 5, 23], (2, 2))),

@@ -671,6 +671,29 @@ def test_grouped_layer_norm_gradcheck(rng):
     assert res.max_rel_err < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_over_permute_flat_matches_copy_chain(rng, dtype):
+    # Oracle: the copying chain reshape (N^2, s) -> (N, N, s), transpose to
+    # (N, s, N), then a plain softmax; the gradient goes back the same way.
+    n, s = 9, 4
+    flat = (rng.standard_normal((n * n, s)) * 30.0).astype(dtype)
+    weights = rng.standard_normal((n, s, n)).astype(dtype)
+
+    x = Tensor(flat, requires_grad=True)
+    y = T.softmax_rows(T.permute_flat(x, (n, n, s), (0, 2, 1), (n, s, n)))
+    backward(T.weighted_sum(y, weights))
+
+    z = Tensor(np.ascontiguousarray(flat.reshape(n, n, s).transpose(0, 2, 1)),
+               requires_grad=True)
+    want = T.softmax_rows(z)
+    backward(T.weighted_sum(want, weights))
+
+    assert y.shape == (n, s, n) and y.data.flags.c_contiguous
+    np.testing.assert_array_equal(y.data, want.data)
+    np.testing.assert_array_equal(
+        x.grad, np.ascontiguousarray(z.grad.transpose(0, 2, 1)).reshape(n * n, s))
+
+
 def test_permute_flat_rejects_a_bad_permutation_or_shape():
     x = t64(np.zeros((4, 2)))
     with pytest.raises(T.ShapeError):
