@@ -183,26 +183,29 @@ class GatingUnit:
         return [t for t in tensors if t is not None]
 
     def mixing_stack(self):
-        """The unit's s token-mixing matrices as one ``(N, s, N)`` ``WeightStack``.
+        """The unit's s token-mixing matrices: a ``SoftmaxStack`` or an ``(N, s, N)`` ``WeightStack``.
 
         The stack is a pure function of ``_positional_tensors()``: its state
         is their identities, ``requires_grad``, dtypes and bytes.  In-place
         edits (an optimizer step, ``p.data[:] = ...``) and replaced tensors
-        both change the state.  The unit keeps a state's stack only from the
-        state's second request on, and returns that same stack while the
-        state holds.  On the first request it keeps a weak reference, which
+        both change the state.  A quadratic unit's ``SoftmaxStack`` holds
+        no stack-sized array, only the recipe its stack is rebuilt from, so
+        the unit keeps it from the state's first request on and returns it
+        while the state holds.  A lookup or dense unit's ``WeightStack`` is
+        the whole stack; the unit keeps it only from the state's second
+        request on.  On the first request it keeps a weak reference, which
         a second request still returns if the stack is alive; otherwise the
         stack is built again.  So inference, which asks for one state on
-        every forward, keeps its stacks from the second forward on, and a
-        training step, whose state changes every step, keeps none: once its
-        forward has mixed, ``tensor.mix_softmax_stack``'s node holds only the
-        stack's recipe.  A backward pass through the stack or, for a softmax
-        stack, through its vectors consumes the tape the stack's gradient
-        needs, so it forces a rebuild too.  A returned stack keeps its tape,
-        so gradients through it reach the parameters as if it were built
-        afresh.  The entry is one ``(state, weak reference, kept stack)``
-        triple, read once and replaced in one assignment, so concurrent
-        forwards never pair a state with another state's stack.
+        every forward, builds a quadratic unit's recipe in its first forward
+        and a lookup stack in its first two, and never after; a training
+        step, whose state changes every step, keeps no lookup stack.  A
+        backward pass through the stack or, for a ``SoftmaxStack``, through
+        its vectors consumes the tape the stack's gradient needs, so it
+        forces a rebuild too.  A returned stack keeps its tape, so gradients
+        through it reach the parameters as if it were built afresh.  The
+        entry is one ``(state, weak reference, kept stack)`` triple, read
+        once and replaced in one assignment, so concurrent forwards never
+        pair a state with another state's stack.
         """
         tensors = self._positional_tensors()
         # Lists of tensors compare by identity: Tensor defines no __eq__.
@@ -213,7 +216,8 @@ class GatingUnit:
         stack = entry[1]() if again else None
         if stack is None or stack.consumed:
             stack = self._build_mixing_stack()
-        self._stack_entry = (key, weakref.ref(stack), stack if again else None)
+        keep = again or self.config.kind is GatingKind.GGQPE
+        self._stack_entry = (key, weakref.ref(stack), stack if keep else None)
         return stack
 
     def _build_mixing_stack(self):
@@ -249,8 +253,7 @@ class GatingUnit:
             x1 = T.layer_norm(x1, self.norm_gain, self.norm_shift, groups=cfg.groups)
         stack = self.mixing_stack()
         if cfg.kind is GatingKind.GGQPE:
-            z1 = T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors, stack.features,
-                                     x1, self.bias)
+            z1 = T.mix_softmax_stack(stack.recipe, stack.vectors, stack.features, x1, self.bias)
         else:
             z1 = T.mix_tokens(stack.weights, x1)
             if self.bias is not None:

@@ -110,41 +110,74 @@ class WeightStack:
 
     ``weights[:, g]`` is group g's ``N x N`` matrix: the leading axis is the
     query token and ``len`` is the group count.  The stacks of
-    ``tensor.softmax_stack`` and ``tensor.window_stack`` are group-major:
-    ``weights.data`` is the ``(N, s, N)`` view of ``(s, N, N)`` memory, so
-    each group's matrix, ``matrix(g)`` included, is one contiguous run and
-    ``tensor.mix_tokens`` reads it as it is.  A softmax stack is
-    ``tensor.softmax_stack`` of its logits, bit for bit their row softmax,
-    and also carries the ``(s, 5)`` logit ``vectors``, the constant
-    ``(5, N^2)`` ``features`` it was generated from and its ``recipe``, the
-    ``tensor.StackRecipe`` the stack is rebuilt from.  So
-    ``tensor.mix_softmax_stack`` can take the gradient to the vectors
-    without the stack's own tape, and its tape node keeps the recipe, not
-    the stack.  A stack can be weakly referenced, as
+    ``tensor.window_stack`` are group-major: ``weights.data`` is the
+    ``(N, s, N)`` view of ``(s, N, N)`` memory, so each group's matrix,
+    ``matrix(g)`` included, is one contiguous run and ``tensor.mix_tokens``
+    reads it as it is.  A stack can be weakly referenced, as
     ``GatingUnit.mixing_stack`` does for a state asked for once.
     """
 
-    __slots__ = ("weights", "vectors", "features", "recipe", "__weakref__")
+    __slots__ = ("weights", "__weakref__")
 
-    def __init__(self, weights, vectors=None, features=None, recipe=None):
+    def __init__(self, weights):
         if weights.ndim != 3 or weights.shape[0] != weights.shape[2]:
             raise T.ShapeError(f"a weight stack is (N, s, N), got {weights.shape}")
         self.weights = weights
-        self.vectors = vectors
-        self.features = features
-        self.recipe = recipe
 
     def __len__(self):
         return self.weights.shape[1]
 
     @property
     def consumed(self):
-        """True once a backward pass has run through the stack's tape or its vectors'."""
-        return self.weights.consumed or (self.vectors is not None and self.vectors.consumed)
+        """True once a backward pass has run through the stack's tape."""
+        return self.weights.consumed
 
     def matrix(self, group):
         """Group ``group``'s ``N x N`` matrix as a numpy array."""
         return self.weights.data[:, group]
+
+
+class SoftmaxStack:
+    """A quadratic unit's s row-softmax matrices, kept as what rebuilds them, not as an array.
+
+    It holds the ``(s, 5)`` logit ``vectors`` with their tape, the
+    constant ``(5, N^2)`` ``features``, the window's ``pairs`` and the
+    ``tensor.StackRecipe`` of the logits' softmax: 170 KB at PosMLP-T's
+    stage 2, against 4.9 MB for the ``(N, s, N)`` stack.
+    ``tensor.mix_softmax_stack`` mixes from the recipe, a few groups at a
+    time, and takes its gradient to the vectors.  ``weights`` forms the
+    whole stack anew on each read, ``tensor.softmax_stack`` of the vectors'
+    logits with a tape through the vectors, and ``matrix(g)`` rebuilds one
+    group's matrix from the recipe; both have the bits of the row softmax.
+    ``len`` is the group count.
+    """
+
+    __slots__ = ("vectors", "features", "pairs", "recipe", "__weakref__")
+
+    def __init__(self, vectors, features, pairs, recipe):
+        self.vectors = vectors
+        self.features = features
+        self.pairs = pairs
+        self.recipe = recipe
+
+    def __len__(self):
+        return self.recipe.shape[1]
+
+    @property
+    def consumed(self):
+        """True once a backward pass has run through the vectors' tape."""
+        return self.vectors.consumed
+
+    @property
+    def weights(self):
+        """The whole ``(N, s, N)`` stack, formed on each read with a tape through the vectors."""
+        return T.softmax_stack(T.matmul(self.vectors, self.features), self.pairs)[0]
+
+    def matrix(self, group):
+        """Group ``group``'s ``N x N`` matrix as a numpy array, rebuilt from the recipe."""
+        n = self.recipe.shape[0]
+        out = np.empty((1, n, n), dtype=self.recipe.dtype)
+        return self.recipe.write(group, group + 1, out)[0]
 
 
 def lrpe_weight_stack(table):
@@ -280,24 +313,21 @@ def gqpe_logits(params, grid):
 
 
 def group_weight_stack(params, grid):
-    """Every group's row-stochastic matrix as one ``WeightStack``.
+    """Every group's row-stochastic matrix, as one ``SoftmaxStack``.
 
     All groups share the displacement features: one product forms the
-    group-major ``(s, N^2)`` logits and ``tensor.softmax_stack`` normalizes
-    their rows into the group-major ``(N, s, N)`` stack.  Since a logit depends on its
-    pair only through the displacement, the softmax reads each group's
-    (2k-1)^2 distinct logits at ``grid.pairs``, exponentiates them once and
-    copies them out to the rows that share the group's maximum, with the
-    bits of a row-by-row softmax.  Every product entry is still read, for
-    the row maxima.  The op count does not depend on s.  The logits are
-    freed on return; the stack keeps the vectors, the features and the
-    softmax's recipe, from which ``tensor.mix_softmax_stack`` takes its
-    gradient.
+    group-major ``(s, N^2)`` logits, and ``tensor.stack_recipe`` reads
+    them into the recipe of their row softmax.  Since a logit depends on
+    its pair only through the displacement, the recipe holds each group's
+    (2k-1)^2 distinct logits, exponentiated once, and the row sums, with
+    the bits of a row-by-row softmax.  Every product entry is still read,
+    for the row maxima.  The op count does not depend on s.  The logits
+    are freed on return, and no stack is formed.
     """
     v = gqpe_vectors(params)
     features = grid.features(v.dtype)
-    weights, recipe = T.softmax_stack(T.matmul(v, features), grid.pairs)
-    return WeightStack(weights, v, features, recipe)
+    recipe = T.stack_recipe(T.matmul(v, features), grid.pairs)
+    return SoftmaxStack(v, features, grid.pairs, recipe)
 
 
 class ZeroDraws:

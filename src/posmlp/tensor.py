@@ -422,28 +422,38 @@ def mix_tokens(w, x):
     return _result(out, (w, x), vjp, "mix_tokens")
 
 
-# Bytes of the stack rows the softmax-stack rule works through at once:
-# eight float32 groups of a 196-token window, which stay in L2.
-_STACK_CHUNK_BYTES = 5 << 18
+# Bytes of stack rows the softmax-stack mixing works through at once: four
+# float32 groups of a 196-token window, which stay in L2.
+_STACK_CHUNK_BYTES = 5 << 17
+
+# The power of two by which mix_softmax_stack's rule scales the gradient on
+# the vectors' path, and divides it out of the vectors' gradient.
+_GRAD_SCALE = 2.0 ** 24
 
 
-def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
-    """``mix_tokens(stack, x)`` plus an optional token bias, differentiated to the logit vectors.
+def mix_softmax_stack(recipe, vectors, features, x, bias=None):
+    """x mixed by the softmax stack that ``recipe`` rebuilds, plus an optional token bias.
 
-    ``stack`` is an ``(N, s, N)`` stack whose group g is the row softmax of
-    row g of ``vectors @ features`` read as ``N x N``, and ``recipe`` its
-    ``StackRecipe``, as ``positional.group_weight_stack`` builds them with
-    ``softmax_stack``: ``vectors`` is ``(s, m)`` and ``features`` a
-    constant ``(m, N^2)``.  Only the stack's data is read, so how its
-    numerators were formed does not matter; one tape node links the
-    gradient to the vectors, x and the bias.
+    ``recipe`` is the ``StackRecipe`` of the group-major ``(s, N^2)``
+    logits ``vectors @ features``, as ``positional.group_weight_stack``
+    builds it with ``stack_recipe``: ``vectors`` is ``(s, m)`` and
+    ``features`` a constant ``(m, N^2)``.  The result is bitwise
+    ``mix_tokens(stack, x)`` followed by ``add_token_bias``, where stack is
+    ``softmax_stack``'s, and one tape node links its gradient to the
+    vectors, x and the bias.  The whole stack is never formed.
 
-    The forward is one untaped ``mix_tokens`` call with the bias added in
-    place, so the output is bitwise that of ``mix_tokens`` followed by
-    ``add_token_bias``.  The node keeps the recipe, x and its own output,
-    not the stack: its rule rebuilds the stack from the recipe in chunks of
-    groups that stay in L2, with the stack's bits, and forms the chunk's
-    input gradient and stack gradient with ``mix_tokens``' own calls,
+    The forward goes through the groups in chunks of ``_STACK_CHUNK_BYTES``
+    of stack rows, four float32 groups at N = 196, which stay in L2.  It
+    rebuilds each chunk from the recipe, with the stack's bits, into one
+    buffer of this call, and mixes the chunk's channel groups with it
+    through an untaped ``mix_tokens`` call of an ``(N, s', N)`` stack.
+    That call forms each (window, group) product as the whole stack's call
+    does, so the output has its bits, and the benchmark's tracer counts
+    the products' MACs in ``mix_tokens``.  The bias is added in place.
+
+    The node keeps the recipe, x and its own output.  Its rule goes
+    through the same chunks, rebuilds each, and forms the chunk's input
+    gradient and stack gradient with ``mix_tokens``' own calls,
     ``_mix_input_grad`` and ``_window_sum``.  The vectors' gradient never
     forms the ``(N, s, N)`` stack gradient.  The softmax's row term r comes
     from the output: r_i = sum of G_i * (Z_i - b_i) over the windows and a
@@ -453,28 +463,46 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
     gradient.  One product with the features' transpose, the one
     ``matmul``'s rule forms, ends the rule.  That product takes the whole
     logit gradient: split into row blocks, OpenBLAS rounds it differently.
+
+    On the vectors' path (r, the stack gradient and the logit gradient)
+    the rule works on g times ``_GRAD_SCALE`` = 2^24 and multiplies the
+    vectors' gradient by 2^-24.  Scaling by a power of two is exact for
+    every normal value, so it changes only results that would otherwise be
+    subnormal: a batch-1 loss spread over 196-token rows gives logit
+    gradients near 1e-9, several percent of whose float32 products are
+    subnormal unscaled, which is slower and less accurate.  The input and
+    bias gradients use g as it comes.  Each row of the stack sums to 1, so
+    every scaled value is at most 2^25 B c N (k-1)^2 max|g| max|x|, for B
+    windows and c channels per group: at T's stage 2 at batch 1, float32
+    overflows only where max|g| max|x| exceeds about 1e25.
     """
-    if stack.ndim != 3 or stack.shape[0] != stack.shape[2]:
-        raise ShapeError(f"mix_softmax_stack: expected an (N, s, N) stack, got {stack.shape}")
-    n, s = stack.shape[:2]
+    n, s = recipe.shape[:2]
     if vectors.ndim != 2 or vectors.shape[0] != s or features.shape != (vectors.shape[1], n * n):
         raise ShapeError(f"mix_softmax_stack: vectors {vectors.shape} and features "
-                         f"{features.shape} do not generate stack {stack.shape}")
-    if recipe.shape != stack.shape:
-        raise ShapeError(f"mix_softmax_stack: a recipe of {recipe.shape} does not rebuild "
-                         f"stack {stack.shape}")
+                         f"{features.shape} do not generate a recipe of {recipe.shape}")
+    if x.ndim != 3 or x.shape[1] != n or x.shape[2] % s != 0:
+        raise ShapeError(f"mix_softmax_stack: a recipe of {recipe.shape} does not fit input "
+                         f"{x.shape}")
     if bias is not None and bias.shape != (n,):
-        raise ShapeError(f"mix_softmax_stack: bias {bias.shape} does not fit stack {stack.shape}")
-    for t in (stack, features):
-        if t.dtype != vectors.dtype:
-            raise ShapeError(f"mix_softmax_stack: dtype mismatch {t.dtype} vs {vectors.dtype}")
-    out = mix_tokens(_untaped(stack.data), _untaped(x.data)).data
-    if bias is not None:
-        out += bias.data[:, None]
-    xshape, dtype = x.shape, stack.dtype
-    grouped = (xshape[0], n, s, xshape[2] // s)
+        raise ShapeError(f"mix_softmax_stack: bias {bias.shape} does not fit a recipe of "
+                         f"{recipe.shape}")
+    for dtype in (recipe.dtype, features.dtype):
+        if dtype != vectors.dtype:
+            raise ShapeError(f"mix_softmax_stack: dtype mismatch {dtype} vs {vectors.dtype}")
+    xshape, dtype = x.shape, vectors.dtype
+    c = xshape[2] // s
     step = max(1, _STACK_CHUNK_BYTES // (n * n * dtype.itemsize))
     chunk = (min(step, s), n, n)
+    out = np.empty(xshape, dtype=dtype)
+    ys = np.empty(chunk, dtype=dtype)
+    for lo in range(0, s, step):
+        hi = min(lo + step, s)
+        y = recipe.write(lo, hi, ys[:hi - lo])
+        part = mix_tokens(_untaped(y.transpose(1, 0, 2)), _untaped(x.data[..., lo * c:hi * c]))
+        out[..., lo * c:hi * c] = part.data
+    if bias is not None:
+        out += bias.data[:, None]
+    grouped = (xshape[0], n, s, c)
 
     # The vectors' gradient reads x, the output, the bias and the features;
     # both it and the input gradient read the stack, rebuilt from the recipe.
@@ -489,9 +517,11 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
         gg = _by_group(g, s)
         gv = gx = gb = None
         if to_vectors:
+            gs = g * _GRAD_SCALE
             z = zd if bd is None else zd - bd[:, None]
-            r = np.einsum("bnsc,bnsc->sn", g.reshape(grouped), z.reshape(grouped))
+            r = np.einsum("bnsc,bnsc->sn", gs.reshape(grouped), z.reshape(grouped))
             del z
+            gsg = _by_group(gs, s)
             xgt = _by_group(_read(xk), s).transpose(0, 1, 3, 2)
             gw = np.empty(chunk, dtype=dtype)
             part = np.empty(chunk, dtype=dtype) if xshape[0] > 1 else None
@@ -507,12 +537,13 @@ def mix_softmax_stack(stack, recipe, vectors, features, x, bias=None):
                 if to_x:
                     _mix_input_grad(y, gg[:, lo:hi], _by_group(gx, s)[:, lo:hi])
                 if to_vectors:
-                    w = _window_sum(gg[:, lo:hi], xgt[:, lo:hi], gw[:hi - lo],
+                    w = _window_sum(gsg[:, lo:hi], xgt[:, lo:hi], gw[:hi - lo],
                                     None if part is None else part[:hi - lo])
                     w -= r[lo:hi, :, None]
                     y *= w
         if to_vectors:
             gv = ys.reshape(s, n * n) @ ft
+            gv *= 1.0 / _GRAD_SCALE
         if to_bias:
             gb = g.sum(axis=(0, 2))
         return (gv, gx) if bias is None else (gv, gx, gb)
@@ -965,27 +996,38 @@ def _softmax_result(y, x, op_name, swap=False):
     return _result(y.transpose(1, 0, 2) if swap else y, (x,), vjp, op_name)
 
 
-def _table_windows(table, k):
-    """Each row's window of c groups' displacement tables, as a (c, k, k, k, k) view.
+def _row_runs(table, k):
+    """c groups' displacement tables as the ``(c, k, k, N)`` view of each row's window in one run.
 
     ``table`` is a contiguous ``(c, (2k-1)^2)`` array whose entry
-    ``[g, a * (2k-1) + b]`` is displacement (a - k + 1, b - k + 1).  Entry
-    ``[g, ix, iy, jx, jy]`` of the view is group g's entry for the pair of
-    query (ix, iy) and key (jx, jy): row (ix, iy) is the k x k window of the
-    (2k-1) x (2k-1) table at (k-1-ix, k-1-iy), read through strided views,
-    with no gather.  One strided copy first forms
-    ``by_row[g, iy, a, jy] = table[g, a, k-1-iy+jy]``, in which each row's
-    window is one run of N entries; the view reads
-    ``by_row[g, iy, k-1-ix+jx, jy]``.  It is the one reader of the table
-    layout: ``_copy_windows`` copies it out for ``window_stack`` and
-    ``softmax_stack``, and ``StackRecipe.write`` divides it out.  Its
-    ``(c, N, N)`` reshape is the group-major stack itself.
+    ``[g, a * (2k-1) + b]`` is displacement (a - k + 1, b - k + 1).  Row
+    (ix, iy), the query at (ix, iy), reads the k x k window of the
+    (2k-1) x (2k-1) table at (k-1-ix, k-1-iy).  One strided copy forms
+    ``by_row[g, iy, a, jy] = table[g, a, k-1-iy+jy]``, which holds that
+    window at ``by_row[g, iy, k-1-ix:2k-1-ix]``: N contiguous entries, key
+    (jx, jy) at ``jx * k + jy``.  Entry ``[g, iy, ix]`` of the returned
+    view is that run, with no gather.  It is the one reader of the table
+    layout: ``_table_windows`` reads the runs as windows, and
+    ``stack_recipe`` sums them.
     """
     c, dtype, e, side = table.shape[0], table.dtype, table.itemsize, 2 * k - 1
     by_row = np.ndarray((c, k, side, k), dtype, table, (k - 1) * e,
                         (side * side * e, -e, side * e, e)).copy()
-    return np.ndarray((c, k, k, k, k), dtype, by_row, (k - 1) * k * e,
-                      (k * side * k * e, -k * e, side * k * e, k * e, e))
+    return np.ndarray((c, k, k, k * k), dtype, by_row, (k - 1) * k * e,
+                      (k * side * k * e, side * k * e, -k * e, e))
+
+
+def _table_windows(table, k):
+    """Each row's window of c groups' displacement tables, as a (c, k, k, k, k) view.
+
+    Entry ``[g, ix, iy, jx, jy]`` of the view is group g's entry for the
+    pair of query (ix, iy) and key (jx, jy), read from ``_row_runs``.
+    ``_copy_windows`` copies it out for ``window_stack``, and
+    ``StackRecipe.write`` divides it out.  Its ``(c, N, N)`` reshape is
+    the group-major stack itself.
+    """
+    runs = _row_runs(table, k)
+    return runs.reshape(runs.shape[:3] + (k, k)).transpose(0, 2, 1, 3, 4)
 
 
 def _copy_windows(table, k, out):
@@ -1035,14 +1077,14 @@ def window_stack(table, k):
 class StackRecipe:
     """What a softmax stack is rebuilt from, some groups at a time, with its bits.
 
-    ``softmax_stack`` returns one with the ``(N, s, N)`` stack it forms;
-    ``shape`` is that stack's shape.  The recipe is the op's small arrays:
-    each group's (2k-1)^2 exponentiated logits (``table``); the groups,
-    rows and numerators of the rows that miss their group's peak
-    (``off_peak``); and every row's sum, group-major (``sums``).  A
-    PosMLP-T stage-2 recipe at initialisation holds 170 KB (70 off-peak
-    rows), against the stack's 4.9 MB.  Where the op found unequal pairs,
-    every row is off peak and the numerators are the stack's size.
+    ``stack_recipe`` makes one from a stack's logits; ``shape`` is the
+    ``(N, s, N)`` stack's shape.  The recipe is small: each group's
+    (2k-1)^2 exponentiated logits (``table``); the groups, rows and
+    numerators of the rows that miss their group's peak (``off_peak``);
+    and every row's sum, group-major (``sums``).  A PosMLP-T stage-2 recipe
+    at initialisation holds 170 KB (70 off-peak rows), against the stack's
+    4.9 MB.  Where unequal pairs were found, every row is off peak and the
+    numerators are the stack's size.
     """
 
     __slots__ = ("shape", "table", "off_peak", "sums")
@@ -1053,12 +1095,17 @@ class StackRecipe:
         self.off_peak = off_peak
         self.sums = sums
 
+    @property
+    def dtype(self):
+        return self.table.dtype
+
     def write(self, lo, hi, out):
         """Groups lo to hi of the stack, group-major, written into ``(hi - lo, N, N)`` ``out``.
 
-        Each entry is the stack's numerator, copied out through the table's
-        strided views or from its off-peak row, divided by the same
-        row sum, so it has the stack's bits.  Returns ``out``.
+        Each entry is its numerator, copied out through the table's
+        strided views or from its off-peak row, divided by its row's sum:
+        ``softmax_rows``' division, so it has the bits of the row softmax.
+        Returns ``out``.
         """
         k = math.isqrt(self.shape[0])
         sums = self.sums[lo:hi]
@@ -1072,8 +1119,8 @@ class StackRecipe:
         return out
 
 
-def softmax_stack(x, pairs):
-    """The ``(N, s, N)`` view of x's ``(s, N, N)`` row softmaxes, for logits of displacement alone.
+def stack_recipe(x, pairs):
+    """The ``StackRecipe`` of the row softmaxes of logits of displacement alone; forms no stack.
 
     x is the group-major ``(s, N^2)`` product of s logit vectors with the
     features of a k x k window (N = k^2): entry ``i * N + j`` of row g is
@@ -1081,62 +1128,71 @@ def softmax_stack(x, pairs):
     query token i.  ``pairs`` is the window's ``DisplacementGrid.pairs``:
     the flat indices of the first and the last pair of each of the
     (2k-1)^2 displacements, entry ``(dx + k - 1) * (2k - 1) + (dy + k - 1)``
-    for displacement (dx, dy).  Returns the stack of row softmaxes, bit for
-    bit ``softmax_rows`` of x's ``(s, N, N)`` view and with its gradient
-    returned in x's layout, and the stack's ``StackRecipe``, from which
-    ``mix_softmax_stack``'s rule rebuilds the stack without keeping it.
-    The stack is group-major, like x: its data is the ``(N, s, N)`` view of
-    ``(s, N, N)`` memory, so each group's matrix is one contiguous run.
+    for displacement (dx, dy).  The stack the recipe rebuilds is bit for
+    bit ``softmax_rows`` of x's ``(s, N, N)`` view.
 
     Every row's maximum is taken from x, in one exact pass.  A group's
     (2k-1)^2 distinct logits are read at the first pairs.  The rows whose
     maximum equals their group's maximum M share the numerators
-    exp(cut(l - M)) of those logits, so each is exponentiated once and
-    copied out to each row's window (``_table_windows``).  A row whose
-    window misses its group's peak is subtracted, cut and exponentiated
-    from its own logits, as ``softmax_rows`` does.  Either way each
-    numerator is the same subtraction, cut and exponential of the same two
-    values, and the row sums and the division are ``softmax_rows``'.  The
-    recipe keeps the table, the off-peak numerators and the row sums.
+    exp(cut(l - M)) of those logits, so each is exponentiated once, into
+    the table.  A row whose window misses its group's peak is subtracted,
+    cut and exponentiated from its own logits, as ``softmax_rows`` does.
+    Either way each numerator is the same subtraction, cut and exponential
+    of the same two values.  A peak row's sum is taken over its window's
+    run of N numerators in ``_row_runs``, an off-peak row's over its own
+    numerators: each is the pairwise sum ``softmax_rows`` takes of the
+    same N values in the same order, so the sums have its bits too.
 
     The table rests on pairs of equal displacement holding equal logits.
     In exact arithmetic a product with equal feature columns gives them,
     but in floating point it is an assumption about the BLAS: that it
-    rounds equal columns alike wherever they sit in the product.  The op
-    checks it at the first and the last pair of each displacement, and
-    where they differ in any group (a NaN among them included) it marks
-    every row off peak, so each is exponentiated from its own logits,
-    which is ``softmax_rows``' computation, and the recipe's numerators are
-    the whole stack's.  Pairs in between are not checked.
+    rounds equal columns alike wherever they sit in the product.  This
+    function checks it at the first and the last pair of each
+    displacement, and where they differ in any group (a NaN among them
+    included) it marks every row off peak, so each is exponentiated from
+    its own logits, which is ``softmax_rows``' computation, and the
+    recipe's numerators are the whole stack's.  Pairs in between are not
+    checked.
     """
     n = math.isqrt(x.shape[-1])
     k = math.isqrt(n)
     if x.ndim != 2 or k < 1 or x.shape[1] != n * n or n != k * k or \
             pairs.shape != (2, (2 * k - 1) ** 2):
-        raise ShapeError(f"softmax_stack: expected (s, N^2) logits of a k x k window, N = k^2, "
+        raise ShapeError(f"stack_recipe: expected (s, N^2) logits of a k x k window, N = k^2, "
                          f"and (2, (2k-1)^2) pairs, got {x.shape} and {pairs.shape}")
-    s, dtype = x.shape[0], x.dtype
+    s = x.shape[0]
     rows = x.data.reshape(s, n, n)
     row_max = rows.max(axis=-1)
     top = row_max.max(axis=-1, keepdims=True)
     g, i = np.nonzero(row_max != top)
-    # The stack is allocated before the table and its check: in the other
-    # order the t224_infer benchmark's peak RSS read 2.7 MB higher.
-    y = np.empty((s, n, n), dtype=dtype)
     table = x.data.take(pairs[0], axis=1)
     if not np.array_equal(table, x.data.take(pairs[1], axis=1)):
         # Every row is off peak, exponentiated from its own logits.
         g, i = np.divmod(np.arange(s * n), n)
     table -= top
     _cut_exp(table)
-    _copy_windows(table, k, y)
     own = rows[g, i]
     own -= row_max[g, i, None]
     _cut_exp(own)
-    y[g, i] = own
-    sums = y.sum(axis=-1, keepdims=True)
-    y /= sums
-    recipe = StackRecipe((n, s, n), table, (g, i, own), sums)
+    sums = _row_runs(table, k).sum(axis=-1).transpose(0, 2, 1).reshape(s, n, 1)
+    sums[g, i] = own.sum(axis=-1, keepdims=True)
+    return StackRecipe((n, s, n), table, (g, i, own), sums)
+
+
+def softmax_stack(x, pairs):
+    """The ``(N, s, N)`` view of x's ``(s, N, N)`` row softmaxes, for logits of displacement alone.
+
+    x and ``pairs`` are ``stack_recipe``'s.  Returns the stack that recipe
+    writes whole, bit for bit ``softmax_rows`` of x's ``(s, N, N)`` view
+    and with its gradient returned in x's layout, and the recipe.  The
+    stack is group-major, like x: its data is the ``(N, s, N)`` view of
+    ``(s, N, N)`` memory, so each group's matrix is one contiguous run.
+    A model mixes from the recipe alone (``mix_softmax_stack``); this op
+    forms the whole stack for the analyses and tests that read it.
+    """
+    recipe = stack_recipe(x, pairs)
+    n, s = recipe.shape[:2]
+    y = recipe.write(0, s, np.empty((s, n, n), dtype=x.dtype))
     return _softmax_result(y, x, "softmax_stack", swap=True), recipe
 
 
@@ -1425,25 +1481,23 @@ def conv2d(x, w, b, stride):
 def _depthwise_weight_grad(x, g, k, stride):
     """conv2d_depthwise's (k, k, C, M) weight gradient from input x and (B, ho, wo, C, M) g.
 
-    Per image, each tap's product with g is reduced over the positions;
-    the images' gradients are then summed in image order as by
-    ``_window_sum``, which cannot take these non-BLAS reductions.
+    For each tap and multiplier, one product with g over every image is
+    reduced over each image's positions, the reduction the product of one
+    image alone gets; the images' gradients are then summed in image order
+    as by ``_window_sum``, which cannot take these non-BLAS reductions.
     """
     bsz, ho, wo, c, m = g.shape
     taps = _taps(x, k, stride, ho, wo).transpose(3, 4, 0, 1, 2, 5)
-    prod = np.empty((ho, wo, c), dtype=x.dtype)
-    gw = None
-    for i in range(bsz):
-        gi = np.empty((k * k, c, m), dtype=x.dtype)
-        for t in range(k * k):
-            tap = taps[divmod(t, k)]
-            for j in range(m):
-                np.multiply(tap[i], g[i, ..., j], out=prod)
-                np.add.reduce(prod.reshape(ho * wo, c), axis=0, out=gi[t, :, j])
-        if gw is None:
-            gw = gi
-        else:
-            gw += gi
+    prod = np.empty((bsz, ho, wo, c), dtype=x.dtype)
+    gi = np.empty((bsz, k * k, c, m), dtype=x.dtype)
+    for t in range(k * k):
+        tap = taps[divmod(t, k)]
+        for j in range(m):
+            np.multiply(tap, g[..., j], out=prod)
+            np.add.reduce(prod.reshape(bsz, ho * wo, c), axis=1, out=gi[:, t, :, j])
+    gw = gi[0]
+    for image in gi[1:]:
+        gw += image
     return gw.reshape(k, k, c, m)
 
 

@@ -392,48 +392,67 @@ def test_mixing_stack_hit_returns_the_same_stack(monkeypatch):
     assert len(calls) == 1
 
 
-def recording_generator(monkeypatch):
-    """Weak references to the GGQPE stacks a gating unit builds."""
+def recording_generator(monkeypatch, name="group_weight_stack"):
+    """Weak references to the stacks a gating unit builds through ``G.<name>``."""
     built = []
-    real = G.group_weight_stack
+    real = getattr(G, name)
 
     def recorded(*args):
         stack = real(*args)
         built.append(weakref.ref(stack))
         return stack
 
-    monkeypatch.setattr(G, "group_weight_stack", recorded)
+    monkeypatch.setattr(G, name, recorded)
     return built
 
 
-def test_a_first_request_keeps_no_stack_past_its_forward(rng, monkeypatch):
-    # A training step asks for each parameter state once: after its forward
-    # the tape holds the stack's recipe, and nothing holds the stack.
+def test_a_first_request_keeps_the_recipe_until_a_backward_consumes_it(rng, monkeypatch):
+    # A quadratic unit keeps its state's SoftmaxStack, which holds no
+    # stack-sized array, from the first request on.  A backward through
+    # the vectors consumes it, so the next request builds anew, and the
+    # gradients are those of a unit that built its stack for the forward.
     built = recording_generator(monkeypatch)
     u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
     fresh = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
     x, weights = tin(rng, 2, 9, 8), rng.standard_normal((2, 9, 4))
     out = u.forward(x)
-    assert len(built) == 1 and built[0]() is None
+    assert len(built) == 1 and built[0]() is u._stack_entry[2] is u.mixing_stack()
+    assert isinstance(built[0](), P.SoftmaxStack) and len(built) == 1
     held = fresh.mixing_stack()
     T.backward(T.weighted_sum(out, weights))
     T.backward(T.weighted_sum(fresh.forward(x), weights))
-    assert fresh.mixing_stack() is not held
+    assert fresh.mixing_stack() is not held and u.mixing_stack() is not built[0]()
     for (name, p), q in zip(u.parameters().items(), fresh.parameters().values()):
         np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
 
 
-def test_a_second_request_keeps_the_stack_and_a_third_returns_it(rng, monkeypatch):
-    built = recording_generator(monkeypatch)
-    u = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
+@pytest.mark.parametrize("kind", [G.GatingKind.GGQPE, G.GatingKind.GLRPE])
+def test_a_state_is_built_once_or_twice_and_then_returned(rng, monkeypatch, kind):
+    # A SoftmaxStack is kept from the state's first request; a lookup
+    # unit's whole (N, s, N) stack only from its second, and on the first
+    # the unit keeps a weak reference that a second request still returns.
+    ggqpe = kind is G.GatingKind.GGQPE
+    built = recording_generator(monkeypatch, "group_weight_stack" if ggqpe else
+                                "lrpe_weight_stack")
+    u = unit(kind, k=3, width=8, groups=2, seed=3)
     x = tin(rng, 2, 9, 8)
     first = u.forward(x).data
-    assert len(built) == 1 and built[0]() is None
-    ref = weakref.ref(u.mixing_stack())
-    assert len(built) == 2 and ref() is not None
-    assert u.mixing_stack() is ref()
+    assert len(built) == 1 and (built[0]() is not None) == ggqpe
+    held = u.mixing_stack()
+    assert len(built) == (1 if ggqpe else 2)
+    assert u.mixing_stack() is held and u._stack_entry[2] is held
     np.testing.assert_array_equal(u.forward(x).data, first)
-    assert len(built) == 2
+    del held
+    assert u.mixing_stack() is built[-1]()
+    if not ggqpe:
+        # A lookup stack asked for once and held by nobody is built again.
+        v = unit(kind, k=3, width=8, groups=2, seed=3)
+        ref = weakref.ref(v.mixing_stack())
+        assert ref() is None and v._stack_entry[2] is None
+        held = weakref.ref(v.mixing_stack())
+        assert held() is v._stack_entry[2] is not None
+        assert len(built) == 4
+    np.testing.assert_array_equal(u.forward(x).data, first)
 
 
 def _edit_gamma_in_place(u):
@@ -490,8 +509,7 @@ def test_shared_stack_gradients_match_two_built_stacks(rng, monkeypatch):
     x1, x2 = tin(rng, 2, 9, 8), tin(rng, 1, 9, 8)
     w1, w2 = rng.standard_normal((2, 9, 4)), rng.standard_normal((1, 9, 4))
 
-    # A state's first request keeps only a weak reference, so the stack is
-    # held here; both forwards then mix with that one stack.
+    # The unit keeps its state's stack, so both forwards mix with this one.
     shared = cached.mixing_stack()
     T.backward(T.add(T.weighted_sum(cached.forward(x1), w1),
                      T.weighted_sum(cached.forward(x2), w2)))
@@ -544,10 +562,9 @@ def test_a_mixing_stack_is_group_major_and_mixes_as_a_contiguous_copy(rng, kind,
     want = T.mix_tokens(Tensor(copy, requires_grad=True), Tensor(half_copy, requires_grad=True))
     assert _bits([got.data, *got._vjp(g)]) == _bits([want.data, *want._vjp(g)])
     if kind is G.GatingKind.GGQPE:
-        def mixed(weights, x):
-            out = T.mix_softmax_stack(weights, stack.recipe, stack.vectors, stack.features,
-                                      x, u.bias)
+        def mixed(x):
+            out = T.mix_softmax_stack(stack.recipe, stack.vectors, stack.features, x, u.bias)
             return [out.data, *out._vjp(g)]
 
-        assert _bits(mixed(w, _leaf_view(half.data))) == \
-            _bits(mixed(Tensor(copy), Tensor(half_copy, requires_grad=True)))
+        assert _bits(mixed(_leaf_view(half.data))) == \
+            _bits(mixed(Tensor(half_copy, requires_grad=True)))

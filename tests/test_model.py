@@ -1,7 +1,9 @@
+import gc
 import json
 import struct
 import sys
 import threading
+import types
 from dataclasses import asdict
 
 import numpy as np
@@ -461,9 +463,59 @@ def test_checkpoint_roundtrip_bytes_and_forward(tmp_path, rng):
         np.testing.assert_array_equal(q1.data, q2.data)
 
 
-def test_a_loaded_checkpoint_forwards_the_same_logits_while_its_stacks_are_kept(tmp_path, rng):
-    # The first forward builds each unit's stack and keeps none, the second
-    # builds and keeps them, the third reads the kept ones.
+def _held_between_forwards(unit):
+    """Base arrays and bytes a gating unit holds besides its parameters and its grid's geometry.
+
+    Walks everything the unit refers to (its stack cache, the kept stack's
+    vectors and their tape, closures included), skipping the parameters,
+    their arrays and the shared ``DisplacementGrid``.
+    """
+    params = list(unit.parameters().values()) + [
+        t for t in (unit.gqpe.delta, unit.gqpe.gamma, unit.gqpe.alpha_raw) if t is not None]
+    grid = unit.grid
+    seen = {id(grid), id(grid.pairs), *map(id, grid._features.values()), *map(id, params)}
+    param_bases = {id(T._base(p.data)) for p in params}
+    held, todo = [], list(vars(unit).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if id(T._base(obj)) not in param_bases:
+                held.append(T._base(obj))
+        elif isinstance(obj, bytes):
+            held.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return held
+
+
+def _recipe_bytes(recipe):
+    return sum(a.nbytes for a in (recipe.table, *recipe.off_peak, recipe.sums))
+
+
+def _check_holds_no_more_than_its_recipe(unit):
+    recipe = unit._stack_entry[2].recipe
+    n, s = recipe.shape[:2]
+    held = _held_between_forwards(unit)
+    assert any(a is recipe.table for a in held)
+    if n == 1:
+        # A one-token window's stack and recipe are a few numbers per
+        # group, fewer than the vectors' tape and the cache key hold.
+        return
+    assert max(len(a) if isinstance(a, bytes) else a.nbytes for a in held) <= \
+        _recipe_bytes(recipe) < n * s * n * recipe.dtype.itemsize
+
+
+def test_a_loaded_checkpoint_builds_each_recipe_once_and_keeps_no_stack(tmp_path, rng,
+                                                                      monkeypatch):
+    # A loaded model's first forward builds each quadratic unit's recipe
+    # and keeps it; no later forward builds one, every forward has the
+    # built model's logits, and between forwards no unit holds an array
+    # larger than its recipe, so none holds a stack.
     m = micro(seed=14)
     path = tmp_path / "m.pmlp"
     M.save_checkpoint(m, path)
@@ -471,9 +523,25 @@ def test_a_loaded_checkpoint_forwards_the_same_logits_while_its_stacks_are_kept(
     x = Tensor(rng.standard_normal((2, 32, 32, 3)).astype(np.float32))
     want = m.forward(x).data
     units = [blk.unit for blocks in loaded.stages for blk in blocks]
-    for kept in (False, True, True):
+    calls, real = [], G.group_weight_stack
+    monkeypatch.setattr(G, "group_weight_stack", lambda *a: calls.append(1) or real(*a))
+    for _ in range(3):
         np.testing.assert_array_equal(loaded.forward(x).data, want)
-        assert all((u._stack_entry[2] is not None) == kept for u in units)
+        assert len(calls) == len(units)
+        for u in units:
+            _check_holds_no_more_than_its_recipe(u)
+
+
+def test_a_t_unit_holds_no_more_than_its_recipe_between_forwards(rng):
+    # PosMLP-T's four stages at 224^2 and batch 1, one quadratic unit each.
+    cfg = M.variant_config("T")
+    for st, windows in zip(cfg.stages, (16, 4, 1, 1)):
+        gcfg = GatingConfig(kind=GatingKind.GGQPE, window_side=st.window_side, groups=st.groups)
+        u = G.GatingUnit(gcfg, st.dim * st.expansion, rng=np.random.default_rng(0))
+        x = Tensor(rng.standard_normal((windows, gcfg.n_tokens, u.width)).astype(np.float32))
+        first = u.forward(x).data
+        _check_holds_no_more_than_its_recipe(u)
+        np.testing.assert_array_equal(u.forward(x).data, first)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"gating_kind": "lrpe_m"}, {"gating_kind": "glrpe"},

@@ -694,8 +694,7 @@ def _mix_gradients(params, grid, x, bias, g, fused):
     xt = Tensor(x, requires_grad=True)
     bt = None if bias is None else Tensor(bias, requires_grad=True)
     if fused:
-        out = T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors, stack.features,
-                                  xt, bt)
+        out = T.mix_softmax_stack(stack.recipe, stack.vectors, stack.features, xt, bt)
     else:
         out = T.mix_tokens(stack.weights, xt)
         if bt is not None:
@@ -747,8 +746,7 @@ def test_one_node_mixing_gradcheck(form, frozen, with_bias):
 
     def fn():
         stack = P.group_weight_stack(params, grid)
-        out = T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors, stack.features,
-                                  x, bias)
+        out = T.mix_softmax_stack(stack.recipe, stack.vectors, stack.features, x, bias)
         return T.weighted_sum(out, weights)
 
     wrt = {**params.parameters(), "x": x, **({"bias": bias} if with_bias else {})}
@@ -764,14 +762,18 @@ def test_one_node_mixing_refuses_a_stack_its_vectors_cannot_generate():
                                  P.displacement_grid(3))
     x = Tensor(np.ones((1, 9, 6), dtype=np.float32))
     with pytest.raises(T.ShapeError, match="do not generate"):
-        T.mix_softmax_stack(stack.weights, stack.recipe, other.vectors, other.features, x)
-    with pytest.raises(T.ShapeError, match="does not rebuild"):
-        T.mix_softmax_stack(stack.weights, other.recipe, stack.vectors, stack.features, x)
+        T.mix_softmax_stack(stack.recipe, other.vectors, other.features, x)
+    with pytest.raises(T.ShapeError, match="do not generate"):
+        T.mix_softmax_stack(other.recipe, stack.vectors, stack.features, x)
+    for bad in ((1, 9, 5), (1, 4, 6), (9, 6)):
+        with pytest.raises(T.ShapeError, match="does not fit input"):
+            T.mix_softmax_stack(stack.recipe, stack.vectors, stack.features,
+                                Tensor(np.ones(bad, dtype=np.float32)))
     with pytest.raises(T.ShapeError, match="bias"):
-        T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors, stack.features, x,
+        T.mix_softmax_stack(stack.recipe, stack.vectors, stack.features, x,
                             Tensor(np.ones(4, dtype=np.float32)))
     with pytest.raises(T.ShapeError, match="dtype"):
-        T.mix_softmax_stack(stack.weights, stack.recipe, stack.vectors,
+        T.mix_softmax_stack(stack.recipe, stack.vectors,
                             P.displacement_grid(3).features(np.float64), x)
 
 
@@ -826,15 +828,15 @@ def test_the_recipe_rule_has_the_dense_stack_rules_bits(k, s, dtype):
     features = grid.features(dtype)
     for name, logits in _recipe_cases(k, s, dtype, rng):
         stack, recipe = T.softmax_stack(Tensor(logits), grid.pairs)
-        # The rule reads the vectors only for their shape: the stack is given.
+        # The rule reads the vectors only for their shape: the recipe is given.
         vectors = Tensor(np.zeros((s, 5), dtype=dtype), requires_grad=True)
         for bsz, with_bias in ((1, True), (2, False), (3, True)):
             x = rng.standard_normal((bsz, n, 2 * s)).astype(dtype)
             bias = Tensor(rng.standard_normal(n), dtype=dtype, requires_grad=True) \
                 if with_bias else None
             g = rng.standard_normal(x.shape).astype(dtype)
-            out = T.mix_softmax_stack(stack, recipe, vectors, features,
-                                      Tensor(x, requires_grad=True), bias)
+            out = T.mix_softmax_stack(recipe, vectors, features, Tensor(x, requires_grad=True),
+                                      bias)
             want_out = T.mix_tokens(stack, Tensor(x)).data
             if with_bias:
                 want_out += bias.data[:, None]
@@ -844,3 +846,83 @@ def test_the_recipe_rule_has_the_dense_stack_rules_bits(k, s, dtype):
                                                  bias.data if with_bias else None,
                                                  features.data.T)
             assert same_bits(gv, want_gv) and same_bits(gx, want_gx), (name, bsz)
+
+
+def _counting_mix_tokens(monkeypatch):
+    """Record, as the benchmark tracer counts them, the MACs of every ``T.mix_tokens`` call."""
+    calls, real = [], T.mix_tokens
+
+    def counted(w, x):
+        out = real(w, x)
+        calls.append((w.shape, out.size * w.shape[0]))
+        return out
+
+    monkeypatch.setattr(T, "mix_tokens", counted)
+    return calls
+
+
+# k = 14 is PosMLP-T's stage 0-2 window, k = 7 its stage 3 and MICRO's stage 0.
+@pytest.mark.parametrize("k", [2, 7, 14])
+@pytest.mark.parametrize("s", [1, 8, 32, 64])
+@pytest.mark.parametrize("bsz", [1, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_streamed_forward_has_the_whole_stacks_bits(k, s, bsz, dtype, monkeypatch):
+    # The forward mixes a few groups at a time from the recipe; the oracle
+    # is mix_tokens of the whole stack softmax_stack forms, then
+    # add_token_bias.  The chunk is the default one, whose last chunk is
+    # partial wherever s is not a multiple of it, and one of three groups,
+    # which leaves a partial last chunk at every s > 3 here.  Every mixing
+    # product goes through mix_tokens with an (N, s', N) stack, so a traced
+    # forward counts the whole product's MACs.
+    rng = np.random.default_rng(k * 1000 + s * 10 + bsz)
+    n, c = k * k, 2
+    grid = P.displacement_grid(k)
+    features = grid.features(dtype)
+    vectors = Tensor(np.zeros((s, 5), dtype=dtype))
+    x = Tensor(rng.standard_normal((bsz, n, s * c)).astype(dtype))
+    bias = Tensor(rng.standard_normal(n).astype(dtype))
+    for name, logits in _recipe_cases(k, s, dtype, rng):
+        stack, recipe = T.softmax_stack(Tensor(logits), grid.pairs)
+        want = T.add_token_bias(T.mix_tokens(stack, x), bias).data
+        for chunk_groups in (None, 3):
+            if chunk_groups is not None:
+                monkeypatch.setattr(T, "_STACK_CHUNK_BYTES", chunk_groups * n * n * x.data.itemsize)
+            calls = _counting_mix_tokens(monkeypatch)
+            got = T.mix_softmax_stack(recipe, vectors, features, x, bias).data
+            monkeypatch.undo()
+            assert same_bits(got, want), (name, chunk_groups)
+            assert all(len(w) == 3 and w[0] == w[2] == n for w, _ in calls), name
+            assert sum(w[1] for w, _ in calls) == s and sum(m for _, m in calls) == want.size * n
+            if chunk_groups == 3:
+                assert len(calls) == -(-s // 3)
+
+
+def test_the_scaled_rule_keeps_a_tiny_logit_gradient_out_of_the_subnormals(monkeypatch):
+    # An incoming gradient near float32's smallest normal, at T's stage-2
+    # window: unscaled, the rule's stack gradient and logit gradient are
+    # subnormal and lose bits; scaled by 2^24 they stay normal, and the
+    # vectors' gradient lands within a few eps of the float64 rule's.
+    k, s, c = 14, 8, 24
+    n, grid = k * k, P.displacement_grid(k)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1, n, s * c))
+    g = rng.standard_normal((1, n, s * c)) * 2.0 ** -126
+
+    def vectors_grad(dtype):
+        params = P.GqpeParams(groups=s, rng=np.random.default_rng(1), dtype=dtype)
+        stack = P.group_weight_stack(params, grid)
+        vectors = Tensor(stack.vectors.data, requires_grad=True)
+        out = T.mix_softmax_stack(stack.recipe, vectors, stack.features, Tensor(x, dtype=dtype))
+        return out._vjp(g.astype(dtype))[0].astype(np.float64)
+
+    want = vectors_grad(np.float64)
+    scaled = vectors_grad(np.float32)
+    monkeypatch.setattr(T, "_GRAD_SCALE", 1.0)
+    unscaled = vectors_grad(np.float32)
+    assert np.array_equal(vectors_grad(np.float64), want)
+    top = np.abs(want).max()
+    assert top > np.finfo(np.float32).tiny
+    err, unscaled_err = np.abs(scaled - want).max(), np.abs(unscaled - want).max()
+    # Measured: 4.0 eps of the largest entry scaled, 29.6 eps unscaled.
+    assert err <= 8 * np.finfo(np.float32).eps * top
+    assert unscaled_err > 2 * err

@@ -350,13 +350,15 @@ def test_a_weight_stack_frees_its_feature_logits(form):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_micro_records_as_many_tape_nodes_as_before(monkeypatch, dtype):
-    # 120 results in the forward, one more for the loss, 61 leaves; the
+    # 115 results in the forward, one more for the loss, 61 leaves; the
     # counts the tape recorded when it linked parent tensors, except that
     # each of the five ggqpe blocks mixes through one mix_softmax_stack node
     # in place of mix_tokens + add_token_bias.  That node's inner mix_tokens
-    # result is untaped, and its gradient reaches the logit vectors directly,
-    # so the stack's softmax and logit product are off the loss's path.
-    # Each block's split adds the one node its two parts link through.
+    # result (one chunk at MICRO's windows) is untaped, and its gradient
+    # reaches the logit vectors directly, so the logit product is off the
+    # loss's path, and the blocks form no softmax_stack result: their
+    # stacks are recipes.  Each block's split adds the one node its two
+    # parts link through.
     taped = []
     result = T._result
 
@@ -369,7 +371,7 @@ def test_micro_records_as_many_tape_nodes_as_before(monkeypatch, dtype):
     m = M.build_model(M.variant_config("MICRO"), rng=np.random.default_rng(0), dtype=dtype)
     x = Tensor(np.random.default_rng(1).standard_normal((2, 32, 32, 3)), dtype=dtype)
     logits = m.forward(x)
-    assert len(taped) == 120 and sum(taped) == 120 - 5
+    assert len(taped) == 115 and sum(taped) == 115 - 5
     loss = T.cross_entropy_mean(logits, np.array([0, 3]))
     order = T._topo_order(loss)
     assert sum(node._vjp is not None for node in order) == 115 + 1 - 2 * 5 + 5

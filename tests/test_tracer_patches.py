@@ -76,9 +76,9 @@ def test_a_fresh_micro_forward_executes_the_closed_form_macs(monkeypatch, tmp_pa
     # The benchmark counts MACs only where the tracer wraps tensor.mix_tokens
     # and tensor.matmul; a dense product that bypasses them shows up here.
     # A checkpoint-loaded model, as t224_infer times it, executes the same
-    # count on its second forward, which builds the stacks it then keeps.
-    # Its third forward mixes with the kept stacks and skips only the
-    # stacks' generation: every other op's count stays, so a kept-stack
+    # count on its first forward, which builds the stacks' recipes it then
+    # keeps.  Its second forward mixes from the kept recipes and skips only
+    # their generation: every other op's count stays, so a kept-recipe
     # path that bypassed mix_tokens, or handed it an (s, N, N) stack whose
     # leading extent the tracer would read as N, fails here.
     had_cache = (PERFBENCH / "__pycache__").exists()
@@ -97,9 +97,8 @@ def test_a_fresh_micro_forward_executes_the_closed_form_macs(monkeypatch, tmp_pa
     path = tmp_path / "micro.pmlp"
     M.save_checkpoint(model, path)
     loaded = M.load_checkpoint(path)
-    loaded.forward(x)
-    second, rows = _traced_forward_macs(tracer_mod, cfg, loaded, x)
-    assert second == fresh and rows["positional"]["calls"] == sum(st.depth for st in cfg.stages)
+    first, rows = _traced_forward_macs(tracer_mod, cfg, loaded, x)
+    assert first == fresh and rows["positional"]["calls"] == sum(st.depth for st in cfg.stages)
     # The positional spans hold every matmul: the logits and the 2 x 2
     # precision algebra.
     kept, rows = _traced_forward_macs(tracer_mod, cfg, loaded, x)
