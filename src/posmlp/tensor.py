@@ -375,7 +375,7 @@ def _mix_input_grad(w, gg, out):
     np.matmul(w.transpose(0, 2, 1), gg, out=out)
 
 
-def mix_tokens(w, x):
+def mix_tokens(w, x, out=None):
     """Apply an ``(N, s, N)`` stack of token-mixing weights to ``x`` of shape ``(B, N, C)``.
 
     The stack's entry ``w[:, g]`` mixes the g-th of s equal contiguous
@@ -394,6 +394,11 @@ def mix_tokens(w, x):
     bits.  The weight gradient is formed group-major too and returned as
     its ``(N, s, N)`` view.  ``mix_softmax_stack``'s rule forms its
     products with the same ``_mix_input_grad`` and ``_window_sum`` calls.
+
+    ``out``, a ``(B, N, C)`` array or view with unit stride along C, takes
+    the product in place of a new array; the result wraps it.  It is for
+    operands that need no gradient: ``mix_softmax_stack`` writes each
+    chunk's product straight into its channels of the whole output.
     """
     if w.ndim != 3 or w.shape[0] != w.shape[2]:
         raise ShapeError(f"mix_tokens: expected an (N, s, N) stack, got {w.shape}")
@@ -401,8 +406,14 @@ def mix_tokens(w, x):
     if x.ndim != 3 or x.shape[1] != n or x.shape[2] % s != 0:
         raise ShapeError(f"mix_tokens: weights {w.shape} do not fit input {x.shape}")
     xshape, dtype = x.shape, x.dtype
+    if out is None:
+        out = np.empty(xshape, dtype=dtype)
+    elif out.shape != xshape or out.dtype != dtype:
+        raise ShapeError(f"mix_tokens: out {out.shape} {out.dtype} does not fit input "
+                         f"{xshape} {dtype}")
+    elif w.requires_grad or x.requires_grad:
+        raise GradError("mix_tokens: out takes only a product that needs no gradient")
     wg = w.data.transpose(1, 0, 2)
-    out = np.empty(xshape, dtype=dtype)
     np.matmul(wg, _by_group(x.data, s), out=_by_group(out, s))
     # The weight gradient reads x, the input gradient the weights.
     xk = _kept(x) if w.requires_grad else None
@@ -446,10 +457,11 @@ def mix_softmax_stack(recipe, vectors, features, x, bias=None):
     of stack rows, four float32 groups at N = 196, which stay in L2.  It
     rebuilds each chunk from the recipe, with the stack's bits, into one
     buffer of this call, and mixes the chunk's channel groups with it
-    through an untaped ``mix_tokens`` call of an ``(N, s', N)`` stack.
-    That call forms each (window, group) product as the whole stack's call
-    does, so the output has its bits, and the benchmark's tracer counts
-    the products' MACs in ``mix_tokens``.  The bias is added in place.
+    through an untaped ``mix_tokens`` call of an ``(N, s', N)`` stack,
+    which writes them straight into the output.  That call forms each
+    (window, group) product as the whole stack's call does, so the output
+    has its bits, and the benchmark's tracer counts the products' MACs in
+    ``mix_tokens``.  The bias is added in place.
 
     The node keeps the recipe, x and its own output.  Its rule goes
     through the same chunks, rebuilds each, and forms the chunk's input
@@ -498,8 +510,8 @@ def mix_softmax_stack(recipe, vectors, features, x, bias=None):
     for lo in range(0, s, step):
         hi = min(lo + step, s)
         y = recipe.write(lo, hi, ys[:hi - lo])
-        part = mix_tokens(_untaped(y.transpose(1, 0, 2)), _untaped(x.data[..., lo * c:hi * c]))
-        out[..., lo * c:hi * c] = part.data
+        mix_tokens(_untaped(y.transpose(1, 0, 2)), _untaped(x.data[..., lo * c:hi * c]),
+                   out=out[..., lo * c:hi * c])
     if bias is not None:
         out += bias.data[:, None]
     grouped = (xshape[0], n, s, c)

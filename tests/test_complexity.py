@@ -157,9 +157,9 @@ def test_estimate_matches_instrumented_forward(monkeypatch):
         counted["macs"] += rows * w.shape[0] * w.shape[1]
         return real["linear"](x, w, b)
 
-    def wrap_mix(w, x):
+    def wrap_mix(w, x, out=None):
         # w is an (N, s, N) stack: each output entry contracts N tokens
-        out = real["mix_tokens"](w, x)
+        out = real["mix_tokens"](w, x, out=out)
         counted["macs"] += out.size * w.shape[0]
         return out
 

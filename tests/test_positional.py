@@ -852,8 +852,8 @@ def _counting_mix_tokens(monkeypatch):
     """Record, as the benchmark tracer counts them, the MACs of every ``T.mix_tokens`` call."""
     calls, real = [], T.mix_tokens
 
-    def counted(w, x):
-        out = real(w, x)
+    def counted(w, x, out=None):
+        out = real(w, x, out=out)
         calls.append((w.shape, out.size * w.shape[0]))
         return out
 

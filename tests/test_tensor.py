@@ -642,6 +642,21 @@ def test_mix_tokens_weight_gradient_matches_accumulation_from_zero(rng, n, s, c,
     np.testing.assert_array_equal(gw, gw_accumulated_from_zero(w.data, x.data, g))
 
 
+def test_mix_tokens_writes_an_untaped_product_into_out(rng):
+    # out may be a channel slice of a wider array; the product's bits are
+    # the new array's, and nothing outside the slice is touched.
+    w, x = t64(rng.random((9, 2, 9))), t64(rng.standard_normal((3, 9, 8)))
+    whole = np.full((3, 9, 12), 7.0)
+    got = T.mix_tokens(w, x, out=whole[..., 2:10])
+    assert np.shares_memory(got.data, whole) and not got.requires_grad
+    np.testing.assert_array_equal(whole[..., 2:10], T.mix_tokens(w, x).data)
+    assert (whole[..., :2] == 7.0).all() and (whole[..., 10:] == 7.0).all()
+    with pytest.raises(T.ShapeError):
+        T.mix_tokens(w, x, out=whole)
+    with pytest.raises(T.GradError):
+        T.mix_tokens(t64(w.data, grad=True), x, out=whole[..., 2:10])
+
+
 def test_mix_tokens_rejects_indivisible_groups():
     with pytest.raises(T.ShapeError):
         T.mix_tokens(t64(np.ones((4, 3, 4))), t64(np.ones((1, 4, 8))))

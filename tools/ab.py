@@ -1,17 +1,20 @@
 """Paired A/B runs of the benchmark: a base revision against this checkout.
 
-    python3 tools/ab.py --base REV --workload t224_infer --workload t224_train --pairs 5
+    python3 tools/ab.py --base REV --workload t224_infer --workload t224_train --pairs 10
 
 Extracts REV with ``git archive`` into a temporary directory outside the
 checkout and runs each side's own ``perfbench/run.py`` (``--trace 0``) in
 its own tree, one run per side and pair.  The side that runs first
 alternates from pair to pair, base first in pair 0, so a drift of the
 host's speed falls on both sides alike.  Each run's last output line is
-its JSON result.  Writes ``BENCH_<sha>.json`` at the checkout's root (or
-``--out``), where sha is the checkout's HEAD, holding per workload and
-metric each side's median and quartiles, the head/base ratio of each pair
-and the number of pairs the head won, and every run's record and result.
-A run that fails or prints no JSON result stops the driver.
+its JSON result.  Every run lasts the ``run_seconds`` of the checkout's
+``BENCHMARK.json``, which also gives each metric's better direction.  The
+checkout's tracked files must match its HEAD, so that the head's numbers
+belong to one commit.  Writes ``BENCH_<sha>.json`` at the checkout's root,
+where sha is HEAD, holding per workload and metric each side's median and
+quartiles, the head/base ratio of each pair and the number of pairs the
+head won, and every run's record and result.  A run that fails or prints
+no JSON result stops the driver.
 """
 
 import argparse
@@ -71,13 +74,8 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def directions(root):
-    """Metric name -> "lower" or "higher" from the checkout's BENCHMARK.json, if any."""
-    path = os.path.join(root, "BENCHMARK.json")
-    if not os.path.isfile(path):
-        return {}
-    with open(path) as fh:
-        spec = json.load(fh)
+def directions(spec):
+    """Metric name -> "lower" or "higher" from a BENCHMARK.json's metric lists."""
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer")
             for m in spec.get(key, [])}
 
@@ -106,7 +104,7 @@ def failures(runs):
                    for key in ("failed", "attempted")} for side in ("base", "head")}
 
 
-def compare(root, base_tree, workload, pairs, seed, seconds, log=print):
+def compare(root, base_tree, workload, pairs, seed, seconds, better, log=print):
     """``pairs`` alternating runs of each side; returns the workload's summary and runs."""
     runs = []
     for i in range(pairs):
@@ -117,7 +115,7 @@ def compare(root, base_tree, workload, pairs, seed, seconds, log=print):
                          "record": record, "result": result})
             log(f"{workload} pair {i} {side}: failed {result['failed']}/{result['attempted']}, "
                 f"{wall:.1f} s")
-    return {"metrics": summarize(runs, directions(root)), "operations": failures(runs),
+    return {"metrics": summarize(runs, better), "operations": failures(runs),
             "runs": runs}
 
 
@@ -127,25 +125,25 @@ def main(argv=None, root=ROOT):
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", help="output path; default BENCH_<sha>.json at the root")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if git(root, "status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit("error: tracked files differ from HEAD; commit them first")
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
     base_sha = git(root, "rev-parse", "--verify", f"{args.base}^{{commit}}")
     head_sha = git(root, "rev-parse", "HEAD")
-    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
-    out = args.out or os.path.join(root, f"BENCH_{head_sha[:12]}.json")
-    report = {"base": {"rev": args.base, "sha": base_sha},
-              "head": {"sha": head_sha, "dirty": dirty},
-              "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
-              "workloads": {}}
+    out = os.path.join(root, f"BENCH_{head_sha[:12]}.json")
+    report = {"base": {"rev": args.base, "sha": base_sha}, "head": {"sha": head_sha},
+              "pairs": args.pairs, "seed": args.seed, "seconds": seconds, "workloads": {}}
     base_tree = tempfile.mkdtemp(prefix="ab-base-")
     try:
         extract(root, base_sha, base_tree)
         for workload in args.workload:
             report["workloads"][workload] = compare(root, base_tree, workload, args.pairs,
-                                                    args.seed, args.seconds)
+                                                    args.seed, seconds, directions(spec))
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)
     with open(out, "w") as fh:
