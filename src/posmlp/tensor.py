@@ -14,12 +14,12 @@ A rule that reads an operand keeps what the operand's op left to remake it,
 when that op left one: a result whose op can recompute it bit for bit from
 arrays its own rule already holds carries a remake (``Tensor._remake``), a
 function returning the result, or a slice of it, afresh.  ``gelu`` remakes
-from its input and erf half, ``layer_norm`` from its standardized input,
-``mul`` from its two operands, and a ``split`` part from its slice of a
-remakeable input.  ``linear``, ``mul``, ``mix_tokens``,
-``mix_softmax_stack`` and the convolutions keep such a remake instead of
-the array and run it once, in their rule, so the tape holds one copy of
-each activation.  A remake reads the parameters' arrays when it runs, so a
+from its input alone, forming its erf half again once per backward;
+``layer_norm`` remakes from its standardized input, ``mul`` from its two
+operands, and a ``split`` part from its slice of a remakeable input.
+``linear``, ``mul``, ``mix_tokens``, ``mix_softmax_stack`` and the
+convolutions keep such a remake instead of the array and run it once, in
+their rule, so the tape holds one copy of each activation.  A remake reads the parameters' arrays when it runs, so a
 parameter edited in place between the forward and the backward changes the
 remade values, as it changes every rule that reads that parameter.
 
@@ -815,14 +815,13 @@ def _row_blocks(*arrays):
         yield [r[lo:lo + step] for r in rows]
 
 
-def _gelu_scipy(x, h, out, t, s):
-    """h = erf(x / sqrt(2)) / 2 from SciPy's erf, out = x * Phi(x); t is unused, s scratch."""
+def _gelu_scipy(x, h, t, s):
+    """h = erf(x / sqrt(2)) / 2 from SciPy's erf; t and s are unused."""
     from scipy.special import erf
 
     np.multiply(x, _INV_SQRT2, out=h)
     erf(h, out=h)
     h *= 0.5
-    _gelu_out_scipy(x, h, out, s)
 
 
 def _gelu_out_scipy(x, h, out, s):
@@ -834,8 +833,8 @@ def _gelu_out_scipy(x, h, out, s):
     np.multiply(x, s, out=out)
 
 
-def _gelu_f32(x, h, out, t, s):
-    """h = erf(x / sqrt(2)) / 2, out = x * Phi(x) from a float32 rational erf; t, s are scratch.
+def _gelu_f32(x, h, t, s):
+    """h = erf(x / sqrt(2)) / 2 from a float32 rational erf; t, s are scratch.
 
     erf's argument is clamped to [-4, 4], where the rational function
     reaches exactly +-1, and an odd degree-13 numerator is divided by an
@@ -864,7 +863,6 @@ def _gelu_f32(x, h, out, t, s):
         t += c
     h /= t
     np.clip(h, -0.5, 0.5, out=h)
-    _gelu_out_f32(x, h, out, s)
 
 
 def _gelu_out_f32(x, h, out, s):
@@ -890,25 +888,43 @@ def gelu(x):
     function (``_gelu_f32``): every finite float32 output lies within 3.55
     float32 spacings of |x| of the float64 result, has the sign of x, and
     depends on its input's value alone.  Both work in place over chunks
-    that stay in cache.  The rule keeps x and h = erf(x/sqrt(2)) / 2 and
-    forms Phi = h + 1/2 as it goes; from the same two arrays the result's
-    remake forms the output, or any slice of it, with the forward's ops,
-    so its bits are the output's.
+    that stay in cache: the forward forms h = erf(x/sqrt(2)) / 2 a chunk at
+    a time and writes only the output.  The rule keeps x alone.  The
+    backward's first read, the rule's or the result's remake's, forms one
+    input-sized h from x again with the same kernel, which the rule and
+    every remake share and the rule drops once it has run; so h is formed
+    once per backward and its bits are the forward's.  The rule forms Phi =
+    h + 1/2 as it goes, and the remake forms the output, or any slice of
+    it, with the forward's ops, so its bits are the output's.
     """
     xd = x.data
     xf = xd.reshape(-1)
     n, dtype = xf.size, xd.dtype
-    h = np.empty_like(xd)
     out = np.empty_like(xd)
-    hf, outf = h.reshape(-1), out.reshape(-1)
+    outf = out.reshape(-1)
     kernel, output = (_gelu_f32, _gelu_out_f32) if dtype == np.float32 else \
         (_gelu_scipy, _gelu_out_scipy)
-    t, s = np.empty((2, min(n, _CHUNK)), dtype=dtype)
+    h, t, s = np.empty((3, min(n, _CHUNK)), dtype=dtype)
     for sl in _chunks(n):
         m = sl.stop - sl.start
-        kernel(xf[sl], hf[sl], outf[sl], t[:m], s[:m])
+        kernel(xf[sl], h[:m], t[:m], s[:m])
+        output(xf[sl], h[:m], outf[sl], s[:m])
+    del h, t, s
+    # h over the whole input, from the backward's first read until the rule has run.
+    half = [None]
+
+    def erf_half():
+        if half[0] is None:
+            hf = np.empty_like(xf)
+            t, s = np.empty((2, min(n, _CHUNK)), dtype=dtype)
+            for sl in _chunks(n):
+                m = sl.stop - sl.start
+                kernel(xf[sl], hf[sl], t[:m], s[:m])
+            half[0] = hf.reshape(xd.shape)
+        return half[0]
 
     def vjp(g):
+        hf = erf_half().reshape(-1)
         gf = g.reshape(-1)
         gx = np.empty_like(xd)
         gxf = gx.reshape(-1)
@@ -928,13 +944,14 @@ def gelu(x):
             np.add(hf[sl], 0.5, out=ps)
             ds += ps
             np.multiply(ds, gf[sl], out=gxf[sl])
+        half[0] = None
         return (gx,)
 
     def remake(sl=...):
         xs = xd[sl]
         y = np.empty(xs.shape, dtype=dtype)
         s = None
-        for xb, hb, yb in _row_blocks(xs, h[sl], y):
+        for xb, hb, yb in _row_blocks(xs, erf_half()[sl], y):
             s = np.empty_like(yb) if s is None else s[:len(yb)]
             output(xb, hb, yb, s)
         return y

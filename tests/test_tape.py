@@ -23,6 +23,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from posmlp import gating as G
 from posmlp import model as M
@@ -427,14 +428,15 @@ def test_a_training_step_frees_its_graph_and_its_gradients(monkeypatch):
     # What backward rules captured is freed as each rule fires, while the
     # loss is still held; the optimizer step then drops every gradient.
     # The gelu output, and with it the mixing input, is remade in the
-    # backward from the gelu input and erf half its rule keeps.
-    refs = {}
+    # backward from the gelu input its rule keeps; the erf half is formed
+    # in the backward and dropped by the gelu rule.
+    refs, halves = {}, []
     gelu, layer_norm = T.gelu, T.layer_norm
 
     def recording_gelu(x):
         out = gelu(x)
         refs.setdefault("gelu x", weakref.ref(_closure(out, "xd")))
-        refs.setdefault("gelu h", weakref.ref(_closure(out, "hf").base))
+        halves.append(_closure(out, "half"))
         return out
 
     def recording_layer_norm(*args, **kwargs):
@@ -449,10 +451,12 @@ def test_a_training_step_frees_its_graph_and_its_gradients(monkeypatch):
     x = Tensor(np.random.default_rng(1).standard_normal((4, 32, 32, 3)), dtype=np.float32)
     logits = m.forward(x)
     loss = T.cross_entropy_mean(logits, np.array([0, 1, 2, 3]))
-    assert len(refs) == 3 and all(ref() is not None for ref in refs.values())
+    assert len(refs) == 2 and all(ref() is not None for ref in refs.values())
+    assert halves and all(h[0] is None for h in halves)
     m.zero_grad()
     backward(loss)
     assert [name for name, ref in refs.items() if ref() is not None] == []
+    assert all(h[0] is None for h in halves)
     assert all(p.grad is not None for p in m.parameters().values())
     opt.step(1e-3)
     assert [k for k, p in m.parameters().items() if p.grad is not None] == []
@@ -473,12 +477,12 @@ def test_same_seed_tape_censuses_are_identical():
     assert first["mix_softmax_stack"] > 0 and first["gelu"] > 0
 
 
-def test_gelu_holds_exactly_its_input_and_erf_half(monkeypatch):
+def test_gelu_holds_exactly_its_input(monkeypatch):
     leaf = Tensor(np.random.default_rng(0).standard_normal((4, 6)), requires_grad=True)
     x = T.scale(leaf, 2.0)  # holds no array; x is not a parameter
     y = T.gelu(x)
-    assert T.tape_census(y) == {"gelu": 2 * x.data.nbytes}
-    assert {id(a) for _, a in T._held_arrays(y)} == {id(x.data), id(_closure(y, "hf").base)}
+    assert T.tape_census(y) == {"gelu": x.data.nbytes}
+    assert {id(a) for _, a in T._held_arrays(y)} == {id(x.data)}
     # A wrapped rule, as the benchmark tracer installs, counts under its op.
     result = T._result
 
@@ -486,7 +490,40 @@ def test_gelu_holds_exactly_its_input_and_erf_half(monkeypatch):
         return result(data, parents, lambda g: vjp(g), op_name)
 
     monkeypatch.setattr(T, "_result", wrapping)
-    assert T.tape_census(T.gelu(T.scale(leaf, 2.0))) == {"gelu": 2 * x.data.nbytes}
+    assert T.tape_census(T.gelu(T.scale(leaf, 2.0))) == {"gelu": x.data.nbytes}
+
+
+def test_a_t_stage_2_gelu_node_holds_one_input_sized_array():
+    # PosMLP-T's stage 2: 196 tokens of 1536 hidden channels, 1.2 MB.  The
+    # forward forms the erf half a chunk at a time, so the node holds the
+    # input alone; the rule forms one input-sized half and drops it.
+    st = M.variant_config("T").stages[2]
+    rng = np.random.default_rng(0)
+    shape = (1, st.window_side ** 2, st.dim * st.expansion)
+    x = T.scale(Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True), 1.0)
+    g = rng.standard_normal(shape).astype(np.float32)
+    nbytes = x.data.nbytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.gelu(x)
+        del x  # its array, allocated before tracing began, lives on in the node
+        gc.collect()
+        forward, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        (gx,) = y._vjp(g)
+        backward, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert T.tape_census(y) == {"gelu": nbytes}
+    small, chunk = nbytes // 8, T._CHUNK * 4
+    assert forward - before - y.data.nbytes < small
+    # the output and three chunk-sized buffers: h, and the kernel's t and s
+    assert forward_peak - before < nbytes + 3 * chunk + small
+    assert backward - forward - gx.nbytes < small
+    # h, the gradient and the rule's two chunk-sized buffers
+    assert 2 * nbytes <= backward_peak - forward < 2 * nbytes + 2 * chunk + small
 
 
 def test_a_window_stack_rule_holds_no_array():
@@ -642,17 +679,105 @@ def test_a_gate_operand_is_remade_once_per_backward():
     assert calls == [Ellipsis]
 
 
+def test_a_split_gelu_forms_its_erf_half_once_per_backward(monkeypatch):
+    # Both halves are read, by mul's rule and by its remake, which the
+    # linear's rule calls; the gelu rule reads the erf half after them.
+    calls = []
+    kernel = T._gelu_f32
+
+    def counting(x, h, t, s):
+        calls.append(x.size)
+        kernel(x, h, t, s)
+
+    monkeypatch.setattr(T, "_gelu_f32", counting)
+    rng = np.random.default_rng(3)
+    y = T.gelu(_gelu_input(rng, (2, 3, WIDE), np.float32))
+    n, half = y.size, _closure(y, "half")
+    assert calls == [T._CHUNK, n - T._CHUNK]
+    a, b = T.split(y, 2)
+    out = _consumers(rng, WIDE // 2, np.float32)["linear"](T.mul(a, b))
+    calls.clear()
+    backward(T.sum_all(out))
+    assert calls == [T._CHUNK, n - T._CHUNK]
+    assert half[0] is None
+
+
+def _erf_half_oracle(x):
+    """h = erf(x / sqrt(2)) / 2 by the formula the forward has always used."""
+    if x.dtype == np.float64:
+        return erf(x * 0.7071067811865476) * 0.5
+    num = 0.5 * np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                          -1.60960333262415e-02], dtype=np.float32)
+    den = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                    -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+    t = np.clip(x * 0.7071067811865476, -4.0, 4.0)
+    s = t * t
+    p = s * num[0] + num[1]
+    for c in num[2:]:
+        p = p * s + c
+    q = s * den[0] + den[1]
+    for c in den[2:]:
+        q = q * s + c
+    return np.clip(p * t / q, -0.5, 0.5)
+
+
+def _gelu_oracle(x, g):
+    """The output and the input gradient by the formulas a gelu keeping h formed."""
+    h = _erf_half_oracle(x)
+    if x.dtype == np.float64:
+        out = x * (h + 0.5)
+    else:
+        out = np.maximum(x, 0.0) - np.abs(x * (0.5 - np.abs(h)))
+    lim = 15.0 if x.dtype == np.float32 else 40.0
+    d = np.clip(x, -lim, lim)
+    d = np.exp(d * d * -0.5) * 0.3989422804014327 * x + (h + 0.5)
+    return out, d * g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_remakes_and_gradients_have_the_formulas_bits(dtype):
+    rng = np.random.default_rng(12)
+    lim = 15.0 if dtype == np.float32 else 40.0
+    edge = 4 * np.sqrt(2.0)  # where erf's argument is clamped in float32
+    big = 1e30 if dtype == np.float32 else 1e300
+    special = np.array([0.0, -0.0, edge, -edge, lim, -lim, big, -big, 1e-40, -0.68],
+                       dtype=dtype)
+    special = np.concatenate([special, np.nextafter(special, np.inf, dtype=dtype),
+                              np.nextafter(special, -np.inf, dtype=dtype)])
+    x = (rng.standard_normal(3 * (T._CHUNK // 2 + 33)) * 6).astype(dtype)
+    x[:special.size] = special
+    x = x.reshape(1, 3, -1)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    with np.errstate(over="ignore", under="ignore"):
+        want, gwant = _gelu_oracle(x, g)
+    y = T.gelu(T.scale(Tensor(x, requires_grad=True), 1.0))
+    halves = T.split(y, 3, axis=1)
+    assert y.data.tobytes() == want.tobytes()
+    assert y._remake().tobytes() == want.tobytes()
+    for i, part in enumerate(halves):
+        assert part._remake().tobytes() == want[:, i:i + 1].tobytes()
+    assert y._vjp(g)[0].tobytes() == gwant.tobytes()
+
+
 def test_a_t_training_tape_holds_no_gate_or_projection_input():
     # PosMLP-T 224^2, batch 1: every linear and mul input the backward reads
     # is remade.  What those ops still hold is the pooled features the head
-    # reads and each ggqpe unit's (s, 5) constant coefficients.
+    # reads and each ggqpe unit's (s, 5) constant coefficients.  Each gelu
+    # holds its input alone: the stem's two and one per block.
     m = M.build_model(M.variant_config("T"), rng=np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((1, 224, 224, 3)).astype(np.float32))
     loss = T.cross_entropy_mean(m.forward(x), np.array([7]))
     held = [(op, a.shape) for op, a in T._held_arrays(loss) if op in ("linear", "mul")]
     coeffs = [("mul", (blk.unit.config.groups, 5)) for blocks in m.stages for blk in blocks]
     assert sorted(held) == sorted(coeffs + [("linear", (1, m.config.stages[3].dim))])
-    assert sum(T.tape_census(loss).values()) <= 120 * 2 ** 20
+    census = T.tape_census(loss)
+    side = m.config.image_side // 4
+    stem = 2 * (2 * side) ** 2 * (m.config.stages[0].dim // 2)
+    blocks = sum(st.depth * (side >> i) ** 2 * st.dim * st.expansion
+                 for i, st in enumerate(m.config.stages))
+    assert census["gelu"] == 4 * (stem + blocks)
+    assert sum(census.values()) <= 80 * 2 ** 20
 
 
 def test_a_t_glrpe_training_tape_holds_no_lookup_indices():
