@@ -1,6 +1,7 @@
 """Paired A/B runs of the benchmark: a base revision against this checkout.
 
-    python3 tools/ab.py --base REV --workload t224_infer --workload t224_train --pairs 10
+    python3 tools/ab.py --base REV --workload t224_infer --workload t224_train --pairs 10 \
+        [--aa t224_infer]
 
 Extracts REV with ``git archive`` into a temporary directory outside the
 checkout and runs each side's own ``perfbench/run.py`` (``--trace 0``) in
@@ -15,6 +16,21 @@ where sha is HEAD, holding per workload and metric each side's median and
 quartiles, the head/base ratio of each pair and the number of pairs the
 head won, and every run's record and result.  A run that fails or prints
 no JSON result stops the driver.
+
+Each end-to-end metric, one with a ``bound`` in ``BENCHMARK.json``, also
+gets a verdict, the first of these that holds:
+
+- ``gain``: at least ten pairs, the head won at least nine tenths of them,
+  and the medians differ in the head's favour by more than the base's
+  inter-quartile distance;
+- ``worse``: the head's median is worse than the base's by more than the
+  bound, a fraction of the base's median;
+- ``unresolved``: the base's inter-quartile distance exceeds the bound;
+- ``within bound``: otherwise.
+
+``--aa W`` also runs W's pairs of HEAD against a second extraction of HEAD,
+in the same way, and stores them under ``aa``: the noise floor of the file's
+own runs, against which its base/head differences can be read.
 """
 
 import argparse
@@ -74,14 +90,31 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def directions(spec):
-    """Metric name -> "lower" or "higher" from a BENCHMARK.json's metric lists."""
-    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer")
+def rules(spec):
+    """Metric name -> (better direction, bound or None) from a BENCHMARK.json's metric lists."""
+    return {m["name"]: (m["better"], m.get("bound")) for key in ("end_to_end", "per_layer")
             for m in spec.get(key, [])}
 
 
-def summarize(runs, better):
-    """Per metric: each side's spread, the head/base ratio of each pair and the pairs head won."""
+def verdict(base, head, won, pairs, better, bound):
+    """``gain``, ``worse``, ``unresolved`` or ``within bound``: the module docstring's rule."""
+    worse_by = head["median"] - base["median"]
+    if better == "higher":
+        worse_by = -worse_by
+    iqr = base["q3"] - base["q1"]
+    allowed = bound * abs(base["median"])
+    if pairs >= 10 and won >= 0.9 * pairs and -worse_by > iqr:
+        return "gain"
+    if worse_by > allowed:
+        return "worse"
+    if iqr > allowed:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs, spec_rules):
+    """Per metric: each side's spread, the head/base ratio of each pair, the pairs head won
+    and, for an end-to-end metric, the verdict."""
     base = [r for r in runs if r["side"] == "base"]
     head = [r for r in runs if r["side"] == "head"]
     out = {}
@@ -89,12 +122,15 @@ def summarize(runs, better):
         b = [r["result"]["metrics"][name]["value"] for r in base]
         h = [r["result"]["metrics"][name]["value"] for r in head]
         ratios = [hv / bv if bv else None for hv, bv in zip(h, b)]
-        way = better.get(name)
+        way, bound = spec_rules.get(name, (None, None))
         won = None
         if way is not None:
             won = sum((hv < bv) if way == "lower" else (hv > bv) for hv, bv in zip(h, b))
         out[name] = {"unit": cell["unit"], "better": way, "base": spread(b), "head": spread(h),
                      "ratios": ratios, "head_won": won, "pairs": len(h)}
+        if bound is not None:
+            out[name]["verdict"] = verdict(out[name]["base"], out[name]["head"], won, len(h),
+                                           way, bound)
     return out
 
 
@@ -104,7 +140,7 @@ def failures(runs):
                    for key in ("failed", "attempted")} for side in ("base", "head")}
 
 
-def compare(root, base_tree, workload, pairs, seed, seconds, better, log=print):
+def compare(root, base_tree, workload, pairs, seed, seconds, spec_rules, log=print):
     """``pairs`` alternating runs of each side; returns the workload's summary and runs."""
     runs = []
     for i in range(pairs):
@@ -115,8 +151,13 @@ def compare(root, base_tree, workload, pairs, seed, seconds, better, log=print):
                          "record": record, "result": result})
             log(f"{workload} pair {i} {side}: failed {result['failed']}/{result['attempted']}, "
                 f"{wall:.1f} s")
-    return {"metrics": summarize(runs, better), "operations": failures(runs),
-            "runs": runs}
+    metrics = summarize(runs, spec_rules)
+    for name, m in metrics.items():
+        if "verdict" in m:
+            log(f"{workload} {name}: base {m['base']['median']:.4g}, head "
+                f"{m['head']['median']:.4g}, head won {m['head_won']}/{m['pairs']}: "
+                f"{m['verdict']}")
+    return {"metrics": metrics, "operations": failures(runs), "runs": runs}
 
 
 def main(argv=None, root=ROOT):
@@ -125,6 +166,8 @@ def main(argv=None, root=ROOT):
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--aa", action="append", default=[], metavar="WORKLOAD",
+                        help="also run HEAD against a second extraction of HEAD on WORKLOAD")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -137,15 +180,22 @@ def main(argv=None, root=ROOT):
     head_sha = git(root, "rev-parse", "HEAD")
     out = os.path.join(root, f"BENCH_{head_sha[:12]}.json")
     report = {"base": {"rev": args.base, "sha": base_sha}, "head": {"sha": head_sha},
-              "pairs": args.pairs, "seed": args.seed, "seconds": seconds, "workloads": {}}
-    base_tree = tempfile.mkdtemp(prefix="ab-base-")
+              "pairs": args.pairs, "seed": args.seed, "seconds": seconds, "workloads": {},
+              "aa": {}}
+    trees = []
     try:
-        extract(root, base_sha, base_tree)
-        for workload in args.workload:
-            report["workloads"][workload] = compare(root, base_tree, workload, args.pairs,
-                                                    args.seed, seconds, directions(spec))
+        for key, sha, workloads in (("workloads", base_sha, args.workload),
+                                    ("aa", head_sha, args.aa)):
+            if not workloads:
+                continue
+            trees.append(tempfile.mkdtemp(prefix="ab-base-"))
+            extract(root, sha, trees[-1])
+            for workload in workloads:
+                report[key][workload] = compare(root, trees[-1], workload, args.pairs,
+                                                args.seed, seconds, rules(spec))
     finally:
-        shutil.rmtree(base_tree, ignore_errors=True)
+        for tree in trees:
+            shutil.rmtree(tree, ignore_errors=True)
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
