@@ -909,7 +909,6 @@ def gelu(x):
         m = sl.stop - sl.start
         kernel(xf[sl], h[:m], t[:m], s[:m])
         output(xf[sl], h[:m], outf[sl], s[:m])
-    del h, t, s
     # h over the whole input, from the backward's first read until the rule has run.
     half = [None]
 
