@@ -564,20 +564,36 @@ def mix_softmax_stack(recipe, vectors, features, x, bias=None):
     return _result(out, parents, vjp, "mix_softmax_stack")
 
 
+def _rows_product(a, b):
+    """``a @ b`` over the last two axes; one-row matrices in a form whose bits
+    the BLAS thread count cannot change.
+
+    A product of one-row matrices goes through ``np.einsum``, which runs no
+    BLAS and no threads: OpenBLAS splits a one-row product's columns
+    between its threads, and at some widths (the 1000 classes of a batch-1
+    head among them) the bits depend on the split.  einsum's bits depend on
+    its operands' layouts, which here are always the same: a row-major x
+    or gradient against a weight or its transposed view.  Other products
+    are one ``np.matmul``, one BLAS call per matrix.
+    """
+    return np.einsum("...ij,jk->...ik", a, b) if a.shape[-2] == 1 else a @ b
+
+
 def linear(x, w, b):
     """Channel projection ``y = x @ w + b`` over the last axis of 2/3-D x.
 
     The forward is one ``np.matmul``, one BLAS call per leading index of a
-    3-D x, and the bias is added in place.  The weight gradient sums the
-    leading indices' products in index order with ``_window_sum`` (a 2-D x
-    is one index).
+    3-D x, and the bias is added in place; the forward and the input
+    gradient of one-row matrices take ``_rows_product``'s thread-free form.
+    The weight gradient sums the leading indices' products in index order
+    with ``_window_sum`` (a 2-D x is one index).
     """
     if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: cannot apply {w.shape} weight to input {x.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} does not match width {w.shape[1]}")
     xd, wd = x.data, w.data
-    out = xd @ wd
+    out = _rows_product(xd, wd)
     out += b.data
     # The input gradient reads the weight, the weight gradient the input.
     wt = wd.T if x.requires_grad else None
@@ -585,7 +601,7 @@ def linear(x, w, b):
     bias_grad = b.requires_grad
 
     def vjp(g):
-        gx = None if wt is None else g @ wt
+        gx = None if wt is None else _rows_product(g, wt)
         gw = None
         if xk is not None:
             xs = _read(xk)
