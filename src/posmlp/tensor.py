@@ -19,9 +19,10 @@ from its input alone, forming its erf half again once per backward;
 operands, and a ``split`` part from its slice of a remakeable input.
 ``linear``, ``mul``, ``mix_tokens``, ``mix_softmax_stack`` and the
 convolutions keep such a remake instead of the array and run it once, in
-their rule, so the tape holds one copy of each activation.  A remake reads the parameters' arrays when it runs, so a
-parameter edited in place between the forward and the backward changes the
-remade values, as it changes every rule that reads that parameter.
+their rule, so the tape holds one copy of each activation.  A remake reads
+the parameters' arrays when it runs, so a parameter edited in place
+between the forward and the backward changes the remade values, as it
+changes every rule that reads that parameter.
 
 Batched matrix products go through ``np.matmul`` over the leading batch
 axes, which numpy carries out as one BLAS call per matrix, so every batch
