@@ -926,6 +926,8 @@ def gelu(x):
         m = sl.stop - sl.start
         kernel(xf[sl], h[:m], t[:m], s[:m])
         output(xf[sl], h[:m], outf[sl], s[:m])
+    # Freed before _result, whose finiteness check in checked mode allocates.
+    del h, t, s
     # h over the whole input, from the backward's first read until the rule has run.
     half = [None]
 
