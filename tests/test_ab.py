@@ -1,7 +1,7 @@
 """``tools/ab.py`` driven on a scratch repository whose ``perfbench/run.py`` is a stub.
 
 The stub prints fixed JSON results, one value per metric, run and side in
-order, and logs which side ran; the driver's alternation, spreads, ratios,
+order, and logs which side ran; ab.py's alternation, spreads, ratios,
 pair counts and verdicts are checked against them, and the checkout gains
 only its ``BENCH_<sha>.json``.
 """
