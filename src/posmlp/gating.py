@@ -12,7 +12,6 @@ an optional pre-norm on the mixed half, a no-split mode and a per-position
 bias cover the ablation configurations.
 """
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -176,48 +175,41 @@ class GatingUnit:
     # -- forward -----------------------------------------------------------
 
     def _positional_tensors(self):
-        """Every tensor the mixing stack is a function of, in a fixed order."""
-        tensors = [self.token_fc_weight, self.lrpe.values if self.lrpe else None]
-        if self.gqpe is not None:
-            tensors += (self.gqpe.delta, self.gqpe.gamma, self.gqpe.alpha_raw)
-        return [t for t in tensors if t is not None]
+        """A quadratic unit's positional tensors, the state of its kept stack, in a fixed order."""
+        return [t for t in (self.gqpe.delta, self.gqpe.gamma, self.gqpe.alpha_raw)
+                if t is not None]
 
     def mixing_stack(self):
         """The unit's s token-mixing matrices: a ``SoftmaxStack`` or an ``(N, s, N)`` ``WeightStack``.
 
-        The stack is a pure function of ``_positional_tensors()``: its state
-        is their identities, ``requires_grad``, dtypes and bytes.  In-place
-        edits (an optimizer step, ``p.data[:] = ...``) and replaced tensors
-        both change the state.  A quadratic unit's ``SoftmaxStack`` holds
-        no stack-sized array, only the recipe its stack is rebuilt from, so
-        the unit keeps it from the state's first request on and returns it
-        while the state holds.  A lookup or dense unit's ``WeightStack`` is
-        the whole stack; the unit keeps it only from the state's second
-        request on.  On the first request it keeps a weak reference, which
-        a second request still returns if the stack is alive; otherwise the
-        stack is built again.  So inference, which asks for one state on
-        every forward, builds a quadratic unit's recipe in its first forward
-        and a lookup stack in its first two, and never after; a training
-        step, whose state changes every step, keeps no lookup stack.  A
-        backward pass through the stack or, for a ``SoftmaxStack``, through
-        its vectors consumes the tape the stack's gradient needs, so it
-        forces a rebuild too.  A returned stack keeps its tape, so gradients
-        through it reach the parameters as if it were built afresh.  The
-        entry is one ``(state, weak reference, kept stack)`` triple, read
-        once and replaced in one assignment, so concurrent forwards never
-        pair a state with another state's stack.
+        Only a quadratic unit keeps anything between calls.  Its
+        ``SoftmaxStack`` holds no stack-sized array, only the recipe its
+        stack is rebuilt from, and that recipe costs far more to build than
+        to keep, so the unit keeps one ``(state, stack)`` pair.  The state
+        is ``_positional_tensors()``: their identities, ``requires_grad``,
+        dtypes and bytes.  In-place edits (an optimizer step,
+        ``p.data[:] = ...``) and replaced tensors both change the state,
+        and a changed state builds anew.  A backward through the vectors
+        consumes the tape their gradient needs, so it forces a rebuild too.
+        A returned stack keeps its tape, so gradients through it reach the
+        parameters as if it were built afresh.  The pair is read once and
+        replaced in one assignment, so concurrent forwards never pair a
+        state with another state's stack.  A lookup or dense unit's
+        ``WeightStack`` is the whole stack, and forming it from the table
+        or the dense weights costs little next to a forward, so every call
+        builds it afresh and the unit keeps nothing.
         """
+        if self.config.kind is not GatingKind.GGQPE:
+            return self._build_mixing_stack()
         tensors = self._positional_tensors()
         # Lists of tensors compare by identity: Tensor defines no __eq__.
         key = (tensors, [t.requires_grad for t in tensors], [t.data.dtype for t in tensors],
                b"".join([t.data.tobytes() for t in tensors]))
         entry = self._stack_entry
-        again = entry is not None and entry[0] == key
-        stack = entry[1]() if again else None
-        if stack is None or stack.consumed:
-            stack = self._build_mixing_stack()
-        keep = again or self.config.kind is GatingKind.GGQPE
-        self._stack_entry = (key, weakref.ref(stack), stack if keep else None)
+        if entry is not None and entry[0] == key and not entry[1].consumed:
+            return entry[1]
+        stack = self._build_mixing_stack()
+        self._stack_entry = (key, stack)
         return stack
 
     def _build_mixing_stack(self):

@@ -113,11 +113,11 @@ class WeightStack:
     ``tensor.window_stack`` are group-major: ``weights.data`` is the
     ``(N, s, N)`` view of ``(s, N, N)`` memory, so each group's matrix,
     ``matrix(g)`` included, is one contiguous run and ``tensor.mix_tokens``
-    reads it as it is.  A stack can be weakly referenced, as
-    ``GatingUnit.mixing_stack`` does for a state asked for once.
+    reads it as it is.  ``GatingUnit.mixing_stack`` builds a lookup or
+    dense unit's stack afresh on each call and keeps none between forwards.
     """
 
-    __slots__ = ("weights", "__weakref__")
+    __slots__ = ("weights",)
 
     def __init__(self, weights):
         if weights.ndim != 3 or weights.shape[0] != weights.shape[2]:
@@ -126,11 +126,6 @@ class WeightStack:
 
     def __len__(self):
         return self.weights.shape[1]
-
-    @property
-    def consumed(self):
-        """True once a backward pass has run through the stack's tape."""
-        return self.weights.consumed
 
     def matrix(self, group):
         """Group ``group``'s ``N x N`` matrix as a numpy array."""
@@ -152,7 +147,7 @@ class SoftmaxStack:
     ``len`` is the group count.
     """
 
-    __slots__ = ("vectors", "features", "pairs", "recipe", "__weakref__")
+    __slots__ = ("vectors", "features", "pairs", "recipe")
 
     def __init__(self, vectors, features, pairs, recipe):
         self.vectors = vectors

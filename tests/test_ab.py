@@ -1,9 +1,10 @@
 """``tools/ab.py`` driven on a scratch repository whose ``perfbench/run.py`` is a stub.
 
 The stub prints fixed JSON results, one value per metric, run and side in
-order, and logs which side ran; ab.py's alternation, spreads, ratios,
-pair counts and verdicts are checked against them, and the checkout gains
-only its ``BENCH_<sha>.json``.
+order, and logs which side ran and in which directory; ab.py's
+alternation, spreads, ratios, pair counts and verdicts are checked against
+them.  No run happens in the checkout, every extracted tree is removed,
+and the checkout gains only its ``BENCH_<sha>.json``.
 """
 
 import importlib.util
@@ -18,12 +19,13 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 STUB = '''import json
+import os
 import sys
 
 with open({log!r}, "a+") as fh:
     fh.seek(0)
-    n = sum(line.strip() == {side!r} for line in fh)
-    fh.write({side!r} + "\\n")
+    n = sum(line.split("\\t")[0] == {side!r} for line in fh)
+    fh.write({side!r} + "\\t" + os.getcwd() + "\\n")
 if {fail!r}:
     sys.exit("stub failed")
 args = sys.argv[1:]
@@ -58,6 +60,20 @@ def steps(values):
     return {"step_ms_p50": values, "img_per_s": [1000.0 / v for v in values]}
 
 
+def logged(log):
+    """``(side, working directory)`` of every stub run, in order."""
+    return [tuple(line.split("\t")) for line in log.read_text().splitlines()]
+
+
+def trees_by_side(log, temp):
+    """The directories each side ran in; each was a tree directly in ``temp`` and is gone."""
+    trees = {}
+    for side, cwd in logged(log):
+        trees.setdefault(side, set()).add(cwd)
+        assert Path(cwd).parent == temp.resolve() and not Path(cwd).exists(), cwd
+    return trees
+
+
 def commit_stub(repo, log, side, values, fail=False, benchmark=BENCHMARK):
     (repo / "perfbench").mkdir(exist_ok=True)
     (repo / "perfbench" / "run.py").write_text(
@@ -87,7 +103,10 @@ def test_ab_alternates_the_sides_and_counts_the_pairs_each_won(monkeypatch, scra
     assert ab.main(["--base", "HEAD~1", "--workload", "w1", "--pairs", "3"],
                    root=str(repo)) == str(out)
 
-    assert log.read_text().split() == ["base", "head", "head", "base", "base", "head"]
+    assert [side for side, _ in logged(log)] == ["base", "head", "head", "base", "base", "head"]
+    # One extraction per side; no run happened in the checkout.
+    trees = trees_by_side(log, temp)
+    assert len(trees["base"]) == len(trees["head"]) == 1 and trees["base"] != trees["head"]
     report = json.loads(out.read_text())
     assert report["base"] == {"rev": "HEAD~1", "sha": base}
     assert report["head"] == {"sha": head}
@@ -112,19 +131,39 @@ def test_ab_alternates_the_sides_and_counts_the_pairs_each_won(monkeypatch, scra
     # Every run lasts BENCHMARK.json's run_seconds.
     assert all(r["record"] == {"workload": "w1", "side": r["side"], "seconds": "2"}
                for r in w["runs"])
-    # Only the report was written into the checkout, and the base tree is gone.
+    # Only the report was written into the checkout, and both trees are gone.
     assert git(repo, "status", "--porcelain", "--ignored") == f"?? {out.name}"
     assert list(temp.iterdir()) == []
 
 
-def test_ab_stops_at_a_failed_run_and_removes_the_base_tree(monkeypatch, scratch):
+def test_ab_stops_at_a_failed_run_and_removes_both_trees(monkeypatch, scratch):
     repo, temp, log = scratch
     commit_stub(repo, log, "base", steps([100.0]))
     commit_stub(repo, log, "head", steps([90.0]), fail=True)
     ab = load_ab(monkeypatch)
     with pytest.raises(SystemExit, match="stub failed"):
         ab.main(["--base", "HEAD~1", "--workload", "w1", "--pairs", "1"], root=str(repo))
+    assert [side for side, _ in logged(log)] == ["base", "head"]
+    trees_by_side(log, temp)
     assert git(repo, "status", "--porcelain", "--ignored") == ""
+    assert list(temp.iterdir()) == []
+
+
+def test_extract_waits_for_git_archive_when_tar_fails(monkeypatch, scratch):
+    repo, temp, log = scratch
+    commit_stub(repo, log, "head", steps([90.0]))
+    ab = load_ab(monkeypatch)
+    started, popen = [], subprocess.Popen
+
+    def recorded(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recorded)
+    with pytest.raises(SystemExit, match="tar -x of HEAD"):
+        ab.extract(str(repo), "HEAD", str(temp / "missing"))
+    # git archive and tar both ran, and both were waited for.
+    assert len(started) == 2 and all(p.returncode is not None for p in started)
     assert list(temp.iterdir()) == []
 
 
@@ -176,7 +215,15 @@ def test_ab_gives_each_end_to_end_metric_a_verdict_and_runs_aa_pairs(monkeypatch
     assert (metrics["flat"]["head_won"], metrics["flat"]["verdict"]) == (0, "within bound")
     assert "verdict" not in metrics["extra"]
 
-    assert log.read_text().split() == ["base", "head", "head", "base"] * 5 + ["head"] * 20
+    assert [side for side, _ in logged(log)] == ["base", "head", "head", "base"] * 5 + \
+        ["head"] * 20
+    # The A/A pairs run HEAD's stub in the base/head pairs' HEAD tree, as
+    # their head side, and in a second extraction of HEAD, as their base
+    # side; no run happened in the checkout.
+    trees = trees_by_side(log, temp)
+    head_tree = {cwd for side, cwd in logged(log)[:20] if side == "head"}
+    assert len(trees["base"]) == len(head_tree) == 1 and len(trees["head"]) == 2
+    assert [cwd in head_tree for _, cwd in logged(log)[20:]] == [False, True, True, False] * 5
     aa = report["aa"]["w1"]
     assert [(r["pair"], r["side"]) for r in aa["runs"][:4]] == [
         (0, "base"), (0, "head"), (1, "head"), (1, "base")]

@@ -170,19 +170,21 @@ def test_attention_export_rejects_bad_query(tmp_path):
 
 @pytest.mark.parametrize("kind", list(GatingKind))
 def test_attention_export_writes_the_rows_the_unit_mixes_with(tmp_path, monkeypatch, kind):
-    # dense plus lookup for LRPE_M, the dense matrix for SGU; the state's
-    # second request, after the forward, keeps the stack, and the export
-    # reads that stack and builds none
+    # dense plus lookup for LRPE_M, the dense matrix for SGU; a quadratic
+    # unit's export reads the recipe its forward kept and builds none, a
+    # lookup or dense unit's export builds its stack once
     from posmlp.gating import GatingConfig, GatingUnit
     from posmlp.tensor import Tensor
     cfg = GatingConfig(kind=kind, window_side=3, groups=2 if kind.grouped else 1)
     u = GatingUnit(cfg, 8, rng=np.random.default_rng(0), dtype=np.float64)
     u.forward(Tensor(np.random.default_rng(1).standard_normal((2, 9, 8))))
-    stack = u.mixing_stack()
-    monkeypatch.setattr(u, "_build_mixing_stack", lambda: pytest.fail("stack rebuilt"))
+    built, build = [], u._build_mixing_stack
+    monkeypatch.setattr(u, "_build_mixing_stack", lambda: built.append(build()) or built[-1])
     query = 4
     files = A.export_unit_attention_maps(u, query, tmp_path)
-    assert u.mixing_stack() is stack
+    ggqpe = kind is GatingKind.GGQPE
+    stack = u.mixing_stack() if ggqpe else built[0]
+    assert len(built) == (0 if ggqpe else 1)
     csvs = [f for f in files if f.endswith(".csv")]
     assert len(csvs) == len(stack) == cfg.groups
     for g, path in enumerate(csvs):

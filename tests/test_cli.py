@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -270,6 +271,23 @@ def test_load_corrupt_config_is_io_error(tmp_path, capsys):
     ckpt.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])  # not utf-8
     code, _, err = run(capsys, "load", "--checkpoint", str(ckpt), "--out", str(tmp_path))
     assert code == 3 and "__config__" in err
+
+
+def test_load_of_a_config_only_checkpoint_is_io_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.pmlp"
+    assert run(capsys, "save", "--variant", "MICRO", "--checkpoint", str(ckpt),
+               "--out", str(tmp_path))[0] == 0
+    blob = ckpt.read_bytes()
+    # Magic, version, then the __config__ record: name length, name, dtype
+    # tag, rank 1, its one extent and its bytes.
+    extent_at = 4 + 4 + 4 + len(b"__config__") + 2
+    (nbytes,) = struct.unpack("<I", blob[extent_at:extent_at + 4])
+    ckpt.write_bytes(blob[:extent_at + 4 + nbytes])
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "load", "--checkpoint", str(ckpt), "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert err.startswith("i/o error:") and "missing parameters" in err
+    assert not (out / "resolved_config.json").exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

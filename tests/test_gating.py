@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -393,14 +391,13 @@ def test_mixing_stack_hit_returns_the_same_stack(monkeypatch):
 
 
 def recording_generator(monkeypatch, name="group_weight_stack"):
-    """Weak references to the stacks a gating unit builds through ``G.<name>``."""
+    """The stacks a gating unit builds through ``G.<name>``, in order."""
     built = []
     real = getattr(G, name)
 
     def recorded(*args):
-        stack = real(*args)
-        built.append(weakref.ref(stack))
-        return stack
+        built.append(real(*args))
+        return built[-1]
 
     monkeypatch.setattr(G, name, recorded)
     return built
@@ -416,43 +413,38 @@ def test_a_first_request_keeps_the_recipe_until_a_backward_consumes_it(rng, monk
     fresh = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
     x, weights = tin(rng, 2, 9, 8), rng.standard_normal((2, 9, 4))
     out = u.forward(x)
-    assert len(built) == 1 and built[0]() is u._stack_entry[2] is u.mixing_stack()
-    assert isinstance(built[0](), P.SoftmaxStack) and len(built) == 1
+    assert len(built) == 1 and built[0] is u._stack_entry[1] is u.mixing_stack()
+    assert isinstance(built[0], P.SoftmaxStack) and len(built) == 1
     held = fresh.mixing_stack()
     T.backward(T.weighted_sum(out, weights))
     T.backward(T.weighted_sum(fresh.forward(x), weights))
-    assert fresh.mixing_stack() is not held and u.mixing_stack() is not built[0]()
+    assert fresh.mixing_stack() is not held and u.mixing_stack() is not built[0]
     for (name, p), q in zip(u.parameters().items(), fresh.parameters().values()):
         np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
 
 
-@pytest.mark.parametrize("kind", [G.GatingKind.GGQPE, G.GatingKind.GLRPE])
-def test_a_state_is_built_once_or_twice_and_then_returned(rng, monkeypatch, kind):
-    # A SoftmaxStack is kept from the state's first request; a lookup
-    # unit's whole (N, s, N) stack only from its second, and on the first
-    # the unit keeps a weak reference that a second request still returns.
-    ggqpe = kind is G.GatingKind.GGQPE
-    built = recording_generator(monkeypatch, "group_weight_stack" if ggqpe else
-                                "lrpe_weight_stack")
-    u = unit(kind, k=3, width=8, groups=2, seed=3)
+def test_a_quadratic_state_is_built_once_and_a_lookup_stack_on_every_request(rng,
+                                                                            monkeypatch):
+    # A SoftmaxStack is kept from the state's first request on.  A lookup
+    # unit's whole (N, s, N) stack is built afresh on every request and
+    # never kept, and each build has the same bits.
+    recipes = recording_generator(monkeypatch)
+    lookups = recording_generator(monkeypatch, "lrpe_weight_stack")
     x = tin(rng, 2, 9, 8)
+    q = unit(G.GatingKind.GGQPE, k=3, width=8, groups=2, seed=3)
+    first = q.forward(x).data
+    assert q.mixing_stack() is recipes[0] is q._stack_entry[1]
+    np.testing.assert_array_equal(q.forward(x).data, first)
+    assert len(recipes) == 1
+
+    u = unit(G.GatingKind.GLRPE, k=3, width=8, groups=2, seed=3)
     first = u.forward(x).data
-    assert len(built) == 1 and (built[0]() is not None) == ggqpe
+    assert len(lookups) == 1 and u._stack_entry is None
     held = u.mixing_stack()
-    assert len(built) == (1 if ggqpe else 2)
-    assert u.mixing_stack() is held and u._stack_entry[2] is held
+    assert held is lookups[1] and u.mixing_stack() is lookups[2] is not held
     np.testing.assert_array_equal(u.forward(x).data, first)
-    del held
-    assert u.mixing_stack() is built[-1]()
-    if not ggqpe:
-        # A lookup stack asked for once and held by nobody is built again.
-        v = unit(kind, k=3, width=8, groups=2, seed=3)
-        ref = weakref.ref(v.mixing_stack())
-        assert ref() is None and v._stack_entry[2] is None
-        held = weakref.ref(v.mixing_stack())
-        assert held() is v._stack_entry[2] is not None
-        assert len(built) == 4
-    np.testing.assert_array_equal(u.forward(x).data, first)
+    assert len(lookups) == 4 and u._stack_entry is None
+    assert len({s.weights.data.tobytes() for s in lookups}) == 1
 
 
 def _edit_gamma_in_place(u):

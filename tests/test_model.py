@@ -470,8 +470,9 @@ def _held_between_forwards(unit):
     vectors and their tape, closures included), skipping the parameters,
     their arrays and the shared ``DisplacementGrid``.
     """
-    params = list(unit.parameters().values()) + [
-        t for t in (unit.gqpe.delta, unit.gqpe.gamma, unit.gqpe.alpha_raw) if t is not None]
+    params = list(unit.parameters().values())
+    if unit.gqpe is not None:
+        params += unit._positional_tensors()
     grid = unit.grid
     seen = {id(grid), id(grid.pairs), *map(id, grid._features.values()), *map(id, params)}
     param_bases = {id(T._base(p.data)) for p in params}
@@ -498,7 +499,7 @@ def _recipe_bytes(recipe):
 
 
 def _check_holds_no_more_than_its_recipe(unit):
-    recipe = unit._stack_entry[2].recipe
+    recipe = unit._stack_entry[1].recipe
     n, s = recipe.shape[:2]
     held = _held_between_forwards(unit)
     assert any(a is recipe.table for a in held)
@@ -542,6 +543,25 @@ def test_a_t_unit_holds_no_more_than_its_recipe_between_forwards(rng):
         first = u.forward(x).data
         _check_holds_no_more_than_its_recipe(u)
         np.testing.assert_array_equal(u.forward(x).data, first)
+
+
+@pytest.mark.parametrize("kind, k, groups, stage", [
+    (GatingKind.SGU, 3, 1, None), (GatingKind.LRPE_M, 3, 1, None), (GatingKind.LRPE, 3, 1, None),
+    (GatingKind.GLRPE, 3, 2, None), (GatingKind.GLRPE, None, None, 2)])
+def test_a_lookup_or_dense_unit_holds_nothing_between_forwards(rng, kind, k, groups, stage):
+    # Each forward builds the unit's whole (N, s, N) stack and drops it;
+    # after two forwards the unit holds its parameters and its grid alone.
+    # The last case is PosMLP-T's stage-2 unit at 224^2 and batch 1.
+    width = 8
+    if stage is not None:
+        st = M.variant_config("T").stages[stage]
+        k, groups, width = st.window_side, st.groups, st.dim * st.expansion
+    u = G.GatingUnit(GatingConfig(kind=kind, window_side=k, groups=groups), width,
+                     rng=np.random.default_rng(0))
+    x = Tensor(rng.standard_normal((1, k * k, width)).astype(np.float32))
+    first = u.forward(x).data
+    np.testing.assert_array_equal(u.forward(x).data, first)
+    assert _held_between_forwards(u) == []
 
 
 @pytest.mark.parametrize("overrides", [{}, {"gating_kind": "lrpe_m"}, {"gating_kind": "glrpe"},
@@ -630,6 +650,17 @@ def test_checkpoint_repeated_record_is_refused(tmp_path, repeat):
     with pytest.raises(M.CheckpointError, match="duplicate") as err:
         M.load_checkpoint(path)
     assert repr(repeat) in str(err.value)
+
+
+def test_a_checkpoint_of_its_config_alone_names_the_missing_parameters(tmp_path):
+    # No parameter record gives a dtype, so the model is built in float32
+    # and every one of its parameters is missing.
+    m = micro()
+    path = tmp_path / "config_only.pmlp"
+    _write_checkpoint(path, m.config, [])
+    with pytest.raises(M.CheckpointError, match="missing parameters") as err:
+        M.load_checkpoint(path)
+    assert repr(min(name for name, _ in file_records(m))) in str(err.value)
 
 
 def test_checkpoint_mixed_dtypes_name_the_first_disagreeing_record(tmp_path):

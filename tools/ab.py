@@ -1,21 +1,24 @@
-"""Paired A/B runs of the benchmark: a base revision against this checkout.
+"""Paired A/B runs of the benchmark: a base revision against this checkout's HEAD.
 
     python3 tools/ab.py --base REV --workload t224_infer --workload t224_train --pairs 10 \
         [--aa t224_infer]
 
-Extracts REV with ``git archive`` into a temporary directory outside the
-checkout and runs each side's own ``perfbench/run.py`` (``--trace 0``) in
-its own tree, one run per side and pair.  The side that runs first
-alternates from pair to pair, base first in pair 0, so a drift of the
-host's speed falls on both sides alike.  Each run's last output line is
-its JSON result.  Every run lasts the ``run_seconds`` of the checkout's
-``BENCHMARK.json``, which also gives each metric's better direction.  The
-checkout's tracked files must match its HEAD, so that the head's numbers
-belong to one commit.  Writes ``BENCH_<sha>.json`` at the checkout's root,
-where sha is HEAD, holding per workload and metric each side's median and
-quartiles, the head/base ratio of each pair and the number of pairs the
-head won, and every run's record and result.  A run that fails or prints
-no JSON result stops the driver.
+Extracts REV and HEAD with ``git archive`` into temporary directories
+outside the checkout and runs each side's own ``perfbench/run.py``
+(``--trace 0``) in its own tree, one run per side and pair.  Both sides
+run from trees made the same way, so neither carries what the checkout
+holds besides its tracked files, and the checkout receives only the
+report.  The side that runs first alternates from pair to pair, base
+first in pair 0, so a drift of the host's speed falls on both sides
+alike.  Each run's last output line is its JSON result.  Every run lasts
+the ``run_seconds`` of the checkout's ``BENCHMARK.json``, which also gives
+each metric's better direction.  The checkout's tracked files must match
+its HEAD, so that the head's numbers belong to the code checked out.
+Writes ``BENCH_<sha>.json`` at the checkout's root, where sha is HEAD,
+holding per workload and metric each side's median and quartiles, the
+head/base ratio of each pair and the number of pairs the head won, and
+every run's record and result.  A run that fails or prints no JSON result
+stops the driver.
 
 Each end-to-end metric, one with a ``bound`` in ``BENCHMARK.json``, also
 gets a verdict, the first of these that holds:
@@ -28,9 +31,10 @@ gets a verdict, the first of these that holds:
 - ``unresolved``: the base's inter-quartile distance exceeds the bound;
 - ``within bound``: otherwise.
 
-``--aa W`` also runs W's pairs of HEAD against a second extraction of HEAD,
-in the same way, and stores them under ``aa``: the noise floor of the file's
-own runs, against which its base/head differences can be read.
+``--aa W`` also runs W's pairs of the HEAD extraction against a second
+extraction of HEAD, in the same way, and stores them under ``aa``: the
+noise floor of the file's own runs, against which its base/head
+differences can be read.
 """
 
 import argparse
@@ -52,12 +56,21 @@ def git(root, *args):
 
 
 def extract(root, rev, into):
-    """The tree of ``rev`` written into directory ``into``, from the local repository only."""
+    """The tree of ``rev`` written into directory ``into``, from the local repository only.
+
+    Whether ``tar`` succeeds or not, ``git archive`` is waited for before
+    this returns or raises, so no process is left running.
+    """
     archive = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=root,
                                stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", into], stdin=archive.stdout, check=True)
-    archive.stdout.close()
-    if archive.wait() != 0:
+    try:
+        untar = subprocess.run(["tar", "-x", "-C", into], stdin=archive.stdout)
+    finally:
+        archive.stdout.close()
+        archived = archive.wait()
+    if untar.returncode != 0:
+        raise SystemExit(f"error: tar -x of {rev} into {into} failed")
+    if archived != 0:
         raise SystemExit(f"error: git archive {rev} failed")
 
 
@@ -140,11 +153,11 @@ def failures(runs):
                    for key in ("failed", "attempted")} for side in ("base", "head")}
 
 
-def compare(root, base_tree, workload, pairs, seed, seconds, spec_rules, log=print):
+def compare(base_tree, head_tree, workload, pairs, seed, seconds, spec_rules, log=print):
     """``pairs`` alternating runs of each side; returns the workload's summary and runs."""
     runs = []
     for i in range(pairs):
-        order = (("base", base_tree), ("head", root))
+        order = (("base", base_tree), ("head", head_tree))
         for first, (side, tree) in zip((True, False), order if i % 2 == 0 else order[::-1]):
             record, result, wall = run_side(tree, workload, seed, seconds)
             runs.append({"pair": i, "side": side, "first": first, "wall_s": wall,
@@ -183,15 +196,21 @@ def main(argv=None, root=ROOT):
               "pairs": args.pairs, "seed": args.seed, "seconds": seconds, "workloads": {},
               "aa": {}}
     trees = []
+
+    def extracted(side, sha):
+        trees.append(tempfile.mkdtemp(prefix=f"ab-{side}-"))
+        extract(root, sha, trees[-1])
+        return trees[-1]
+
     try:
+        head_tree = extracted("head", head_sha)
         for key, sha, workloads in (("workloads", base_sha, args.workload),
                                     ("aa", head_sha, args.aa)):
             if not workloads:
                 continue
-            trees.append(tempfile.mkdtemp(prefix="ab-base-"))
-            extract(root, sha, trees[-1])
+            base_tree = extracted("base", sha)
             for workload in workloads:
-                report[key][workload] = compare(root, trees[-1], workload, args.pairs,
+                report[key][workload] = compare(base_tree, head_tree, workload, args.pairs,
                                                 args.seed, seconds, rules(spec))
     finally:
         for tree in trees:
