@@ -18,7 +18,7 @@ Writes ``BENCH_<sha>.json`` at the checkout's root, where sha is HEAD,
 holding per workload and metric each side's median and quartiles, the
 head/base ratio of each pair and the number of pairs the head won, and
 every run's record and result.  A run that fails or prints no JSON result
-stops the driver.
+stops the script.
 
 Each end-to-end metric, one with a ``bound`` in ``BENCHMARK.json``, also
 gets a verdict, the first of these that holds:
